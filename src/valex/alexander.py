@@ -54,16 +54,9 @@ class AlexMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
 
-
-def build_matrix(incidences, signs=None) -> AlexMatrix:
-    """Assemble the Alexander matrix from per-crossing arc roles.
-
-    ``signs`` may override the signs carried by the incidences (rarely
-    needed; the incidences from ``derive_incidence`` already know them).
-    """
+def build_matrix(incidences) -> AlexMatrix:
+    """Assemble the Alexander matrix from per-crossing arc roles."""
     arcs = sorted(
         {a for i in incidences for a in (i.in_over, i.out_over, i.in_under, i.out_under)}
     )
@@ -73,10 +66,7 @@ def build_matrix(incidences, signs=None) -> AlexMatrix:
         raise ValueError(f"expected {n2} arcs, found {len(arcs)}")
     rows = []
     for inc in sorted(incidences, key=lambda i: i.crossing):
-        sign = signs[inc.crossing] if signs is not None else inc.sign
-        row_a = [{} for _ in range(n2)]
-        row_b = [{} for _ in range(n2)]
-        if sign > 0:
+        if inc.sign > 0:
             pattern_a = (
                 (inc.in_under, ONE),
                 (inc.in_over, U),

@@ -22,6 +22,7 @@ from .twist import (
     evaluate_recursive,
     format_spec,
     generate_twist,
+    mirror_invariant,
     ow_closed_form,
     parse_spec,
 )
@@ -29,16 +30,12 @@ from .verify import batch_check, run_grid, run_law_suite, worker_count
 
 
 def _spec_odd_writhe(spec: TwistSpec):
-    """Odd writhe for any clasp reachable through the identities (None for ab/ba)."""
-    if spec.clasp == "a":
-        return ow_closed_form(spec)
-    if spec.clasp == "^a":
-        return ow_closed_form(TwistSpec(spec.blocks + (0,)))
-    if spec.clasp == "b":
-        return -ow_closed_form(TwistSpec(tuple(-b for b in spec.blocks)))
-    if spec.clasp == "^b":
-        return -ow_closed_form(TwistSpec(tuple(-b for b in spec.blocks) + (0,)))
-    return None
+    """Odd writhe through the clasp identity (None for ab/ba, which have no closed form)."""
+    base, transform = clasp_identity(spec)
+    if base.clasp != "a":
+        return None
+    ow = ow_closed_form(base)
+    return -ow if transform is mirror_invariant else ow
 
 
 def _print_report(lines, machine: bool):
@@ -103,12 +100,12 @@ def cmd_compute(args) -> int:
 def cmd_twist(args) -> int:
     spec = parse_spec(args.spec)
     d = generate_twist(spec)
-    base, _ = clasp_identity(spec)
+    base, transform = clasp_identity(spec)
     print(f"# {format_spec(spec)}: {d.n_crossings} classical crossings"
           f" (crossing 1 = clasp), {d.n_components} component")
-    if base.blocks != spec.blocks or base.clasp != spec.clasp:
+    if base != spec:
         print(f"# generated via clasp identity as {format_spec(base)}"
-              + (" mirrored" if spec.clasp in ("b", "^b") else ""))
+              + (" mirrored" if transform is mirror_invariant else ""))
     labels = d.arc_labels or tuple(range(1, 2 * d.n_crossings + 1))
     print(f"# arc labels along traversal (columns of the matrix): "
           f"{' '.join(str(x) for x in labels)}")
@@ -169,10 +166,22 @@ def cmd_selftest(args) -> int:
 
 def _parse_range(text: str):
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: LO exceeds HI")
+    return lo, hi
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("verify", help="grid verification or batch file check")
-    p.add_argument("--n", type=int, default=2, help="max number of blocks (default 2)")
+    p.add_argument("--n", type=_positive_int, default=2,
+                   help="max number of blocks (default 2)")
     p.add_argument("--range", type=_parse_range, default=(-2, 2),
                    metavar="LO..HI", help="block value range (default -2..2)")
     p.add_argument("--file", help="file of Gauss codes, one per line")

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from .alexander import KNOT_FACTOR
 from .diagram import Diagram, Passage, mirror_all
 from .errors import (
     EmptyBlock,
@@ -53,13 +55,12 @@ __all__ = [
     "negative_flip",
     "evaluate_recursive",
     "clasp_identity",
+    "mirror_invariant",
     "ow_closed_form",
     "KNOT_FACTOR",
 ]
 
 CLASPS = ("a", "^a", "b", "^b", "ab", "ba")
-
-KNOT_FACTOR = (U - 1) * (V - 1) * (U * V - 1)
 
 UV = U * V
 
@@ -167,9 +168,9 @@ def generate_twist(spec: TwistSpec) -> Diagram:
     """Emit the twist-knot diagram with the odd/even strand arc labeling.
 
     Directly generated for clasp ``a``; the ``^a``, ``b`` and ``^b`` variants
-    are produced through their clasp identities (append an empty block and/or
-    mirror the negated spec).  ``ab``/``ba`` have no public diagram recipe and
-    raise UnsupportedClasp.
+    are produced through ``clasp_identity`` (generate its clasp-``a`` spec,
+    mirrored when the identity mirrors).  ``ab``/``ba`` have no public diagram
+    recipe and raise UnsupportedClasp.
 
     Layout for clasp ``a``: m twist crossings c_2..c_{m+1} left to right; the
     k-th crossing of block j is "type 1" iff s(j-1)+k-1 is even, and the
@@ -179,16 +180,12 @@ def generate_twist(spec: TwistSpec) -> Diagram:
     This role assignment is the one that reproduces all four closed-form base
     families exactly, sign included.
     """
-    if spec.clasp == "^a":
-        return generate_twist(TwistSpec(spec.blocks + (0,), "a"))
-    if spec.clasp == "b":
-        neg = TwistSpec(tuple(-b for b in spec.blocks), "a")
-        return mirror_all(generate_twist(neg))
-    if spec.clasp == "^b":
-        neg = TwistSpec(tuple(-b for b in spec.blocks) + (0,), "a")
-        return mirror_all(generate_twist(neg))
     if spec.clasp != "a":
-        raise UnsupportedClasp(f"no diagram generator for clasp {spec.clasp!r}")
+        base, transform = clasp_identity(spec)
+        if base.clasp != "a":
+            raise UnsupportedClasp(f"no diagram generator for clasp {spec.clasp!r}")
+        d = generate_twist(base)
+        return mirror_all(d) if transform is mirror_invariant else d
 
     ctx = parity_context(spec)
     m = ctx.m
@@ -477,28 +474,36 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     return factor * base + acc
 
 
+def _identity(p: LaurentPoly) -> LaurentPoly:
+    return p
+
+
+def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
+    """Map an invariant to that of the mirror image (every crossing switched).
+
+    p(u, v) -> -p(v, u); like the clasp identities, it holds up to units.
+    """
+    return -p.substituted_swap()
+
+
 def clasp_identity(spec: TwistSpec):
     """Rewrite any clasp onto {a, ab}; returns (spec, polynomial transform).
 
-    The ``b``-side clasps mirror every crossing, so their invariants relate by
-    p(u, v) -> -p(v, u); the transform applies verbatim to dbar as well since
-    the knot factor (u-1)(v-1)(uv-1) is (up to sign) symmetric under the swap.
+    The ``b``-side clasps mirror every crossing, so their transform is
+    ``mirror_invariant``: p(u, v) -> -p(v, u).  It applies verbatim to dbar as
+    well since the knot factor (u-1)(v-1)(uv-1) is (up to sign) symmetric
+    under the swap.  Mirroring also negates the odd writhe.
     """
-    identity = lambda p: p  # noqa: E731
-
-    def neg_swap(p: LaurentPoly) -> LaurentPoly:
-        return -p.substituted_swap()
-
     if spec.clasp in ("a", "ab"):
-        return spec, identity
+        return spec, _identity
     if spec.clasp == "^a":
-        return TwistSpec(spec.blocks + (0,), "a"), identity
+        return TwistSpec(spec.blocks + (0,), "a"), _identity
     if spec.clasp == "b":
-        return TwistSpec(tuple(-b for b in spec.blocks), "a"), neg_swap
+        return TwistSpec(tuple(-b for b in spec.blocks), "a"), mirror_invariant
     if spec.clasp == "^b":
-        return TwistSpec(tuple(-b for b in spec.blocks) + (0,), "a"), neg_swap
+        return TwistSpec(tuple(-b for b in spec.blocks) + (0,), "a"), mirror_invariant
     # ba: lengthen the final block by a half-twist
-    return TwistSpec(spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab"), identity
+    return TwistSpec(spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab"), _identity
 
 
 def ow_closed_form(spec: TwistSpec) -> int:

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from valex.cli import main
+from valex.diagram import odd_writhe
 from valex.laurent import parse_poly
+from valex.twist import TwistSpec, format_spec, generate_twist
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
@@ -97,6 +101,20 @@ class TestTwist:
         code, _, err = run(capsys, "twist", "VT[ab](1,1)")
         assert code == 1 and "clasp" in err
 
+    def test_spec_odd_writhe_matches_generated_diagram(self, capsys):
+        small = [b for k in (1, 2, 3) for b in itertools.product(range(-2, 3), repeat=k)]
+        for clasp in ("a", "^a", "b", "^b", "ab", "ba"):
+            for blocks in small:
+                spec = TwistSpec(blocks, clasp)
+                code, out, _ = run(capsys, "compute", "--spec", format_spec(spec),
+                                   "--machine")
+                assert code == 0, spec
+                fields = dict(line.split("=", 1) for line in out.strip().splitlines())
+                if clasp in ("ab", "ba"):
+                    assert "ow" not in fields, spec
+                else:
+                    assert int(fields["ow"]) == odd_writhe(generate_twist(spec)), spec
+
 
 class TestVerify:
     def test_grid(self, capsys):
@@ -133,6 +151,13 @@ class TestVerify:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope"))
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [("--n", "0"), ("--range", "3..-3")])
+    def test_empty_grid_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "specs checked" not in capsys.readouterr().out
 
 
 class TestSelftest:

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from valex._backend import divexact_terms, fma_terms, mul_terms
 from valex.errors import (
     DivisionByZero,
     EvalAtZero,
@@ -42,6 +43,55 @@ small_polys = st.builds(
         max_size=6,
     ),
 )
+
+
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(-(2 ** 80), 2 ** 80).filter(bool),
+    max_size=5,
+)
+nonzero_term_dicts = term_dicts.filter(bool)
+
+
+class TestKernelContract:
+    """The term-dict kernel against LaurentPoly and the independent mul_naive."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_dicts, term_dicts, term_dicts, term_dicts)
+    def test_mul_and_fma(self, a, b, c, d):
+        before = [dict(x) for x in (a, b, c, d)]
+        prod = mul_terms(a, b)
+        out = fma_terms(a, b, c, d)
+        assert [a, b, c, d] == before
+        assert all(prod.values()) and all(out.values())
+        pa, pb, pc, pd = (LaurentPoly(x) for x in (a, b, c, d))
+        assert prod == mul_naive(pa, pb).terms
+        assert out == (mul_naive(pa, pb) - mul_naive(pc, pd)).terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_dicts, nonzero_term_dicts)
+    def test_divexact_inverts_mul(self, a, b):
+        prod = mul_terms(a, b)
+        before = [dict(prod), dict(b)]
+        q = divexact_terms(prod, b)
+        assert [prod, b] == before
+        assert all(q.values())
+        assert q == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_dicts, nonzero_term_dicts,
+           st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    def test_divexact_rejects_non_multiple(self, a, b, key):
+        # a*b + u^i*v^j is a multiple of b only if b divides a monomial,
+        # i.e. only if b is a single term with coefficient +-1
+        assume(len(b) > 1 or abs(next(iter(b.values()))) > 1)
+        num = mul_terms(a, b)
+        num[key] = num.get(key, 0) + 1
+        if not num[key]:
+            del num[key]
+        before = [dict(num), dict(b)]
+        assert divexact_terms(num, b) is None
+        assert [num, b] == before
 
 
 class TestAddMul:

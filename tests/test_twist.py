@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from valex import alexander, twist
 from valex.alexander import delta0_diagram, delta_bar
 from valex.diagram import format_gauss, odd_writhe, parse_gauss, smooth_crossing
 from valex.errors import (
@@ -157,6 +158,7 @@ class TestVTabClosedForms:
         assert vtab_delta_bar(TwistSpec((1,), "ab")).is_zero
         assert vtab_closed_form(TwistSpec((0, 1), "ab")) == -UV * KNOT_FACTOR
         assert vtab_closed_form(TwistSpec((0, 0), "ab")) == KNOT_FACTOR
+        assert twist.KNOT_FACTOR is alexander.KNOT_FACTOR
 
     def test_family_values(self):
         assert vtab_delta_bar(TwistSpec((1, 1), "ab")) == UV
