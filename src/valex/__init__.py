@@ -60,12 +60,12 @@ from .twist import (
     parse_spec,
     recursion_step,
     smoothed_closed_form,
+    spec_report,
     vtab_closed_form,
     vtab_delta_bar,
 )
 from .verify import (
     batch_check,
-    check_conjecture,
     run_grid,
     run_law_suite,
 )
@@ -91,7 +91,7 @@ __all__ = [
     "generate_twist", "base_closed_form", "base_delta_bar",
     "vtab_closed_form", "vtab_delta_bar", "smoothed_closed_form",
     "recursion_step", "contract", "negative_flip", "evaluate_recursive",
-    "clasp_identity", "ow_closed_form",
+    "clasp_identity", "ow_closed_form", "spec_report",
     # verify
-    "check_conjecture", "run_grid", "run_law_suite", "batch_check",
+    "run_grid", "run_law_suite", "batch_check",
 ]

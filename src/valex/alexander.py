@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import divexact_terms, fma_terms
-from .diagram import Diagram, derive_incidence, odd_writhe
+from .diagram import Diagram, derive_incidence, format_gauss, odd_writhe
 from .errors import NotDivisible
 from .laurent import LaurentPoly, Normalized, ONE, U, V, ZERO, exact_div, normalize
 
@@ -185,55 +185,55 @@ def delta_bar(p: LaurentPoly, is_knot: bool = True) -> LaurentPoly:
 
 @dataclass
 class InvariantReport:
-    """Everything the toolkit knows about one diagram."""
+    """Delta_0, its normalized quotient and the odd-writhe verdict for one input.
 
-    gauss: str
-    n_crossings: int
-    n_components: int
+    ``invariant_report`` builds it from a diagram and ``twist.spec_report``
+    from a twist spec; both go through ``InvariantReport.of``.
+    """
+
+    subject: str                 # Gauss code or twist spec
     is_knot: bool
     delta0: LaurentPoly          # diagram level, label dependent
     dbar: LaurentPoly            # diagram level quotient
     dbar_normalized: LaurentPoly
     delta0_normalized: LaurentPoly
     unit: Normalized
+    dbar_at_minus_one: int
     odd_writhe: Optional[int]
-    dbar_at_minus_one: Optional[int]
     conjecture_holds: Optional[bool]
+
+    @classmethod
+    def of(cls, subject: str, delta0: LaurentPoly, dbar: LaurentPoly, is_knot: bool,
+           odd_writhe: Optional[int]) -> "InvariantReport":
+        """Normalize dbar, evaluate it at (-1, -1) and test 2|dbar(-1,-1)| = |OW|.
+
+        The normalized Delta_0 is reported as factor * dbar_norm, with the
+        knot factor (u-1)(v-1)(uv-1) or the link factor (u-1)(v-1), matching
+        the printed values of the source examples.  Without an odd writhe
+        (links, clasps ab/ba) the verdict is None.
+        """
+        norm = normalize(dbar)
+        val = norm.poly.evaluate(-1, -1)
+        return cls(
+            subject=subject,
+            is_knot=is_knot,
+            delta0=delta0,
+            dbar=dbar,
+            dbar_normalized=norm.poly,
+            delta0_normalized=(KNOT_FACTOR if is_knot else LINK_FACTOR) * norm.poly,
+            unit=norm,
+            dbar_at_minus_one=val,
+            odd_writhe=odd_writhe,
+            conjecture_holds=None if odd_writhe is None else 2 * abs(val) == abs(odd_writhe),
+        )
 
 
 def invariant_report(d: Diagram) -> InvariantReport:
-    """Assemble Delta_0, its quotient, normalized forms, and the odd-writhe check.
+    """Delta_0 of the diagram by its determinant, then ``InvariantReport.of``.
 
-    Normalization is applied to the quotient dbar; the normalized Delta_0 is
-    reported as (u-1)(v-1)(uv-1) * dbar_norm (knot case), matching the
-    printed values of the source examples.  Multi-component diagrams omit the
-    odd writhe and the conjecture verdict.
+    Multi-component diagrams have no odd writhe, so they carry no verdict.
     """
-    from .diagram import format_gauss
-
     p = delta0_diagram(d)
     knot = d.is_knot
-    q = delta_bar(p, is_knot=knot)
-    norm = normalize(q)
-    factor = KNOT_FACTOR if knot else LINK_FACTOR
-    report = InvariantReport(
-        gauss=format_gauss(d),
-        n_crossings=d.n_crossings,
-        n_components=d.n_components,
-        is_knot=knot,
-        delta0=p,
-        dbar=q,
-        dbar_normalized=norm.poly,
-        delta0_normalized=factor * norm.poly,
-        unit=norm,
-        odd_writhe=None,
-        dbar_at_minus_one=None,
-        conjecture_holds=None,
-    )
-    if knot:
-        ow = odd_writhe(d)
-        val = norm.poly.evaluate(-1, -1)
-        report.odd_writhe = ow
-        report.dbar_at_minus_one = val
-        report.conjecture_holds = 2 * abs(val) == abs(ow)
-    return report
+    return InvariantReport.of(format_gauss(d), p, delta_bar(p, is_knot=knot), knot,
+                              odd_writhe(d) if knot else None)

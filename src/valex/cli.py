@@ -12,30 +12,19 @@ import argparse
 import re
 import sys
 
-from .alexander import KNOT_FACTOR, invariant_report
-from .diagram import format_gauss, odd_writhe, parse_gauss
+from .alexander import invariant_report
+from .diagram import format_gauss, parse_gauss
 from .errors import ValexError
-from .laurent import format_poly, normalize
+from .laurent import format_poly
 from .twist import (
-    TwistSpec,
     clasp_identity,
-    evaluate_recursive,
     format_spec,
     generate_twist,
     mirror_invariant,
-    ow_closed_form,
     parse_spec,
+    spec_report,
 )
 from .verify import batch_check, run_grid, run_law_suite, worker_count
-
-
-def _spec_odd_writhe(spec: TwistSpec):
-    """Odd writhe through the clasp identity (None for ab/ba, which have no closed form)."""
-    base, transform = clasp_identity(spec)
-    if base.clasp != "a":
-        return None
-    ow = ow_closed_form(base)
-    return -ow if transform is mirror_invariant else ow
 
 
 def _print_report(lines, machine: bool):
@@ -51,45 +40,36 @@ def _print_report(lines, machine: bool):
 def cmd_compute(args) -> int:
     if args.spec:
         spec = parse_spec(args.spec)
-        dbar = evaluate_recursive(spec)
+        rep = spec_report(spec)
         exact_diagram_level = spec.clasp in ("a", "ab", "^a")
-        norm = normalize(dbar)
-        ow = _spec_odd_writhe(spec)
-        subject = format_spec(spec)
-        delta0 = KNOT_FACTOR * dbar
     else:
-        d = parse_gauss(args.gauss)
-        rep = invariant_report(d)
-        dbar, norm = rep.dbar, rep.unit
+        rep = invariant_report(parse_gauss(args.gauss))
         exact_diagram_level = True
-        ow = rep.odd_writhe
-        subject = rep.gauss
-        delta0 = rep.delta0
-
-    val = norm.poly.evaluate(-1, -1)
-    holds = None if ow is None else (2 * abs(val) == abs(ow))
 
     if args.quiet:
-        print(format_poly(norm.poly))
+        print(format_poly(rep.dbar_normalized))
         return 0
 
-    lines = [("input", subject)]
+    lines = [
+        ("input", rep.subject),
+        ("delta0(D)", format_poly(rep.delta0)),
+        ("dbar(D)", format_poly(rep.dbar)),
+    ]
     if args.raw:
-        lines += [("delta0(D)", format_poly(delta0)), ("dbar(D)", format_poly(dbar))]
         if not exact_diagram_level:
             lines.append(("note", "diagram-level values for this clasp are defined up to units"))
         _print_report(lines, args.machine)
         return 0
 
+    norm, val, ow = rep.unit, rep.dbar_at_minus_one, rep.odd_writhe
     lines += [
-        ("delta0(D)", format_poly(delta0)),
-        ("dbar(D)", format_poly(dbar)),
-        ("dbar_norm", format_poly(norm.poly)),
-        ("delta0_norm", format_poly(KNOT_FACTOR * norm.poly)),
+        ("dbar_norm", format_poly(rep.dbar_normalized)),
+        ("delta0_norm", format_poly(rep.delta0_normalized)),
         ("unit", f"{'+' if norm.sign > 0 else '-'}(uv)^{norm.shift}"),
         ("dbar_at_minus1", str(val)),
     ]
     if ow is not None:
+        holds = rep.conjecture_holds
         lines += [("ow", str(ow)),
                   ("holds", str(holds).lower() if args.machine else
                    f"{'holds' if holds else 'FAILS'} (2*|{val}| vs |{ow}|)")]
@@ -116,13 +96,15 @@ def cmd_twist(args) -> int:
 def cmd_verify(args) -> int:
     if args.file:
         summary = batch_check(args.file)
-        for no, verdict in summary.verdicts:
+        for no, rep in summary.verdicts:
             if args.machine:
-                print(f"line={no}, {verdict.machine()}")
+                print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
+                      f"dbar={rep.dbar_at_minus_one}, "
+                      f"holds={str(rep.conjecture_holds).lower()}")
             else:
-                mark = "holds" if verdict.holds else "FAILS"
-                print(f"line {no}: {verdict.knot}  ow={verdict.odd_writhe} "
-                      f"dbar(-1,-1)={verdict.dbar_at_minus_one}  {mark}")
+                mark = "holds" if rep.conjecture_holds else "FAILS"
+                print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
+                      f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}")
         for no, msg in summary.errors:
             print(f"line {no}: ERROR {msg}", file=sys.stderr)
         print(f"checked={summary.checked} held={summary.held} "
@@ -141,7 +123,7 @@ def cmd_verify(args) -> int:
         n_specs = len(results) // 4
         print(f"{'all ' if not failures else ''}{n_specs} specs checked "
               f"({len(results)} checks, {len(failures)} failures, "
-              f"workers={worker_count()})")
+              f"workers={worker_count(n_specs)})")
     return 1 if failures else 0
 
 
@@ -238,14 +220,12 @@ def main(argv=None) -> int:
             break
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "batch":
-        args.machine = getattr(args, "machine", False)
     try:
         return args.func(args)
     except ValexError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
 

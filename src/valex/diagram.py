@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from .errors import (
     EmptyComponent,
+    InvalidArgument,
     NotAKnot,
     PairingError,
     ParseError,
@@ -100,7 +101,7 @@ class Diagram:
         if arc_labels is not None:
             arc_labels = tuple(arc_labels)
             if sorted(arc_labels) != list(range(1, n2 + 1)):
-                raise ValueError("arc_labels must be a permutation of 1..2n")
+                raise InvalidArgument("arc_labels must be a permutation of 1..2n")
             if arc_labels == tuple(range(1, n2 + 1)):
                 arc_labels = None
         object.__setattr__(self, "components", comps)
@@ -219,14 +220,10 @@ def format_gauss(d: Diagram) -> str:
 
 @dataclass(frozen=True)
 class ArcTable:
-    """Arc ids per passage: in_arcs/out_arcs[ci][pi] give the gap ids."""
+    """Arc ids per passage: out_arcs[ci][pi] is the gap id leaving that passage."""
 
     count: int
-    in_arcs: tuple
     out_arcs: tuple
-
-    def all_arcs(self) -> list[int]:
-        return sorted({a for comp in self.out_arcs for a in comp})
 
 
 @dataclass(frozen=True)
@@ -249,7 +246,6 @@ def derive_incidence(d: Diagram):
     """
     labels = d.arc_labels
     base = 0
-    in_arcs = []
     out_arcs = []
     roles: dict[int, dict[str, int]] = {}
     for comp in d.components:
@@ -269,10 +265,9 @@ def derive_incidence(d: Diagram):
             else:
                 slot["in_under"] = ins[pi]
                 slot["out_under"] = outs[pi]
-        in_arcs.append(tuple(ins))
         out_arcs.append(tuple(outs))
         base += k
-    table = ArcTable(base, tuple(in_arcs), tuple(out_arcs))
+    table = ArcTable(base, tuple(out_arcs))
     incidences = [
         CrossingIncidence(cid, d.signs[cid], **roles[cid]) for cid in sorted(roles)
     ]
@@ -382,7 +377,7 @@ def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
     exact under the canonical column order.
     """
     if kind not in _KINK_TABLE:
-        raise ValueError(f"unknown kink kind {kind!r} (expected one of {KINK_KINDS})")
+        raise InvalidArgument(f"unknown kink kind {kind!r} (expected one of {KINK_KINDS})")
     sign, over_first = _KINK_TABLE[kind]
     outs = _out_label_map(d)
     target = None
@@ -548,8 +543,6 @@ def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
     uci, upi = t_under
     over_insert = [Passage(id1, True), Passage(id2, True)]
     under_insert = [Passage(id2, False), Passage(id1, False)]
-    if (oci, opi) == (uci, upi):  # unreachable: labels are distinct
-        raise UnknownArc("R2 arcs must differ")
     if oci == uci:
         ci = oci
         first, second = sorted([(opi, over_insert), (upi, under_insert)])

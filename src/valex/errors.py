@@ -20,6 +20,10 @@ class ParseError(ValexError, ValueError):
         self.position = position
 
 
+class InvalidArgument(ValexError, ValueError):
+    """A library call was given a value outside its documented domain."""
+
+
 # -- laurent ---------------------------------------------------------------
 
 class NonUnitNegativePower(ValexError):

@@ -25,11 +25,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .alexander import KNOT_FACTOR
+from .alexander import KNOT_FACTOR, InvariantReport
 from .diagram import Diagram, Passage, mirror_all
 from .errors import (
     EmptyBlock,
     InfiniteReduction,
+    InvalidArgument,
     NotABaseCase,
     ParseError,
     ShapeMismatch,
@@ -57,6 +58,7 @@ __all__ = [
     "clasp_identity",
     "mirror_invariant",
     "ow_closed_form",
+    "spec_report",
     "KNOT_FACTOR",
 ]
 
@@ -85,9 +87,9 @@ class TwistSpec:
         blocks = tuple(int(b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) < 1:
-            raise ValueError("a twist spec needs at least one block")
+            raise InvalidArgument("a twist spec needs at least one block")
         if self.clasp not in CLASPS:
-            raise ValueError(f"unknown clasp {self.clasp!r}; expected one of {CLASPS}")
+            raise InvalidArgument(f"unknown clasp {self.clasp!r}; expected one of {CLASPS}")
 
     @property
     def n(self) -> int:
@@ -402,23 +404,18 @@ def negative_flip(spec: TwistSpec, i: int):
     Returns (flipped_spec, correction) with
         dbar(spec) = dbar(flipped) + correction,
     the correction depending on which of the four reduced shapes the blocks
-    match (no end zeros, leading zero, trailing zero, both).
+    match (no end zeros, leading zero, trailing zero, both); a leading zero
+    gives the same correction with or without a trailing one.
     """
     blocks = spec.blocks
     n = len(blocks)
-    if any(b not in (-1, 0, 1) for b in blocks) or any(
-        b == 0 for b in blocks[1:-1] if n > 2
-    ):
+    if not _is_reduced_base_shape(blocks):
         raise ShapeMismatch(f"{spec} is not a reduced shape")
     if not 1 <= i <= n or blocks[i - 1] != -1:
         raise ShapeMismatch(f"block {i} of {spec} is not -1")
-    lead = blocks[0] == 0
-    trail = blocks[-1] == 0 and n > 1
-    if lead and trail:
+    if blocks[0] == 0:
         corr = -((-1) ** n) * monomial_pow(1, 1, 1, i - 2)
-    elif lead:
-        corr = -((-1) ** n) * monomial_pow(1, 1, 1, i - 2)
-    elif trail:
+    elif blocks[-1] == 0:
         corr = monomial_pow(1, 1, 1, n - i - 1)
     else:
         corr = -monomial_pow(1, 1, 1, n - i)
@@ -507,9 +504,31 @@ def clasp_identity(spec: TwistSpec):
 
 
 def ow_closed_form(spec: TwistSpec) -> int:
-    """Odd writhe of VT_a(a_1..a_n): sum(a_i) + p(sum(a_i)) * (-1)^{s(n)}."""
-    if spec.clasp != "a":
-        raise UnsupportedClasp("odd-writhe closed form is stated for clasp a")
-    total = sum(spec.blocks)
-    s_n = total + spec.n
-    return total + _p(total) * (1 if s_n % 2 == 0 else -1)
+    """Odd writhe of VT_a(a_1..a_n): sum(a_i) + p(sum(a_i)) * (-1)^{s(n)}.
+
+    Clasps ``^a``, ``b`` and ``^b`` are rewritten through ``clasp_identity``;
+    mirroring negates the odd writhe.  ``ab``/``ba`` have no closed form and
+    raise UnsupportedClasp.
+    """
+    base, transform = clasp_identity(spec)
+    if base.clasp != "a":
+        raise UnsupportedClasp(f"no odd-writhe closed form for clasp {spec.clasp!r}")
+    total = sum(base.blocks)
+    s_n = total + base.n
+    ow = total + _p(total) * (1 if s_n % 2 == 0 else -1)
+    return -ow if transform is mirror_invariant else ow
+
+
+def spec_report(spec: TwistSpec) -> InvariantReport:
+    """The invariant report of a twist knot, from the recursion and closed forms.
+
+    dbar is ``evaluate_recursive(spec)`` and Delta_0 is KNOT_FACTOR * dbar;
+    for ``ab``/``ba``, which have no odd-writhe closed form, the odd writhe
+    and the verdict stay None.
+    """
+    dbar = evaluate_recursive(spec)
+    try:
+        ow = ow_closed_form(spec)
+    except UnsupportedClasp:
+        ow = None
+    return InvariantReport.of(format_spec(spec), KNOT_FACTOR * dbar, dbar, True, ow)

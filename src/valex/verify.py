@@ -24,18 +24,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import diagram
-from .alexander import delta0_diagram, delta_bar
-from .diagram import Diagram, add_kink, add_r2, mirror_all, parse_gauss, \
-    reverse_orientation, smooth_crossing, switch_crossing
+from .alexander import delta0_diagram, delta_bar, invariant_report
+from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientation, \
+    smooth_crossing, switch_crossing
 from .errors import EmptyComponent, NotAKnot, ValexError
 from .laurent import ONE, U, V, format_poly, normalize
-from .twist import TwistSpec, evaluate_recursive, generate_twist, ow_closed_form, \
-    parity_context
+from .twist import TwistSpec, generate_twist, parity_context, spec_report
 
 __all__ = [
     "CheckResult",
-    "ConjectureVerdict",
-    "check_conjecture",
     "grid_specs",
     "acceptance_grid",
     "run_grid",
@@ -45,6 +42,9 @@ __all__ = [
     "batch_check",
     "worker_count",
 ]
+
+# Grids of at most this many specs run in-process; a pool costs more to start.
+_SERIAL_MAX_SPECS = 32
 
 
 @dataclass(frozen=True)
@@ -60,39 +60,6 @@ class CheckResult:
         mark = "ok " if self.passed else "FAIL"
         tail = f"  [{self.detail}]" if self.detail else ""
         return f"{mark} {self.subject:<24} {self.check:<28} {self.lhs} == {self.rhs}{tail}"
-
-
-@dataclass(frozen=True)
-class ConjectureVerdict:
-    knot: str
-    dbar_at_minus_one: int
-    odd_writhe: int
-    holds: bool
-
-    def machine(self) -> str:
-        return (
-            f"knot={self.knot}, ow={self.odd_writhe}, "
-            f"dbar={self.dbar_at_minus_one}, holds={str(self.holds).lower()}"
-        )
-
-
-def check_conjecture(obj) -> ConjectureVerdict:
-    """2 |dbar_norm(-1,-1)| == |OW| for a knot diagram or clasp-a twist spec."""
-    if isinstance(obj, TwistSpec):
-        if obj.clasp != "a":
-            raise NotAKnot("conjecture checks on specs need the clasp-a closed forms")
-        dbar = normalize(evaluate_recursive(obj)).poly
-        ow = ow_closed_form(obj)
-        name = str(obj)
-    else:
-        d = obj if isinstance(obj, Diagram) else parse_gauss(str(obj))
-        if not d.is_knot:
-            raise NotAKnot("the odd-writhe conjecture concerns knots")
-        dbar = normalize(delta_bar(delta0_diagram(d))).poly
-        ow = diagram.odd_writhe(d)
-        name = diagram.format_gauss(d)
-    val = dbar.evaluate(-1, -1)
-    return ConjectureVerdict(name, val, ow, 2 * abs(val) == abs(ow))
 
 
 # -- grid ---------------------------------------------------------------------
@@ -116,7 +83,8 @@ def acceptance_grid() -> list:
 def _check_one_spec(spec: TwistSpec) -> list:
     name = str(spec)
     ctx = parity_context(spec)
-    rec = evaluate_recursive(spec)
+    rep = spec_report(spec)
+    rec = rep.dbar
     det = delta0_diagram(generate_twist(spec))
     results = []
 
@@ -130,7 +98,7 @@ def _check_one_spec(spec: TwistSpec) -> list:
                     "delta0 mod (u-1)(v-1)(uv-1)", "0", div_detail)
     )
 
-    rec_n = normalize(rec).poly
+    rec_n = rep.dbar_normalized
     det_n = normalize(det_bar).poly if det_bar is not None else None
     ok = det_n == rec_n
     results.append(
@@ -139,7 +107,7 @@ def _check_one_spec(spec: TwistSpec) -> list:
                     "" if rec == det_bar else "equal only after normalization")
     )
 
-    ow = ow_closed_form(spec)
+    ow = rep.odd_writhe
     lhs = 2 * rec.evaluate(-1, -1)
     sgn = -1 if (ctx.delta + ctx.s[spec.n] + ctx.half_sum) % 2 else 1
     results.append(
@@ -147,15 +115,23 @@ def _check_one_spec(spec: TwistSpec) -> list:
                     str(lhs), f"{sgn * ow}")
     )
 
-    val = rec_n.evaluate(-1, -1)
     results.append(
-        CheckResult(name, "conjecture_2dbar_eq_ow", 2 * abs(val) == abs(ow),
-                    str(2 * abs(val)), str(abs(ow)))
+        CheckResult(name, "conjecture_2dbar_eq_ow", rep.conjecture_holds,
+                    str(2 * abs(rep.dbar_at_minus_one)), str(abs(ow)))
     )
     return results
 
 
-def worker_count() -> int:
+def worker_count(n_specs: int, workers: Optional[int] = None) -> int:
+    """Processes ``run_grid`` uses for a grid of ``n_specs`` specs.
+
+    Small grids run in-process.  Larger ones use ``workers`` when given, else
+    the CPU count, capped by ``VA_THREADS`` when that is a positive integer.
+    """
+    if n_specs <= _SERIAL_MAX_SPECS:
+        return 1
+    if workers is not None:
+        return workers
     cap = os.environ.get("VA_THREADS", "").strip()
     try:
         cap_n = int(cap) if cap else 0
@@ -173,8 +149,8 @@ def run_grid(specs: Optional[Iterable[TwistSpec]] = None, n_max: int = 2,
     if specs is None:
         specs = grid_specs(n_max, lo, hi)
     specs = list(specs)
-    nproc = workers if workers is not None else worker_count()
-    if nproc > 1 and len(specs) > 32:
+    nproc = worker_count(len(specs), workers)
+    if nproc > 1:
         import multiprocessing as mp
 
         with mp.Pool(nproc) as pool:
@@ -277,7 +253,7 @@ def run_law_suite(corpus: Optional[list] = None) -> list:
 
 @dataclass
 class BatchSummary:
-    verdicts: list        # (line_no, ConjectureVerdict)
+    verdicts: list        # (line_no, InvariantReport)
     errors: list          # (line_no, message)
     ignored: int          # comments and blank lines
 
@@ -287,7 +263,7 @@ class BatchSummary:
 
     @property
     def held(self) -> int:
-        return sum(1 for _, v in self.verdicts if v.holds)
+        return sum(1 for _, rep in self.verdicts if rep.conjecture_holds)
 
     @property
     def ok(self) -> bool:
@@ -297,8 +273,8 @@ class BatchSummary:
 def batch_check(source) -> BatchSummary:
     """Check the conjecture for each Gauss code in a file (or iterable of lines).
 
-    Malformed lines are reported with their numbers and skipped; comments
-    (``#``) and blank lines are ignored but counted.
+    Malformed lines and links are reported with their numbers and skipped;
+    comments (``#``) and blank lines are ignored but counted.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -314,7 +290,10 @@ def batch_check(source) -> BatchSummary:
             ignored += 1
             continue
         try:
-            verdicts.append((no, check_conjecture(parse_gauss(line))))
+            d = parse_gauss(line)
+            if not d.is_knot:
+                raise NotAKnot("the odd-writhe conjecture concerns knots")
+            verdicts.append((no, invariant_report(d)))
         except ValexError as e:
             errors.append((no, f"{type(e).__name__}: {e}"))
     return BatchSummary(verdicts, errors, ignored)

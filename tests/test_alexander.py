@@ -3,6 +3,7 @@ import pytest
 from tests.conftest import make_random_diagram
 from valex.alexander import (
     KNOT_FACTOR,
+    LINK_FACTOR,
     build_matrix,
     delta0_diagram,
     delta_bar,
@@ -230,6 +231,8 @@ class TestInvariantReport:
         assert rep.odd_writhe is None
         assert rep.conjecture_holds is None
         assert rep.dbar_normalized == ONE
+        assert rep.dbar_at_minus_one == 1
+        assert rep.delta0_normalized == LINK_FACTOR * rep.dbar_normalized
 
     def test_switched_hopf(self):
         # switching VHL+ changes Delta_0 only through the labeling; the

@@ -4,7 +4,7 @@ import pytest
 
 from valex.cli import main
 from valex.diagram import odd_writhe
-from valex.laurent import parse_poly
+from valex.laurent import LaurentPoly, parse_poly
 from valex.twist import TwistSpec, format_spec, generate_twist
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -52,6 +52,17 @@ class TestCompute:
             "1 + u*v - u^2*v^2 + u^3*v^2 + 4*u^3*v^3"
         )
         assert fields["ow"] == "-8"
+
+    @pytest.mark.parametrize("code", ["O1+;U1+", "O1-;U1-", "O1+U2+;U1+O2+",
+                                      "O1-U2+;U1-O2+", VTREFOIL])
+    def test_delta0_is_unit_times_delta0_norm(self, capsys, code):
+        # links divide by (u-1)(v-1), knots by (u-1)(v-1)(uv-1); either way
+        # delta0(D) = sign * (uv)^shift * delta0_norm
+        _, out, _ = run(capsys, "compute", "--gauss", code, "--machine")
+        fields = dict(line.split("=", 1) for line in out.strip().splitlines())
+        sign, shift = fields["unit"][0], int(fields["unit"].split("^", 1)[1])
+        unit = LaurentPoly.monomial(1 if sign == "+" else -1, shift, shift)
+        assert parse_poly(fields["delta0(D)"]) == unit * parse_poly(fields["delta0_norm"])
 
     def test_bad_gauss_exits_1(self, capsys):
         code, _, err = run(capsys, "compute", "--gauss", "O1+O1+")
@@ -101,7 +112,7 @@ class TestTwist:
         code, _, err = run(capsys, "twist", "VT[ab](1,1)")
         assert code == 1 and "clasp" in err
 
-    def test_spec_odd_writhe_matches_generated_diagram(self, capsys):
+    def test_spec_report_odd_writhe_matches_generated_diagram(self, capsys):
         small = [b for k in (1, 2, 3) for b in itertools.product(range(-2, 3), repeat=k)]
         for clasp in ("a", "^a", "b", "^b", "ab", "ba"):
             for blocks in small:
@@ -140,7 +151,7 @@ class TestVerify:
         path.write_text(f"{VTREFOIL}\n")
         code, out, _ = run(capsys, "batch", str(path), "--machine")
         assert code == 0
-        assert "holds=true" in out
+        assert "ow=2" in out and "holds=true" in out
 
     def test_file_with_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -151,6 +162,19 @@ class TestVerify:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope"))
         assert code == 1
+
+    def test_non_utf8_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + VTREFOIL.encode("utf-16-le"))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == 1
+        assert err.startswith("io error:") and "checked=" not in out
+
+    def test_small_grid_reports_one_worker(self, capsys):
+        # 4 specs run in-process, so no pool is started
+        code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..3")
+        assert code == 0
+        assert "4 specs checked" in out and "workers=1)" in out
 
     @pytest.mark.parametrize("argv", [("--n", "0"), ("--range", "3..-3")])
     def test_empty_grid_is_usage_error(self, capsys, argv):

@@ -23,6 +23,7 @@ from valex.errors import (
     SignMismatch,
     UnknownArc,
     UnknownCrossing,
+    ValexError,
 )
 from valex.twist import TwistSpec, generate_twist, ow_closed_form
 
@@ -119,6 +120,11 @@ class TestIncidence:
         _, inc = derive_incidence(relabeled)
         c1 = inc[0]
         assert (c1.in_over, c1.out_over) == (1, 4)
+        for bad in ((1, 1, 2, 3), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                Diagram(d.components, d.signs, bad)
+            with pytest.raises(ValexError):
+                Diagram(d.components, d.signs, bad)
 
 
 class TestTransforms:
@@ -174,11 +180,12 @@ class TestOddWrithe:
     def test_agrees_with_closed_form_on_grid(self):
         import itertools
 
-        for n in (1, 2, 3):
-            for blocks in itertools.product(range(-4, 5) if n < 3 else range(-2, 3),
-                                            repeat=n):
-                spec = TwistSpec(blocks)
-                assert odd_writhe(generate_twist(spec)) == ow_closed_form(spec)
+        for clasp in ("a", "^a", "b", "^b"):
+            for n in (1, 2, 3):
+                for blocks in itertools.product(range(-4, 5) if n < 3 else range(-2, 3),
+                                                repeat=n):
+                    spec = TwistSpec(blocks, clasp)
+                    assert odd_writhe(generate_twist(spec)) == ow_closed_form(spec), spec
 
 
 class TestKink:
@@ -196,6 +203,8 @@ class TestKink:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
+            add_kink(parse_gauss(VTREFOIL), 1, "Ix")
+        with pytest.raises(ValexError):
             add_kink(parse_gauss(VTREFOIL), 1, "Ix")
 
 

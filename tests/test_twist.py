@@ -11,6 +11,7 @@ from valex.errors import (
     ParseError,
     ShapeMismatch,
     UnsupportedClasp,
+    ValexError,
 )
 from valex.laurent import ONE, U, V, ZERO, format_poly, monomial_pow, normalize, parse_poly
 from valex.twist import (
@@ -57,8 +58,11 @@ class TestSpecText:
         for bad in ("VT[q](1)", "VT[a]()", "VT[a](x)", "knot(1)"):
             with pytest.raises(ParseError):
                 parse_spec(bad)
-        with pytest.raises(ValueError):
-            TwistSpec(())
+        for args in (((),), ((1,), "q")):
+            with pytest.raises(ValueError):
+                TwistSpec(*args)
+            with pytest.raises(ValexError):
+                TwistSpec(*args)
 
 
 class TestParityContext:

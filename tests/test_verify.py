@@ -1,16 +1,16 @@
 import pytest
 
 from valex.diagram import parse_gauss, smooth_crossing
-from valex.alexander import delta0_diagram, delta_bar
-from valex.errors import EmptyComponent, NotAKnot
-from valex.twist import TwistSpec
+from valex.alexander import delta0_diagram, delta_bar, invariant_report
+from valex.errors import EmptyComponent
+from valex.twist import TwistSpec, spec_report
 from valex.verify import (
     batch_check,
     builtin_corpus,
-    check_conjecture,
     grid_specs,
     run_grid,
     run_law_suite,
+    worker_count,
 )
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -19,29 +19,29 @@ VTREFOIL = "O1+U2+U1+O2+"
 
 class TestConjecture:
     def test_worked_example_spec(self):
-        v = check_conjecture(TwistSpec((7, 4, 3, 5, 9)))
-        assert (v.dbar_at_minus_one, v.odd_writhe, v.holds) == (14, 28, True)
+        rep = spec_report(TwistSpec((7, 4, 3, 5, 9)))
+        assert (rep.dbar_at_minus_one, rep.odd_writhe, rep.conjecture_holds) == (14, 28, True)
 
     def test_trefoil(self):
-        v = check_conjecture(parse_gauss(TREFOIL))
-        assert (v.dbar_at_minus_one, v.odd_writhe, v.holds) == (0, 0, True)
+        rep = invariant_report(parse_gauss(TREFOIL))
+        assert (rep.dbar_at_minus_one, rep.odd_writhe, rep.conjecture_holds) == (0, 0, True)
 
     def test_vt_minus_one(self):
-        v = check_conjecture(TwistSpec((-1,)))
-        assert (v.dbar_at_minus_one, v.odd_writhe, v.holds) == (0, 0, True)
+        rep = spec_report(TwistSpec((-1,)))
+        assert (rep.dbar_at_minus_one, rep.odd_writhe, rep.conjecture_holds) == (0, 0, True)
 
     def test_not_a_knot(self):
-        with pytest.raises(NotAKnot):
-            check_conjecture(parse_gauss("O1+;U1+"))
-        with pytest.raises(NotAKnot):
-            check_conjecture(TwistSpec((1,), "b"))
-
-    def test_accepts_code_string(self):
-        assert check_conjecture(VTREFOIL).holds
-
-    def test_machine_line(self):
-        line = check_conjecture(parse_gauss(VTREFOIL)).machine()
-        assert "ow=2" in line and "holds=true" in line
+        rep = invariant_report(parse_gauss("O1+;U1+"))
+        assert (rep.odd_writhe, rep.conjecture_holds) == (None, None)
+        summary = batch_check(["O1+;U1+\n"])
+        assert summary.errors == [
+            (1, "NotAKnot: the odd-writhe conjecture concerns knots")]
+        # clasp b is the mirror of VT_a(-S): same verdict, odd writhe negated
+        rep = spec_report(TwistSpec((1,), "b"))
+        assert rep.odd_writhe == -spec_report(TwistSpec((-1,))).odd_writhe
+        assert rep.conjecture_holds
+        rep = spec_report(TwistSpec((1, 1), "ab"))
+        assert (rep.odd_writhe, rep.conjecture_holds) == (None, None)
 
 
 class TestGrid:
@@ -73,14 +73,16 @@ class TestGrid:
         assert serial == parallel
 
     def test_va_threads_caps_workers(self, monkeypatch):
-        from valex.verify import worker_count
-
         monkeypatch.setenv("VA_THREADS", "1")
-        assert worker_count() == 1
+        assert worker_count(100) == 1
         monkeypatch.setenv("VA_THREADS", "9999")
-        assert worker_count() >= 1
+        assert worker_count(100) >= 1
         monkeypatch.setenv("VA_THREADS", "junk")
-        assert worker_count() >= 1
+        assert worker_count(100) >= 1
+        # small grids run in-process whatever the cap or request
+        monkeypatch.delenv("VA_THREADS")
+        assert worker_count(32) == worker_count(4, workers=2) == 1
+        assert worker_count(33, workers=2) == 2
 
 
 class TestLawSuite:
