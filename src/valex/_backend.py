@@ -4,6 +4,12 @@ A polynomial is a dict mapping exponent pairs ``(i, j)`` (powers of u and v,
 possibly negative) to nonzero int coefficients.  Inputs are never mutated and
 zero coefficients are never stored.
 
+Products are schoolbook sums over term pairs.  Exact division uses Kronecker
+substitution (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 8):
+the bivariate operands are encoded as univariate ones, divided by one long
+division, and the quotient is decoded only if none of its products with the
+divisor wrapped past the encoding's v-width (see ``divexact_terms``).
+
 This is valex's only kernel.  The module keeps the name ``_backend`` and the
 ``BACKEND`` constant because external tools key on them: the layer benchmark
 records ``valex.BACKEND`` with every run and traces the code objects of
@@ -53,90 +59,63 @@ def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
     return out
 
 
-def _divexact_upoly(a: dict, b: dict) -> dict | None:
-    """Exact division of univariate int-coefficient polys {deg: coeff}.
+def divexact_terms(a: dict, b: dict) -> dict | None:
+    """Exact Laurent quotient a/b, or None when b does not divide a.
 
-    Returns None when the division is not exact.
+    Both operands are shifted by monomial units so their lowest u- and
+    v-exponents are 0.  With W one more than the v-span of a, the pair (i, j)
+    becomes the int key i*W + j (u -> t**W, v -> t), and one long division in
+    Z[t] runs on the keys, taking the top key of the remainder each step.
+
+    A Z[t] quotient is the bivariate one only if no product of a quotient
+    term and a term of b wraps past W, i.e. every quotient term has
+    j + span_v(b) < W.  Then the keys of q*b carry nothing, so q*b == a term
+    by term; without the check, (1+uv)/(1+v) would divide in Z[t] and decode
+    to the wrong 1 + u - v.  A true quotient always passes, because its
+    v-span is span_v(a) - span_v(b), and long division finds it because the
+    quotient in Z[t] is unique.
     """
     if not a:
         return {}
-    r = dict(a)
-    db = max(b)
-    lead = b[db]
+    a_iu = min(a)[0]
+    a_v = [j for _, j in a]
+    a_iv = min(a_v)
+    b_iu = min(b)[0]
+    b_v = [j for _, j in b]
+    b_iv = min(b_v)
+    w = max(a_v) - a_iv + 1
+    span_b = max(b_v) - b_iv
+    if span_b >= w:
+        return None
+    r = {(i - a_iu) * w + j - a_iv: c for (i, j), c in a.items()}
+    bk = {(i - b_iu) * w + j - b_iv: c for (i, j), c in b.items()}
+    db = max(bk)
+    lead = bk.pop(db)  # the top term of r cancels against it by construction
+    rest = list(bk.items())
     q: dict = {}
     while r:
-        dr = max(r)
-        if dr < db:
+        e = max(r)
+        if e < db:
             return None
-        top, rem = divmod(r[dr], lead)
+        top, rem = divmod(r.pop(e), lead)
         if rem:
             return None
-        shift = dr - db
+        shift = e - db
         q[shift] = top
-        for e, c in b.items():
-            key = e + shift
+        for k, c in rest:
+            key = k + shift
             v = r.get(key, 0) - top * c
             if v:
                 r[key] = v
             elif key in r:
                 del r[key]
-    return q
-
-
-def divexact_terms(a: dict, b: dict) -> dict | None:
-    """Exact Laurent quotient a/b, or None when b does not divide a.
-
-    Both operands are shifted by monomial units so exponents are nonnegative,
-    then divided as polynomials in u whose coefficients are polynomials in v
-    (each leading-coefficient division is an exact division in Z[v]).
-    """
-    if not a:
-        return {}
-    a_iu = min(i for i, _ in a)
-    a_iv = min(j for _, j in a)
-    b_iu = min(i for i, _ in b)
-    b_iv = min(j for _, j in b)
-    # collect as {u-degree: {v-degree: coeff}} with nonnegative exponents
-    au: dict = {}
-    for (i, j), c in a.items():
-        au.setdefault(i - a_iu, {})[j - a_iv] = c
-    bu: dict = {}
-    for (i, j), c in b.items():
-        bu.setdefault(i - b_iu, {})[j - b_iv] = c
-
-    db = max(bu)
-    lead = bu[db]
-    q: dict = {}
-    r = {i: dict(col) for i, col in au.items()}
-    while r:
-        dr = max(r)
-        if dr < db:
-            return None
-        top = _divexact_upoly(r[dr], lead)
-        if top is None:
-            return None
-        shift = dr - db
-        q[shift] = top
-        for i, col in bu.items():
-            ri = r.get(i + shift)
-            if ri is None:
-                ri = r[i + shift] = {}
-            for j, c in col.items():
-                for tj, tc in top.items():
-                    key = j + tj
-                    v = ri.get(key, 0) - tc * c
-                    if v:
-                        ri[key] = v
-                    elif key in ri:
-                        del ri[key]
-            if not ri:
-                del r[i + shift]
 
     su = a_iu - b_iu
     sv = a_iv - b_iv
     out: dict = {}
-    for i, col in q.items():
-        for j, c in col.items():
-            if c:
-                out[(i + su, j + sv)] = c
+    for k, c in q.items():
+        i, j = divmod(k, w)
+        if j + span_b >= w:
+            return None
+        out[(i + su, j + sv)] = c
     return out

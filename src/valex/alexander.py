@@ -23,7 +23,7 @@ from typing import Optional
 
 from ._backend import divexact_terms, fma_terms
 from .diagram import Diagram, derive_incidence, format_gauss, odd_writhe
-from .errors import NotDivisible
+from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, Normalized, ONE, U, V, ZERO, exact_div, normalize
 
 __all__ = [
@@ -63,7 +63,7 @@ def build_matrix(incidences) -> AlexMatrix:
     col = {a: k for k, a in enumerate(arcs)}
     n2 = 2 * len(incidences)
     if len(arcs) != n2:
-        raise ValueError(f"expected {n2} arcs, found {len(arcs)}")
+        raise InvalidArgument(f"expected {n2} arcs, found {len(arcs)}")
     rows = []
     for inc in sorted(incidences, key=lambda i: i.crossing):
         if inc.sign > 0:
@@ -106,7 +106,7 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
         return ONE
     grid = [[e._terms if isinstance(e, LaurentPoly) else dict(e) for e in row] for row in rows]
     if any(len(row) != n for row in grid):
-        raise ValueError("determinant needs a square matrix")
+        raise InvalidArgument("determinant needs a square matrix")
     if n == 1:
         return LaurentPoly(grid[0][0])
     sign = 1
@@ -196,21 +196,26 @@ class InvariantReport:
     delta0: LaurentPoly          # diagram level, label dependent
     dbar: LaurentPoly            # diagram level quotient
     dbar_normalized: LaurentPoly
-    delta0_normalized: LaurentPoly
     unit: Normalized
     dbar_at_minus_one: int
     odd_writhe: Optional[int]
     conjecture_holds: Optional[bool]
+
+    @property
+    def delta0_normalized(self) -> LaurentPoly:
+        """factor * dbar_normalized.
+
+        The factor is (u-1)(v-1)(uv-1) for knots and (u-1)(v-1) for links,
+        matching the printed values of the source examples.
+        """
+        return (KNOT_FACTOR if self.is_knot else LINK_FACTOR) * self.dbar_normalized
 
     @classmethod
     def of(cls, subject: str, delta0: LaurentPoly, dbar: LaurentPoly, is_knot: bool,
            odd_writhe: Optional[int]) -> "InvariantReport":
         """Normalize dbar, evaluate it at (-1, -1) and test 2|dbar(-1,-1)| = |OW|.
 
-        The normalized Delta_0 is reported as factor * dbar_norm, with the
-        knot factor (u-1)(v-1)(uv-1) or the link factor (u-1)(v-1), matching
-        the printed values of the source examples.  Without an odd writhe
-        (links, clasps ab/ba) the verdict is None.
+        Without an odd writhe (links, clasps ab/ba) the verdict is None.
         """
         norm = normalize(dbar)
         val = norm.poly.evaluate(-1, -1)
@@ -220,7 +225,6 @@ class InvariantReport:
             delta0=delta0,
             dbar=dbar,
             dbar_normalized=norm.poly,
-            delta0_normalized=(KNOT_FACTOR if is_knot else LINK_FACTOR) * norm.poly,
             unit=norm,
             dbar_at_minus_one=val,
             odd_writhe=odd_writhe,

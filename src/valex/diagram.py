@@ -187,7 +187,11 @@ def parse_gauss(text: str) -> Diagram:
             if not m:
                 raise ParseError(f"bad token in Gauss code {chunk[pos:pos+8]!r}", offset + pos)
             over = m.group(1) == "O"
-            cid = int(m.group(2))
+            try:
+                cid = int(m.group(2))
+            except ValueError:  # past the int-string digit limit
+                raise ParseError(f"crossing id of {len(m.group(2))} digits is too long",
+                                 offset + pos) from None
             if cid < 1:
                 raise ParseError("crossing ids start at 1", offset + pos)
             sign = 1 if m.group(3) == "+" else -1

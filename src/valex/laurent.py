@@ -332,7 +332,10 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
         pos += 1
     if pos == digits:
         raise ParseError("expected an integer", start)
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # a digit int() refuses (superscripts), or too many digits
+        raise ParseError("unreadable integer: not decimal, or too many digits", start) from None
 
 
 def parse_poly(text: str) -> LaurentPoly:

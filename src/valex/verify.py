@@ -267,7 +267,8 @@ class BatchSummary:
 
     @property
     def ok(self) -> bool:
-        return not self.errors and self.held == self.checked
+        """Every line parsed and held; a file with no code to check fails."""
+        return self.checked > 0 and not self.errors and self.held == self.checked
 
 
 def batch_check(source) -> BatchSummary:

@@ -12,6 +12,7 @@ from valex.alexander import (
     invariant_report,
 )
 from valex.diagram import (
+    CrossingIncidence,
     KINK_KINDS,
     add_kink,
     add_r2,
@@ -20,7 +21,7 @@ from valex.diagram import (
     smooth_crossing,
     switch_crossing,
 )
-from valex.errors import EmptyComponent, NotDivisible
+from valex.errors import EmptyComponent, InvalidArgument, NotDivisible
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO, normalize, parse_poly
 from valex.twist import TwistSpec, generate_twist
 
@@ -56,6 +57,11 @@ class TestBuildMatrix:
         m = rows_of(parse_gauss("O1+;U1+"))
         assert m.order == 2
         assert determinant(m) == (U - 1) * (V - 1)
+
+    def test_wrong_arc_count(self):
+        # one crossing needs two distinct arcs; this one names only arc 1
+        with pytest.raises(InvalidArgument):
+            build_matrix([CrossingIncidence(1, 1, 1, 1, 1, 1)])
 
     def test_entry_exponents_at_build_time(self, rng):
         allowed = {(0, 0), (1, 0), (0, 1)}
@@ -99,6 +105,10 @@ class TestDeterminant:
         m = rows_of(d)
         assert m.order == 8
         assert determinant(m) == determinant_cofactor(m)
+
+    def test_non_square(self):
+        with pytest.raises(InvalidArgument):
+            determinant([[U, V], [ONE]])
 
     def test_zero_pivot_column(self):
         m = [[ZERO, U], [ZERO, V]]

@@ -68,6 +68,10 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--gauss", "O1+O1+")
         assert code == 1 and "error" in err
 
+    def test_overlong_crossing_id_exits_1(self, capsys):
+        code, _, err = run(capsys, "compute", "--gauss", f"O{'9' * 5000}+U{'9' * 5000}+")
+        assert code == 1 and err.startswith("error: crossing id of 5000 digits")
+
     def test_usage_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])
@@ -158,6 +162,22 @@ class TestVerify:
         path.write_text("O1+O1+\n")
         code, _, err = run(capsys, "verify", "--file", str(path))
         assert code == 1 and "ERROR" in err
+
+    def test_overlong_crossing_id_reports_line_and_goes_on(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text(f"O{'9' * 5000}+U{'9' * 5000}+\n{VTREFOIL}\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1
+        assert err.startswith("line 1: ERROR ParseError")
+        assert "checked=1 held=1 errors=1" in out
+
+    @pytest.mark.parametrize("argv", [("batch",), ("verify", "--file")])
+    def test_file_without_codes_exits_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "comments.txt"
+        path.write_text("# nothing to check\n\n")
+        code, out, _ = run(capsys, *argv, str(path))
+        assert code == 1
+        assert "checked=0" in out
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope"))

@@ -61,6 +61,9 @@ class TestParse:
             parse_gauss("O1+X2-U1+")
         with pytest.raises(ParseError):
             parse_gauss("")
+        # int() refuses more digits than the int-string conversion limit
+        with pytest.raises(ParseError):
+            parse_gauss(f"O{'9' * 5000}+U{'9' * 5000}+")
 
     def test_empty_component(self):
         with pytest.raises(EmptyComponent):

@@ -35,6 +35,14 @@ def mul_naive(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+# a small box and unit coefficients make exact divisions in Z[t] common,
+# wrapped ones among them
+tiny_term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 2)),
+    st.sampled_from([-1, 1]),
+    max_size=3,
+)
+
 small_polys = st.builds(
     LaurentPoly,
     st.dictionaries(
@@ -92,6 +100,25 @@ class TestKernelContract:
         before = [dict(num), dict(b)]
         assert divexact_terms(num, b) is None
         assert [num, b] == before
+
+    @settings(max_examples=400, deadline=None)
+    @given(tiny_term_dicts, tiny_term_dicts.filter(bool))
+    def test_divexact_is_sound(self, a, b):
+        q = divexact_terms(a, b)
+        if q is not None:
+            assert mul_naive(LaurentPoly(q), LaurentPoly(b)) == LaurentPoly(a)
+
+    @pytest.mark.parametrize("a, b", [
+        # 1 + uv = (1 + t)(1 - t + t^2) under u -> t^2, v -> t, and
+        # 1 - t + t^2 decodes to 1 + u - v
+        ({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (0, 1): 1}),
+        # the same division, shifted by Laurent monomials
+        ({(-2, -3): 1, (-1, -2): 1}, {(1, 1): 1, (1, 2): 1}),
+        # the v-span of b exceeds that of a
+        ({(1, 0): 1}, {(0, 0): 1, (0, 2): 1}),
+    ])
+    def test_divexact_rejects_wrapped_quotient(self, a, b):
+        assert divexact_terms(a, b) is None
 
 
 class TestAddMul:
@@ -159,6 +186,8 @@ class TestExactDiv:
         assert cert != 0
         with pytest.raises(NotDivisible):
             exact_div(p, U + 1)
+        with pytest.raises(NotDivisible):
+            exact_div(1 + U * V, 1 + V)
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
@@ -242,6 +271,16 @@ class TestTextForm:
         with pytest.raises(ParseError) as exc:
             parse_poly("1 + !")
         assert exc.value.position == 4
+
+    @pytest.mark.parametrize("text, position", [
+        (f"1 + {'9' * 5000}*u", 4),   # past the int-string digit limit
+        (f"u^{'9' * 5000}", 2),
+        ("u^\u00b2", 2),              # '\u00b2' is a digit to str.isdigit, not to int()
+    ], ids=["long_coefficient", "long_exponent", "superscript_two"])
+    def test_parse_error_unreadable_integer(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert exc.value.position == position
 
     def test_parse_error_empty(self):
         with pytest.raises(ParseError):

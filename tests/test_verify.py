@@ -136,10 +136,11 @@ class TestBatch:
         assert not summary.ok
 
     def test_empty_file(self, tmp_path):
+        # nothing checked is not a pass
         path = tmp_path / "empty.txt"
         path.write_text("")
         summary = batch_check(path)
-        assert summary.checked == 0 and summary.ok
+        assert summary.checked == 0 and not summary.ok
 
     def test_accepts_iterable(self):
         summary = batch_check([f"{VTREFOIL}\n", "# note\n"])
