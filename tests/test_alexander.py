@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import make_random_diagram
 from valex.alexander import (
@@ -13,7 +15,9 @@ from valex.alexander import (
 )
 from valex.diagram import (
     CrossingIncidence,
+    Diagram,
     KINK_KINDS,
+    Passage,
     add_kink,
     add_r2,
     derive_incidence,
@@ -128,6 +132,46 @@ class TestDeterminant:
         rows = base.entries
         reordered = rows[2:4] + rows[0:2]
         assert determinant(reordered) == determinant(base)
+
+    def test_equals_cofactor_under_row_and_column_permutations(self, rng):
+        def sparse_poly():
+            if rng.random() < 0.5:
+                return ZERO
+            return LaurentPoly({
+                (rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 3))
+            })
+
+        for order in range(1, 8):
+            for _ in range(8):
+                m = [[sparse_poly() for _ in range(order)] for _ in range(order)]
+                rows = rng.sample(range(order), order)
+                cols = rng.sample(range(order), order)
+                permuted = [[m[i][j] for j in cols] for i in rows]
+                assert determinant(permuted) == determinant_cofactor(permuted)
+
+    def test_column_empties_after_first_pivot(self):
+        # column 1 is u times column 0: the first pivot, 1 at (0, 0), cancels
+        # all of column 1 while both remaining rows keep an entry
+        m = [[ONE, U, V], [V, U * V, ONE], [U, U * U, ONE]]
+        assert determinant(m) == ZERO == determinant_cofactor(m)
+
+    def test_zero_coefficients_in_dict_entries(self):
+        m = [
+            [{(0, 0): 1, (1, 0): 0}, {(0, 1): 1}, {}],
+            [{(1, 0): 1}, {(0, 0): 2}, {(0, 0): 1}],
+            [{}, {(1, 1): 1}, {(0, 0): 3}],
+        ]
+        assert determinant(m) == parse_poly("6 - 4*u*v") == determinant_cofactor(m)
+
+    def test_order_one(self):
+        assert determinant([[U - V]]) == U - V
+        assert determinant([[{(1, 2): 3, (0, 0): 0}]]) == 3 * U * V**2
+        assert determinant([[{(0, 0): 0}]]) == ZERO
+
+    def test_mixed_dict_and_poly_entries(self):
+        m = [[{(1, 0): 1}, V, ZERO], [ONE, {(0, 0): 2}, {(0, 1): -1}], [{}, U, ONE - U]]
+        assert determinant(m) == determinant_cofactor(m)
 
 
 class TestDeltaBar:
@@ -252,3 +296,37 @@ class TestInvariantReport:
         assert delta0_diagram(plus) == -delta0_diagram(minus)
         sw = switch_crossing(plus, 1)
         assert normalize(delta_bar(delta0_diagram(sw), is_knot=False)).poly == ONE
+
+
+@st.composite
+def diagrams(draw):
+    """A random diagram of at most 10 crossings and one or two components."""
+    rng = draw(st.randoms(use_true_random=False))
+    return make_random_diagram(rng, draw(st.integers(1, 10)), draw(st.sampled_from([1, 2])))
+
+
+class TestDiagramInvariance:
+    """The normalized quotient does not depend on how a diagram is written.
+
+    Both moves permute the rows or columns of the Alexander matrix, so these
+    also check that the pivot order of the elimination has no effect.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(), st.data())
+    def test_basepoint_rotation(self, d, data):
+        shifts = [data.draw(st.integers(0, len(c) - 1)) for c in d.components]
+        rotated = Diagram([c[k:] + c[:k] for c, k in zip(d.components, shifts)], d.signs)
+        assert (invariant_report(rotated).dbar_normalized
+                == invariant_report(d).dbar_normalized)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(), st.data())
+    def test_crossing_renumbering(self, d, data):
+        ids = dict(zip(d.crossings, data.draw(st.permutations(d.crossings))))
+        renumbered = Diagram(
+            [[Passage(ids[p.crossing], p.over) for p in c] for c in d.components],
+            {ids[c]: s for c, s in d.signs.items()},
+        )
+        assert (invariant_report(renumbered).dbar_normalized
+                == invariant_report(d).dbar_normalized)
