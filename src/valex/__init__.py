@@ -16,7 +16,6 @@ from .alexander import (
     delta0_diagram,
     delta_bar,
     determinant,
-    determinant_cofactor,
     invariant_report,
 )
 from .diagram import (
@@ -84,7 +83,7 @@ __all__ = [
     "mirror_all", "reverse_orientation", "odd_writhe",
     # alexander
     "InvariantReport", "KNOT_FACTOR", "LINK_FACTOR", "build_matrix",
-    "determinant", "determinant_cofactor", "delta0_diagram", "delta_bar",
+    "determinant", "delta0_diagram", "delta_bar",
     "invariant_report",
     # twist
     "TwistSpec", "parse_spec", "format_spec", "parity_context",

@@ -74,9 +74,22 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
     to the wrong 1 + u - v.  A true quotient always passes, because its
     v-span is span_v(a) - span_v(b), and long division finds it because the
     quotient in Z[t] is unique.
+
+    A monomial b = d * u^i v^j needs no long division: it divides a exactly
+    when d divides every coefficient, and the quotient shifts each exponent
+    pair by (-i, -j).
     """
     if not a:
         return {}
+    if len(b) == 1:
+        (((bi, bj), d),) = b.items()
+        out: dict = {}
+        for (i, j), c in a.items():
+            top, rem = divmod(c, d)
+            if rem:
+                return None
+            out[(i - bi, j - bj)] = top
+        return out
     a_iu = min(a)[0]
     a_v = [j for _, j in a]
     a_iv = min(a_v)
@@ -112,7 +125,7 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
 
     su = a_iu - b_iu
     sv = a_iv - b_iv
-    out: dict = {}
+    out = {}
     for k, c in q.items():
         i, j = divmod(k, w)
         if j + span_b >= w:

@@ -30,7 +30,6 @@ __all__ = [
     "AlexMatrix",
     "build_matrix",
     "determinant",
-    "determinant_cofactor",
     "delta0_diagram",
     "delta_bar",
     "KNOT_FACTOR",
@@ -112,7 +111,7 @@ def _parity(perm: list) -> int:
 
 def _exact(num: dict, prev: dict) -> dict:
     """num / prev, which Sylvester's identity makes exact."""
-    if prev == _UNIT:
+    if not num or prev == _UNIT:
         return num
     q = divexact_terms(num, prev)
     if q is None:  # impossible over an integral domain
@@ -121,27 +120,42 @@ def _exact(num: dict, prev: dict) -> dict:
 
 
 def determinant(m: AlexMatrix | list) -> LaurentPoly:
-    """Exact determinant by sparse fraction-free (Bareiss) elimination.
+    """Exact determinant: Gaussian steps on unit pivots, then sparse Bareiss.
 
     Each row is a ``{column: terms}`` dict of its nonzero entries (zero
     coefficients of plain-dict entries are dropped on loading), and each
     column keeps the set of active rows that have an entry in it, so zero
-    positions are never visited.
+    positions are never visited.  Both phases follow Markowitz (1957): a step
+    pivots on an active entry of lowest cost (r - 1)(c - 1), r and c being
+    the entry counts of its row and column.
 
-    Pivot rule (Markowitz 1957): each step takes the active entry with the
-    lowest cost (r - 1)(c - 1), r and c being the entry counts of its row and
-    column, ties going to the entry with fewer terms.  With ``prev`` the
-    previous pivot (1 before the first step), a row with an entry ``lead`` in
-    the pivot column becomes (pivot * a_ij - lead * a_pj) / prev over the
-    union of its columns and the pivot row's, and a row without one is scaled
-    entry by entry to pivot * a_ij / prev.  Both divisions are exact by
-    Sylvester's identity (Bareiss 1968): every active entry is a minor of the
-    matrix.  If an active row or column empties, the matrix is singular and
-    the result is 0.
+    Phase 1 pivots only on units +-u^i v^j, for as long as one is active:
+    the unit of least cost, even where a non-unit costs less, ties going to
+    the first one found.  A unit c * u^i v^j divides every entry: its
+    inverse is the monomial c * u^-i v^-j, so ``lead / pivot`` is exact and
+    only shifts exponents and signs.  A row with an entry ``lead`` in the
+    pivot column becomes a_ij - (lead / pivot) * a_pj over the pivot row's
+    columns, and every other row stays as it is.  The active matrix
+    is then the Schur complement of the pivots taken so far, whose
+    determinant times the product of those pivots is the determinant.  Most
+    Alexander-matrix entries are units, so this phase leaves a small core.
 
-    Sign rule: the last pivot is the determinant of the matrix with rows and
-    columns taken in pivot order, so it is multiplied by the parity of the
-    row permutation and by that of the column permutation.
+    Phase 2 runs fraction-free (Bareiss 1968) elimination on that core, with
+    ties in cost going to the entry with fewer terms.  With ``prev`` the
+    previous phase-2 pivot, a row with an entry ``lead`` in the pivot column
+    becomes (pivot * a_ij - lead * a_pj) / prev over the union of its columns
+    and the pivot row's, and a row without one is scaled entry by entry to
+    pivot * a_ij / prev.  Both divisions are exact by Sylvester's identity,
+    which holds because every active entry is a minor of the core.  ``prev``
+    starts at 1 because those are minors of the core alone: phase 1 scaled
+    no row and divided only by its own unit pivots, so they enter the result
+    only through the unit product.  If an active row or column empties in either
+    phase, the matrix is singular and the result is 0.
+
+    Sign rule: the unit product times the last phase-2 pivot (1 on an empty
+    core) is the determinant of the matrix with rows and columns taken in
+    pivot order, so it is multiplied by the parity of the row permutation
+    and by that of the column permutation.
 
     Every product and quotient goes through ``_backend``'s ``mul_terms``,
     ``fma_terms`` and ``divexact_terms``: they are the kernel every Laurent
@@ -163,18 +177,13 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
         active[i] = sparse
     row_order: list = []
     col_order: list = []
-    prev = pivot = _UNIT
-    while active:
-        if not all(active.values()) or not all(cols.values()):
-            return ZERO
-        best = None
-        for i, sparse in active.items():
-            r = len(sparse) - 1
-            for j, terms in sparse.items():
-                key = (r * (len(cols[j]) - 1), len(terms))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, p, q = best
+
+    def take(p, q):
+        """Take pivot (p, q) out of the active matrix and record its place.
+
+        Returns the pivot, the rest of its row and the other active rows
+        with an entry in its column.
+        """
         pivot_row = active.pop(p)
         pivot = pivot_row.pop(q)
         for j in pivot_row:
@@ -183,6 +192,59 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
         leading.discard(p)
         row_order.append(p)
         col_order.append(q)
+        return pivot, pivot_row, leading
+
+    def store(sparse, i, j, value):
+        """Set a_ij to value, keeping the column sets in step."""
+        if value:
+            if j not in sparse:
+                cols[j].add(i)
+            sparse[j] = value
+        elif j in sparse:
+            del sparse[j]
+            cols[j].discard(i)
+
+    def cheapest(units_only):
+        """The active (row, column) of least (cost, terms), or None.
+
+        Ties go to the first entry found; units_only skips non-units.
+        """
+        best_cost, best_terms, found = n * n, 0, None  # above every cost
+        for i, sparse in active.items():
+            r = len(sparse) - 1
+            for j, terms in sparse.items():
+                cost = r * (len(cols[j]) - 1)
+                if cost > best_cost or cost == best_cost and len(terms) >= best_terms:
+                    continue
+                if units_only and (len(terms) > 1 or abs(next(iter(terms.values()))) != 1):
+                    continue
+                if cost == 0 and len(terms) == 1:  # nothing is cheaper
+                    return i, j
+                best_cost, best_terms, found = cost, len(terms), (i, j)
+        return found
+
+    unit = _UNIT
+    while active:
+        if not all(active.values()) or not all(cols.values()):
+            return ZERO
+        found = cheapest(units_only=True)
+        if found is None:
+            break
+        p, q = found
+        pivot, pivot_row, leading = take(p, q)
+        unit = mul_terms(unit, pivot)
+        for i in leading:
+            sparse = active[i]
+            factor = divexact_terms(sparse.pop(q), pivot)  # exact: pivot is a unit
+            for j, a in pivot_row.items():  # a_ij - (lead / pivot) * a_pj
+                store(sparse, i, j, fma_terms(_UNIT, sparse.get(j, {}), factor, a))
+
+    prev = pivot = _UNIT
+    while active:
+        if not all(active.values()) or not all(cols.values()):
+            return ZERO
+        p, q = cheapest(units_only=False)
+        pivot, pivot_row, leading = take(p, q)
         for i, sparse in active.items():
             if i not in leading:
                 if pivot != prev:
@@ -192,43 +254,12 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
             lead = sparse.pop(q)
             for j in sparse.keys() | pivot_row.keys():
                 num = fma_terms(pivot, sparse.get(j, {}), lead, pivot_row.get(j, {}))
-                if num:
-                    if j not in sparse:
-                        cols[j].add(i)
-                    sparse[j] = _exact(num, prev)
-                elif j in sparse:
-                    del sparse[j]
-                    cols[j].discard(i)
+                store(sparse, i, j, _exact(num, prev))
         prev = pivot
-    out = dict(pivot)
+    out = mul_terms(unit, pivot)
     if _parity(row_order) * _parity(col_order) < 0:
         out = {key: -c for key, c in out.items()}
     return LaurentPoly._raw(out)
-
-
-def determinant_cofactor(m: AlexMatrix | list) -> LaurentPoly:
-    """Naive cofactor expansion; the independent oracle for small orders."""
-    rows = m.entries if isinstance(m, AlexMatrix) else m
-    rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly(e) for e in row] for row in rows]
-
-    def rec(rs, cols):
-        if len(cols) == 1:
-            return rs[0][cols[0]]
-        total = ZERO
-        sub = rs[1:]
-        for pos, c in enumerate(cols):
-            a = rs[0][c]
-            if a.is_zero:
-                continue
-            minor = rec(sub, cols[:pos] + cols[pos + 1:])
-            term = a * minor
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    n = len(rows)
-    if n == 0:
-        return ONE
-    return rec(rows, list(range(n)))
 
 
 def delta0_diagram(d: Diagram) -> LaurentPoly:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from valex.alexander import AlexMatrix
 from valex.diagram import Diagram, Passage
+from valex.laurent import LaurentPoly, ONE, ZERO
 
 
 def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
@@ -21,6 +23,31 @@ def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
         return Diagram(
             [[Passage(c, o) for c, o in comp] for comp in comps], signs
         )
+
+
+def determinant_cofactor(m: AlexMatrix | list) -> LaurentPoly:
+    """Naive cofactor expansion; the independent oracle for small orders."""
+    rows = m.entries if isinstance(m, AlexMatrix) else m
+    rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly(e) for e in row] for row in rows]
+
+    def rec(rs, cols):
+        if len(cols) == 1:
+            return rs[0][cols[0]]
+        total = ZERO
+        sub = rs[1:]
+        for pos, c in enumerate(cols):
+            a = rs[0][c]
+            if a.is_zero:
+                continue
+            minor = rec(sub, cols[:pos] + cols[pos + 1:])
+            term = a * minor
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    n = len(rows)
+    if n == 0:
+        return ONE
+    return rec(rows, list(range(n)))
 
 
 @pytest.fixture

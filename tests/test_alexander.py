@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import make_random_diagram
+from tests.conftest import determinant_cofactor, make_random_diagram
 from valex.alexander import (
     KNOT_FACTOR,
     LINK_FACTOR,
@@ -10,7 +10,6 @@ from valex.alexander import (
     delta0_diagram,
     delta_bar,
     determinant,
-    determinant_cofactor,
     invariant_report,
 )
 from valex.diagram import (
@@ -173,6 +172,71 @@ class TestDeterminant:
         m = [[{(1, 0): 1}, V, ZERO], [ONE, {(0, 0): 2}, {(0, 1): -1}], [{}, U, ONE - U]]
         assert determinant(m) == determinant_cofactor(m)
 
+    def test_unit_pivots_with_negative_coefficients_and_exponents(self, rng):
+        # the units are -u^i v^j with i, j != 0, so a wrong sign or exponent
+        # in a pivot's inverse changes every update it takes part in
+        def entry():
+            x = rng.random()
+            if x < 0.4:
+                return ZERO
+            mono = (rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2]))
+            if x < 0.85:
+                return LaurentPoly({mono: -1})
+            return LaurentPoly({mono: -1, (0, 0): 2})
+
+        nonzero = 0
+        for order in range(2, 7):
+            for _ in range(8):
+                m = [[entry() for _ in range(order)] for _ in range(order)]
+                det = determinant(m)
+                assert det == determinant_cofactor(m)
+                nonzero += not det.is_zero
+        assert nonzero >= 20
+
+    def test_no_unit_entry(self, rng):
+        # coefficients other than +-1 or two terms: phase 1 finds no pivot
+        def entry():
+            if rng.random() < 0.3:
+                return ZERO
+            mono = (rng.randint(-1, 1), rng.randint(-1, 1))
+            if rng.random() < 0.5:
+                return LaurentPoly({mono: rng.choice([-3, -2, 2, 3])})
+            return LaurentPoly({mono: rng.choice([-1, 1]), (2, 2): rng.choice([-2, 1])})
+
+        for order in range(1, 6):
+            for _ in range(6):
+                m = [[entry() for _ in range(order)] for _ in range(order)]
+                assert determinant(m) == determinant_cofactor(m)
+
+    def test_all_units_leave_an_empty_core(self, rng):
+        # no row or column has a single entry, so the first pivot, a_00,
+        # costs 1; its update cancels a_11 because a_00 * a_11 == a_01 * a_10,
+        # and every entry left is a unit until the matrix is used up
+        a, b, c = -U * V**2, LaurentPoly({(-1, 1): 1}), U**2
+        d = LaurentPoly({(0, -1): -1})
+        assert a * d == b * c
+        e, f, g = -V, LaurentPoly({(1, -2): 1}), -U
+        m = [[a, b, ZERO], [c, d, e], [ZERO, f, g]]
+        assert determinant(m) == -a * e * f == determinant_cofactor(m)
+
+        def unit():
+            return LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice([-1, 1])})
+
+        # unit entries on and below the diagonal, rows and columns shuffled
+        for order in range(1, 7):
+            tri = [[unit() if j <= i else ZERO for j in range(order)] for i in range(order)]
+            rows = rng.sample(range(order), order)
+            cols = rng.sample(range(order), order)
+            m = [[tri[i][j] for j in cols] for i in rows]
+            assert determinant(m) == determinant_cofactor(m)
+
+    def test_unit_pivot_costlier_than_a_non_unit(self):
+        # 1 + u sits alone in its row (cost 0), every unit costs 2 or more;
+        # phase 1 still takes the units first and leaves 1 + u to phase 2
+        m = [[ONE + U, ZERO, ZERO], [V, -U, ONE], [-ONE, U * V, V]]
+        want = parse_poly("-2*u*v - 2*u^2*v")
+        assert determinant(m) == want == determinant_cofactor(m)
+
 
 class TestDeltaBar:
     def test_vt1_is_one(self):
@@ -308,8 +372,10 @@ def diagrams(draw):
 class TestDiagramInvariance:
     """The normalized quotient does not depend on how a diagram is written.
 
-    Both moves permute the rows or columns of the Alexander matrix, so these
-    also check that the pivot order of the elimination has no effect.
+    Rotation and renumbering permute the rows or columns of the Alexander
+    matrix, so they also check that the pivot order of the elimination has no
+    effect.  A kink or an R2 pair adds crossings and multiplies Delta_0 by a
+    unit, which normalization removes.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -329,4 +395,21 @@ class TestDiagramInvariance:
             {ids[c]: s for c, s in d.signs.items()},
         )
         assert (invariant_report(renumbered).dbar_normalized
+                == invariant_report(d).dbar_normalized)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(), st.data())
+    def test_kink_insertion(self, d, data):
+        arc = data.draw(st.integers(1, 2 * d.n_crossings))
+        want = invariant_report(d).dbar_normalized
+        for kind in KINK_KINDS:
+            assert invariant_report(add_kink(d, arc, kind)).dbar_normalized == want, kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(), st.data())
+    def test_r2_insertion(self, d, data):
+        assume(d.n_crossings >= 2)
+        over, under = data.draw(st.lists(st.integers(1, 2 * d.n_crossings),
+                                         min_size=2, max_size=2, unique=True))
+        assert (invariant_report(add_r2(d, over, under)).dbar_normalized
                 == invariant_report(d).dbar_normalized)

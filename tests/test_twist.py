@@ -30,6 +30,7 @@ from valex.twist import (
     parse_spec,
     recursion_step,
     smoothed_closed_form,
+    spec_report,
     vtab_closed_form,
     vtab_delta_bar,
 )
@@ -325,6 +326,14 @@ class TestEvaluateRecursive:
         rec = evaluate_recursive(spec)
         assert det == KNOT_FACTOR * rec
         assert normalize(rec).poly == parse_poly("6 + 7*u*v")
+
+    @pytest.mark.parametrize("clasp", ["a", "^a", "b", "^b"])
+    def test_recursion_equals_determinant_at_order_200(self, clasp):
+        spec = TwistSpec((25, -25, 25, -24), clasp)
+        d = generate_twist(spec)
+        assert 2 * d.n_crossings == 200
+        assert (normalize(delta_bar(delta0_diagram(d))).poly
+                == spec_report(spec).dbar_normalized)
 
     def test_reduction_guard_fires_on_broken_contract(self, monkeypatch):
         from valex import twist as twist_mod
