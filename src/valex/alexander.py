@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import divexact_terms, fma_terms, mul_terms
-from .diagram import Diagram, derive_incidence, format_gauss, odd_writhe
+from .diagram import Diagram, _perm_sign, derive_incidence, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, Normalized, ONE, U, V, ZERO, exact_div, normalize
 
@@ -44,10 +44,9 @@ KNOT_FACTOR = LINK_FACTOR * (U * V - 1)
 
 @dataclass
 class AlexMatrix:
-    """Square matrix of LaurentPoly entries plus its column arc ids."""
+    """Square matrix of LaurentPoly entries, columns in ascending arc id."""
 
     entries: list
-    columns: list
 
     @property
     def order(self) -> int:
@@ -89,24 +88,10 @@ def build_matrix(incidences) -> AlexMatrix:
             acc_b[col[arc]] = acc_b[col[arc]] + coeff
         rows.append(acc_a)
         rows.append(acc_b)
-    return AlexMatrix(rows, arcs)
+    return AlexMatrix(rows)
 
 
 _UNIT = {(0, 0): 1}
-
-
-def _parity(perm: list) -> int:
-    """The sign (+1 or -1) of a permutation of range(len(perm))."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            if k != start:
-                sign = -sign
-    return sign
 
 
 def _exact(num: dict, prev: dict) -> dict:
@@ -122,12 +107,12 @@ def _exact(num: dict, prev: dict) -> dict:
 def determinant(m: AlexMatrix | list) -> LaurentPoly:
     """Exact determinant: Gaussian steps on unit pivots, then sparse Bareiss.
 
-    Each row is a ``{column: terms}`` dict of its nonzero entries (zero
-    coefficients of plain-dict entries are dropped on loading), and each
-    column keeps the set of active rows that have an entry in it, so zero
-    positions are never visited.  Both phases follow Markowitz (1957): a step
-    pivots on an active entry of lowest cost (r - 1)(c - 1), r and c being
-    the entry counts of its row and column.
+    Entries are LaurentPoly.  Each row is loaded as a ``{column: terms}``
+    dict of its nonzero entries, and each column keeps the set of active
+    rows that have an entry in it, so zero positions are never visited.
+    Both phases follow Markowitz (1957): a step pivots on an active entry of
+    lowest cost (r - 1)(c - 1), r and c being the entry counts of its row
+    and column.
 
     Phase 1 pivots only on units +-u^i v^j, for as long as one is active:
     the unit of least cost, even where a non-unit costs less, ties going to
@@ -168,13 +153,9 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
     active: dict = {}
     cols: dict = {j: set() for j in range(n)}
     for i, row in enumerate(rows):
-        sparse = {}
-        for j, e in enumerate(row):
-            terms = e._terms if isinstance(e, LaurentPoly) else {k: c for k, c in e.items() if c}
-            if terms:
-                sparse[j] = terms
-                cols[j].add(i)
-        active[i] = sparse
+        active[i] = sparse = {j: e._terms for j, e in enumerate(row) if e._terms}
+        for j in sparse:
+            cols[j].add(i)
     row_order: list = []
     col_order: list = []
 
@@ -257,7 +238,7 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
                 store(sparse, i, j, _exact(num, prev))
         prev = pivot
     out = mul_terms(unit, pivot)
-    if _parity(row_order) * _parity(col_order) < 0:
+    if _perm_sign(row_order) * _perm_sign(col_order) < 0:
         out = {key: -c for key, c in out.items()}
     return LaurentPoly._raw(out)
 

@@ -24,7 +24,7 @@ from .twist import (
     parse_spec,
     spec_report,
 )
-from .verify import batch_check, run_grid, run_law_suite, worker_count
+from .verify import batch_check, grid_specs, run_grid, run_law_suite, worker_count
 
 
 def _print_report(lines, machine: bool):
@@ -93,26 +93,26 @@ def cmd_twist(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    if args.file:
-        summary = batch_check(args.file)
-        for no, rep in summary.verdicts:
-            if args.machine:
-                print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
-                      f"dbar={rep.dbar_at_minus_one}, "
-                      f"holds={str(rep.conjecture_holds).lower()}")
-            else:
-                mark = "holds" if rep.conjecture_holds else "FAILS"
-                print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
-                      f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}")
-        for no, msg in summary.errors:
-            print(f"line {no}: ERROR {msg}", file=sys.stderr)
-        print(f"checked={summary.checked} held={summary.held} "
-              f"errors={len(summary.errors)} ignored={summary.ignored}")
-        return 0 if summary.ok else 1
+def cmd_batch(args) -> int:
+    summary = batch_check(args.file)
+    for no, rep in summary.verdicts:
+        if args.machine:
+            print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
+                  f"dbar={rep.dbar_at_minus_one}, "
+                  f"holds={str(rep.conjecture_holds).lower()}")
+        else:
+            mark = "holds" if rep.conjecture_holds else "FAILS"
+            print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
+                  f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}")
+    for no, msg in summary.errors:
+        print(f"line {no}: ERROR {msg}", file=sys.stderr)
+    print(f"checked={summary.checked} held={summary.held} "
+          f"errors={len(summary.errors)} ignored={summary.ignored}")
+    return 0 if summary.ok else 1
 
-    lo, hi = args.range
-    results = run_grid(n_max=args.n, lo=lo, hi=hi)
+
+def cmd_verify(args) -> int:
+    results = run_grid(grid_specs(args.n, *args.range))
     failures = [r for r in results if not r.passed]
     if args.machine:
         for r in results:
@@ -136,7 +136,7 @@ def cmd_selftest(args) -> int:
     else:
         for r in failures:
             print(r)
-    grid = run_grid(n_max=2, lo=0, hi=3)
+    grid = run_grid(grid_specs(2, 0, 3))
     grid_failures = [r for r in grid if not r.passed]
     for r in grid_failures:
         print(r)
@@ -186,19 +186,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="e.g. 'VT[a](1)' or 'VT[b](2,-1)'")
     p.set_defaults(func=cmd_twist)
 
-    p = sub.add_parser("verify", help="grid verification or batch file check")
+    p = sub.add_parser("verify", help="grid verification")
     p.add_argument("--n", type=_positive_int, default=2,
                    help="max number of blocks (default 2)")
     p.add_argument("--range", type=_parse_range, default=(-2, 2),
                    metavar="LO..HI", help="block value range (default -2..2)")
-    p.add_argument("--file", help="file of Gauss codes, one per line")
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("batch", help="conjecture check for a Gauss-code file")
     p.add_argument("file")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("selftest", help="built-in fixture and law suites")
     p.add_argument("--verbose", action="store_true")

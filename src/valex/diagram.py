@@ -129,26 +129,6 @@ class Diagram:
     def is_knot(self) -> bool:
         return len(self.components) == 1
 
-    def sign(self, cid: int) -> int:
-        try:
-            return self.signs[cid]
-        except KeyError:
-            raise UnknownCrossing(f"no crossing {cid}") from None
-
-    def passage_positions(self, cid: int):
-        """((ci, pi) of the over passage, (ci, pi) of the under passage)."""
-        over = under = None
-        for ci, comp in enumerate(self.components):
-            for pi, p in enumerate(comp):
-                if p.crossing == cid:
-                    if p.over:
-                        over = (ci, pi)
-                    else:
-                        under = (ci, pi)
-        if over is None or under is None:
-            raise UnknownCrossing(f"no crossing {cid}")
-        return over, under
-
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
@@ -288,30 +268,26 @@ def _out_label_map(d: Diagram) -> dict:
     }
 
 
-def _perm_sign(seq_from, seq_to) -> int:
-    """Sign of the permutation carrying seq_from (distinct) onto seq_to."""
-    index = {x: i for i, x in enumerate(seq_from)}
-    perm = [index[x] for x in seq_to]
-    seen = [False] * len(perm)
+def _perm_sign(perm) -> int:
+    """The sign (+1 or -1) of a permutation of range(len(perm))."""
     sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            if k != start:
+                sign = -sign
     return sign
 
 
 def _extract_sign(all_labels, front) -> int:
     """Sign of the permutation from ascending order to (front, rest ascending)."""
-    rest = [x for x in sorted(all_labels) if x not in set(front)]
-    return _perm_sign(sorted(all_labels), list(front) + rest)
+    order = sorted(all_labels)
+    rank = {x: r for r, x in enumerate(order)}
+    skip = set(front)
+    return _perm_sign([rank[x] for x in front] + [rank[x] for x in order if x not in skip])
 
 
 # -- transforms ------------------------------------------------------------------
@@ -425,7 +401,13 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     det(L+) - det(L-) = (uv-1) det(L0).  This makes the identity hold on the
     nose for every legal smoothing, independent of where the crossing sits.
     """
-    (oci, opi), (uci, upi) = d.passage_positions(cid)
+    if cid not in d.signs:
+        raise UnknownCrossing(f"no crossing {cid}")
+    # passages are unique keys: one over and one under per crossing id
+    old_pos = {p: (ci, pi)
+               for ci, comp in enumerate(d.components) for pi, p in enumerate(comp)}
+    oci, opi = old_pos[Passage(cid, True)]
+    uci, upi = old_pos[Passage(cid, False)]
     table, incidences = derive_incidence(d)
     inc = next(i for i in incidences if i.crossing == cid)
     if d.signs[cid] > 0:
@@ -435,24 +417,12 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
         quad = (inc.in_over, inc.out_under, inc.out_over, inc.in_under)
     a1, a2, a3, a4 = quad
 
-    # union-find over labels for the pairwise merge (chains collapse too)
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    union(a1, a2)
-    union(a4, a3)
+    # the pairwise merge: {a1, a2} and {a3, a4}, one class when they share a
+    # label; a class is named by its least label, every other label by itself
+    pairs = [{a1, a2}, {a3, a4}]
+    if pairs[0] & pairs[1]:
+        pairs = [pairs[0] | pairs[1]]
+    root = {x: min(pair) for pair in pairs for x in pair}
 
     # new passage structure
     comps = [list(comp) for comp in d.components]
@@ -485,9 +455,9 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     # were rejected above.  The canonical-order skein relation picks up an
     # extra -1 in the first chain case (first-occurrence column collapse).
     old_labels = sorted({a for comp in table.out_arcs for a in comp})
-    classes = sorted({find(x) for x in old_labels})
-    class_label = {root: rank + 1 for rank, root in enumerate(classes)}
-    r1, r4 = find(a1), find(a4)
+    classes = sorted({root.get(x, x) for x in old_labels})
+    class_label = {c: rank + 1 for rank, c in enumerate(classes)}
+    r1, r4 = root[a1], root[a4]
     if len({a1, a2, a3, a4}) == 4:
         front_old, rel, front_roots = [a1, a2, a3, a4], 1, [r1, r4]
     elif a1 == a3:
@@ -508,14 +478,11 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
             )
 
     outs = _out_label_map(d)
-    old_pos = {}
-    for ci, comp in enumerate(d.components):
-        for pi, p in enumerate(comp):
-            old_pos[p] = (ci, pi)  # passages are unique (one over + one under per id)
     new_labels = []
     for comp in new_comps:
         for p in comp:
-            new_labels.append(class_label[find(outs[old_pos[p]])])
+            label = outs[old_pos[p]]
+            new_labels.append(class_label[root.get(label, label)])
     return Diagram(new_comps, signs, new_labels)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from ._backend import BACKEND, divexact_terms, mul_terms
+from ._backend import divexact_terms, mul_terms
 from .errors import (
     DivisionByZero,
     EvalAtZero,
@@ -29,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BACKEND",
     "LaurentPoly",
     "ZERO",
     "ONE",
@@ -219,12 +218,20 @@ class LaurentPoly:
         Returns an int when the result is integral (always the case for
         u0, v0 in {1, -1}), otherwise a Fraction.  Raises EvalAtZero when a
         negative exponent meets a zero base.
+
+        The terms are summed in ints with exponents shifted by their minima
+        iu and iv, and the sum is multiplied once by u0^iu * v0^iv.
         """
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            if (i < 0 and u0 == 0) or (j < 0 and v0 == 0):
-                raise EvalAtZero(f"term u^{i}*v^{j} undefined at ({u0}, {v0})")
-            total += Fraction(c) * Fraction(u0) ** i * Fraction(v0) ** j
+        terms = self._terms
+        if not terms:
+            return 0
+        iu = min(i for i, _ in terms)
+        iv = min(j for _, j in terms)
+        if (iu < 0 and u0 == 0) or (iv < 0 and v0 == 0):
+            i, j = next((i, j) for i, j in terms if (i < 0 and u0 == 0) or (j < 0 and v0 == 0))
+            raise EvalAtZero(f"term u^{i}*v^{j} undefined at ({u0}, {v0})")
+        total = sum(c * u0 ** (i - iu) * v0 ** (j - iv) for (i, j), c in terms.items())
+        total = total * Fraction(u0) ** iu * Fraction(v0) ** iv
         if total.denominator == 1:
             return int(total)
         return total

@@ -59,7 +59,6 @@ __all__ = [
     "mirror_invariant",
     "ow_closed_form",
     "spec_report",
-    "KNOT_FACTOR",
 ]
 
 CLASPS = ("a", "^a", "b", "^b", "ab", "ba")
@@ -143,21 +142,28 @@ class ParityContext:
 
 
 def parity_context(spec: TwistSpec) -> ParityContext:
+    """Partial sums and parity counts, in time linear in the block count.
+
+    epsilon(i) = p(s(i-1)) - 1 + sum_{j<i} p(a_j) p(s(j))
+                               + sum_{j>=i} p(a_j) p(1 + s(j-1)).
+    The first sum is carried as a prefix, whose last value is delta; the
+    second as a suffix, which starts at its total over all blocks.
+    """
     a = spec.blocks
-    n = len(a)
     s = [0]
+    suffix = 0
     for b in a:
+        suffix += _p(b) * _p(1 + s[-1])
         s.append(s[-1] + b + 1)
-    delta = sum(_p(a[j]) * _p(s[j + 1]) for j in range(n))
+    prefix = 0
     eps = []
-    for i in range(1, n + 1):
-        e = _p(s[i - 1]) - 1
-        e += sum(_p(a[j]) * _p(s[j + 1]) for j in range(i - 1))
-        e += sum(_p(a[j]) * _p(1 + s[j]) for j in range(i - 1, n))
-        eps.append(e)
+    for j, b in enumerate(a):
+        eps.append(_p(s[j]) - 1 + prefix + suffix)
+        prefix += _p(b) * _p(s[j + 1])
+        suffix -= _p(b) * _p(1 + s[j])
     return ParityContext(
         s=tuple(s),
-        delta=delta,
+        delta=prefix,
         eps=tuple(eps),
         half_sum=sum(abs(b) // 2 for b in a),
         m=sum(abs(b) for b in a),

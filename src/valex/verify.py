@@ -12,8 +12,8 @@ Three layers:
   Gauss codes (one per line, ``#`` comments and blank lines ignored).
 
 Failures are recorded in the returned results, never raised; reruns are
-deterministic.  Grid evaluation parallelizes per spec (``VA_THREADS`` caps
-the worker count) with results in input order.
+deterministic.  Grid evaluation parallelizes per spec, with results in input
+order.
 """
 
 from __future__ import annotations
@@ -126,28 +126,15 @@ def worker_count(n_specs: int, workers: Optional[int] = None) -> int:
     """Processes ``run_grid`` uses for a grid of ``n_specs`` specs.
 
     Small grids run in-process.  Larger ones use ``workers`` when given, else
-    the CPU count, capped by ``VA_THREADS`` when that is a positive integer.
+    the CPU count.
     """
     if n_specs <= _SERIAL_MAX_SPECS:
         return 1
-    if workers is not None:
-        return workers
-    cap = os.environ.get("VA_THREADS", "").strip()
-    try:
-        cap_n = int(cap) if cap else 0
-    except ValueError:
-        cap_n = 0
-    cpus = os.cpu_count() or 1
-    if cap_n > 0:
-        return max(1, min(cap_n, cpus))
-    return cpus
+    return workers if workers is not None else os.cpu_count() or 1
 
 
-def run_grid(specs: Optional[Iterable[TwistSpec]] = None, n_max: int = 2,
-             lo: int = -3, hi: int = 3, workers: Optional[int] = None) -> list:
+def run_grid(specs: Iterable[TwistSpec], workers: Optional[int] = None) -> list:
     """Run the four per-spec checks over a grid; results in input order."""
-    if specs is None:
-        specs = grid_specs(n_max, lo, hi)
     specs = list(specs)
     nproc = worker_count(len(specs), workers)
     if nproc > 1:

@@ -28,7 +28,6 @@ def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
 def determinant_cofactor(m: AlexMatrix | list) -> LaurentPoly:
     """Naive cofactor expansion; the independent oracle for small orders."""
     rows = m.entries if isinstance(m, AlexMatrix) else m
-    rows = [[e if isinstance(e, LaurentPoly) else LaurentPoly(e) for e in row] for row in rows]
 
     def rec(rs, cols):
         if len(cols) == 1:

@@ -156,21 +156,18 @@ class TestDeterminant:
         assert determinant(m) == ZERO == determinant_cofactor(m)
 
     def test_zero_coefficients_in_dict_entries(self):
+        # the constructor drops the zero coefficient, so the entry is 1
         m = [
-            [{(0, 0): 1, (1, 0): 0}, {(0, 1): 1}, {}],
-            [{(1, 0): 1}, {(0, 0): 2}, {(0, 0): 1}],
-            [{}, {(1, 1): 1}, {(0, 0): 3}],
+            [LaurentPoly({(0, 0): 1, (1, 0): 0}), V, ZERO],
+            [U, 2 * ONE, ONE],
+            [ZERO, U * V, 3 * ONE],
         ]
         assert determinant(m) == parse_poly("6 - 4*u*v") == determinant_cofactor(m)
 
     def test_order_one(self):
         assert determinant([[U - V]]) == U - V
-        assert determinant([[{(1, 2): 3, (0, 0): 0}]]) == 3 * U * V**2
-        assert determinant([[{(0, 0): 0}]]) == ZERO
-
-    def test_mixed_dict_and_poly_entries(self):
-        m = [[{(1, 0): 1}, V, ZERO], [ONE, {(0, 0): 2}, {(0, 1): -1}], [{}, U, ONE - U]]
-        assert determinant(m) == determinant_cofactor(m)
+        assert determinant([[LaurentPoly({(1, 2): 3, (0, 0): 0})]]) == 3 * U * V**2
+        assert determinant([[ZERO]]) == ZERO
 
     def test_unit_pivots_with_negative_coefficients_and_exponents(self, rng):
         # the units are -u^i v^j with i, j != 0, so a wrong sign or exponent

@@ -146,7 +146,7 @@ class TestVerify:
     def test_file(self, capsys, tmp_path):
         path = tmp_path / "knots.txt"
         path.write_text(f"# demo\n{TREFOIL}\n{VTREFOIL}\n")
-        code, out, _ = run(capsys, "verify", "--file", str(path))
+        code, out, _ = run(capsys, "batch", str(path))
         assert code == 0
         assert "checked=2 held=2" in out
 
@@ -160,7 +160,7 @@ class TestVerify:
     def test_file_with_error_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("O1+O1+\n")
-        code, _, err = run(capsys, "verify", "--file", str(path))
+        code, _, err = run(capsys, "batch", str(path))
         assert code == 1 and "ERROR" in err
 
     def test_overlong_crossing_id_reports_line_and_goes_on(self, capsys, tmp_path):
@@ -171,7 +171,7 @@ class TestVerify:
         assert err.startswith("line 1: ERROR ParseError")
         assert "checked=1 held=1 errors=1" in out
 
-    @pytest.mark.parametrize("argv", [("batch",), ("verify", "--file")])
+    @pytest.mark.parametrize("argv", [("batch",), ("batch", "--machine")])
     def test_file_without_codes_exits_1(self, capsys, tmp_path, argv):
         path = tmp_path / "comments.txt"
         path.write_text("# nothing to check\n\n")
@@ -180,13 +180,13 @@ class TestVerify:
         assert "checked=0" in out
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
-        code, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope"))
+        code, _, err = run(capsys, "batch", str(tmp_path / "nope"))
         assert code == 1
 
     def test_non_utf8_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "utf16.txt"
         path.write_bytes(b"\xff\xfe" + VTREFOIL.encode("utf-16-le"))
-        code, out, err = run(capsys, "verify", "--file", str(path))
+        code, out, err = run(capsys, "batch", str(path))
         assert code == 1
         assert err.startswith("io error:") and "checked=" not in out
 
@@ -196,7 +196,9 @@ class TestVerify:
         assert code == 0
         assert "4 specs checked" in out and "workers=1)" in out
 
-    @pytest.mark.parametrize("argv", [("--n", "0"), ("--range", "3..-3")])
+    # batch files go through `valex batch` only, so `verify --file` is refused too
+    @pytest.mark.parametrize("argv", [("--n", "0"), ("--range", "3..-3"),
+                                      ("--file", "knots.txt")])
     def test_empty_grid_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])

@@ -331,6 +331,15 @@ def test_evaluate_is_ring_hom(a, b, u0, v0):
 
 
 @settings(max_examples=200, deadline=None)
+@given(small_polys, st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool))
+def test_evaluate_matches_termwise_sum(a, u0, v0):
+    want = sum(Fraction(c) * Fraction(u0) ** i * Fraction(v0) ** j for (i, j), c in a.items())
+    got = a.evaluate(u0, v0)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None)
 @given(small_polys)
 def test_parse_format_roundtrip(a):
     assert parse_poly(format_poly(a)) == a

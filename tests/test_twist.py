@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valex import alexander, twist
 from valex.alexander import delta0_diagram, delta_bar
@@ -93,6 +95,28 @@ class TestParityContext:
             assert signed.delta == absolute.delta
             assert signed.eps == absolute.eps
             assert (signed.s[-1] - absolute.s[-1]) % 2 == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+    def test_matches_quadratic_definition(self, blocks):
+        # the paper's sums written out term by term, O(n^2) in the block count
+        def p(x):
+            return abs(x) % 2
+
+        n = len(blocks)
+        s = [0]
+        for b in blocks:
+            s.append(s[-1] + b + 1)
+        eps = tuple(
+            p(s[i - 1]) - 1
+            + sum(p(blocks[j - 1]) * p(s[j]) for j in range(1, i))
+            + sum(p(blocks[j - 1]) * p(1 + s[j - 1]) for j in range(i, n + 1))
+            for i in range(1, n + 1)
+        )
+        ctx = parity_context(TwistSpec(tuple(blocks)))
+        assert ctx.s == tuple(s)
+        assert ctx.delta == sum(p(blocks[j - 1]) * p(s[j]) for j in range(1, n + 1))
+        assert ctx.eps == eps
 
 
 class TestGenerator:

@@ -46,19 +46,19 @@ class TestConjecture:
 
 class TestGrid:
     def test_small_grid_all_pass(self):
-        results = run_grid(n_max=2, lo=0, hi=3, workers=1)
+        results = run_grid(grid_specs(2, 0, 3), workers=1)
         assert results and all(r.passed for r in results)
 
     def test_deterministic_and_ordered(self):
-        a = run_grid(n_max=1, lo=-2, hi=2, workers=1)
-        b = run_grid(n_max=1, lo=-2, hi=2, workers=1)
+        a = run_grid(grid_specs(1, -2, 2), workers=1)
+        b = run_grid(grid_specs(1, -2, 2), workers=1)
         assert a == b
         subjects = [r.subject for r in a[:: 4]]
         expected = [str(s) for s in grid_specs(1, -2, 2)]
         assert subjects == expected
 
     def test_signed_identity_implies_conjecture(self):
-        results = run_grid(n_max=2, lo=-2, hi=2, workers=1)
+        results = run_grid(grid_specs(2, -2, 2), workers=1)
         by_spec = {}
         for r in results:
             by_spec.setdefault(r.subject, {})[r.check] = r.passed
@@ -68,19 +68,12 @@ class TestGrid:
 
     def test_parallel_matches_serial(self):
         specs = grid_specs(2, -1, 2)
-        serial = run_grid(specs=specs, workers=1)
-        parallel = run_grid(specs=specs, workers=2)
+        serial = run_grid(specs, workers=1)
+        parallel = run_grid(specs, workers=2)
         assert serial == parallel
 
-    def test_va_threads_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("VA_THREADS", "1")
-        assert worker_count(100) == 1
-        monkeypatch.setenv("VA_THREADS", "9999")
-        assert worker_count(100) >= 1
-        monkeypatch.setenv("VA_THREADS", "junk")
-        assert worker_count(100) >= 1
-        # small grids run in-process whatever the cap or request
-        monkeypatch.delenv("VA_THREADS")
+    def test_worker_count(self):
+        # small grids run in-process whatever the request
         assert worker_count(32) == worker_count(4, workers=2) == 1
         assert worker_count(33, workers=2) == 2
 
