@@ -1,6 +1,8 @@
 """Command-line surface: compute, twist, verify, batch, selftest.
 
-Exit codes: 0 success, 1 runtime or verification failure, 2 usage error.
+Exit codes: 0 success, 1 runtime or verification failure, 2 usage error,
+3 internal error (any other exception, printed as one line without a
+traceback).
 All output is plain text; ``--machine`` switches to ``key=value`` lines.
 Polynomials are printed in the package grammar, so CLI output feeds back
 into ``--gauss``/``--spec`` pipelines unchanged.
@@ -227,6 +229,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:  # a fault in valex itself, reported without a traceback
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

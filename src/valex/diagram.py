@@ -258,9 +258,8 @@ def derive_incidence(d: Diagram):
     return table, incidences
 
 
-def _out_label_map(d: Diagram) -> dict:
-    """(ci, pi) -> arc id that leaves that passage."""
-    table, _ = derive_incidence(d)
+def _out_label_map(d: Diagram, table: ArcTable) -> dict:
+    """(ci, pi) -> arc id that leaves that passage; table is d's ArcTable."""
     return {
         (ci, pi): table.out_arcs[ci][pi]
         for ci, comp in enumerate(d.components)
@@ -359,7 +358,7 @@ def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
     if kind not in _KINK_TABLE:
         raise InvalidArgument(f"unknown kink kind {kind!r} (expected one of {KINK_KINDS})")
     sign, over_first = _KINK_TABLE[kind]
-    outs = _out_label_map(d)
+    outs = _out_label_map(d, derive_incidence(d)[0])
     target = None
     for key, label in outs.items():
         if label == arc:
@@ -477,7 +476,7 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
                 class_label[front_roots[0]],
             )
 
-    outs = _out_label_map(d)
+    outs = _out_label_map(d, table)
     new_labels = []
     for comp in new_comps:
         for p in comp:
@@ -495,7 +494,7 @@ def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
     """
     if over_arc == under_arc:
         raise UnknownArc("R2 insertion needs two distinct arcs")
-    outs = _out_label_map(d)
+    outs = _out_label_map(d, derive_incidence(d)[0])
     t_over = t_under = None
     for key, label in outs.items():
         if label == over_arc:

@@ -72,6 +72,15 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--gauss", f"O{'9' * 5000}+U{'9' * 5000}+")
         assert code == 1 and err.startswith("error: crossing id of 5000 digits")
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def fail(d):
+            raise RuntimeError("lost\ninvariant")
+
+        monkeypatch.setattr("valex.cli.invariant_report", fail)
+        code, out, err = run(capsys, "compute", "--gauss", VTREFOIL)
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError('lost\\ninvariant')\n"
+
     def test_usage_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,168 @@ class TestKernelContract:
     ])
     def test_divexact_rejects_wrapped_quotient(self, a, b):
         assert divexact_terms(a, b) is None
+
+
+
+def school_mul(a: dict, b: dict) -> dict:
+    """Plain schoolbook product of two term dicts."""
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def school_fma(a: dict, b: dict, c: dict, d: dict) -> dict:
+    out = school_mul(a, b)
+    for key, x in school_mul(c, d).items():
+        out[key] = out.get(key, 0) - x
+    return {key: x for key, x in out.items() if x}
+
+
+def long_divide(a: dict, b: dict) -> dict | None:
+    """Exact Laurent quotient a / b by bivariate long division, or None.
+
+    Each step cancels the lexicographically leading term of the remainder
+    against that of b.  A true quotient has no u-exponent below
+    min_u(a) - min_u(b) and no v-exponent below min_v(a) - min_v(b), so a
+    step that needs one (or an inexact coefficient) proves b does not
+    divide a; the leading term falls every step, so this ends.
+    """
+    if not a:
+        return {}
+    (bu, bv), lead = max(b.items())
+    lo_u = min(i for i, _ in a) - min(i for i, _ in b)
+    lo_v = min(j for _, j in a) - min(j for _, j in b)
+    r, q = dict(a), {}
+    while r:
+        (i, j), c = max(r.items())
+        qu, qv = i - bu, j - bv
+        if qu < lo_u or qv < lo_v or c % lead:
+            return None
+        t = c // lead
+        q[(qu, qv)] = t
+        for (k, l), d in b.items():
+            key = (qu + k, qv + l)
+            v = r.get(key, 0) - t * d
+            if v:
+                r[key] = v
+            else:
+                r.pop(key, None)
+    return q
+
+
+def balanced_digits(x: int, bits: int) -> list:
+    """Digits d_k of x = sum(d_k * 2**(bits*k)) with -2**(bits-1) <= d_k < 2**(bits-1)."""
+    digits = []
+    while x:
+        d = x % (1 << bits)
+        if d >= 1 << (bits - 1):
+            d -= 1 << bits
+        digits.append(d)
+        x = (x - d) >> bits
+    return digits
+
+
+@st.composite
+def packable_terms(draw, max_size=24):
+    """Signed term dicts for the packed kernel paths.
+
+    One magnitude per dict, near 2**e for e in 1, 3, 7, 15, 31, 63 (7 to 63
+    are the slot widths' sign bits) or 64 and 80 (past 64-bit slots), so
+    products land on both sides of each slot width.  Boxes are dense (6 x 6, 8 x 4, one row or column) or
+    sparse with wide spans, at any shift.
+    """
+    e = draw(st.sampled_from([1, 3, 7, 15, 31, 63, 64, 80]))
+    edge = [s * (2 ** e + k) for s in (-1, 1) for k in (-1, 0, 1)]
+    coef = st.one_of(st.integers(-(2 ** e) - 1, 2 ** e + 1), st.sampled_from(edge)).filter(bool)
+    su, sv = draw(st.sampled_from([(5, 5), (7, 3), (0, 40), (40, 0), (150, 2), (2, 150)]))
+    du, dv = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    keys = st.tuples(st.integers(du, du + su), st.integers(dv, dv + sv))
+    size = draw(st.integers(0, max_size))
+    return draw(st.dictionaries(keys, coef, min_size=size, max_size=size))
+
+
+class TestPackedKernel:
+    """mul_terms, fma_terms and divexact_terms against the plain references.
+
+    The operands reach past the packing thresholds (150 term products, 32
+    dividend terms), so both the schoolbook and the Kronecker-packed paths
+    run, at every slot width and across its limits.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(packable_terms(), packable_terms(), packable_terms(), packable_terms())
+    def test_mul_and_fma_equal_schoolbook(self, a, b, c, d):
+        before = [dict(x) for x in (a, b, c, d)]
+        assert mul_terms(a, b) == school_mul(a, b)
+        assert fma_terms(a, b, c, d) == school_fma(a, b, c, d)
+        assert [a, b, c, d] == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(packable_terms(), packable_terms().filter(bool),
+           st.tuples(st.integers(-80, 80), st.integers(-80, 80)), st.booleans())
+    def test_divexact_equals_long_division(self, q, b, key, perturb):
+        a = school_mul(q, b)
+        if perturb:  # most such a have no quotient
+            a[key] = a.get(key, 0) + 1
+            a = {k: c for k, c in a.items() if c}
+        before = [dict(a), dict(b)]
+        want = long_divide(a, b)
+        assert divexact_terms(a, b) == want
+        assert [a, b] == before
+        if not perturb:
+            assert want == q
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(2 ** 62 - 2 ** 40, 2 ** 63 + 2 ** 40),
+                    min_size=33, max_size=40),
+           st.lists(st.sampled_from([-1, 1]), min_size=33, max_size=33),
+           st.sampled_from([{(0, 0): 1, (0, 1): 1}, {(0, 0): -1, (0, 1): 1},
+                            {(0, 0): 1, (0, 2): -1}, {(0, 0): 3, (0, 1): 1}]))
+    def test_divexact_with_carries_at_t_2_64(self, mags, signs, b):
+        # a is the balanced base-2**64 expansion of q(2**64) * b(2**64), with
+        # q's coefficients near 2**63: where they carry, b divides the packed
+        # ints but not a
+        q = {(0, k): s * c for k, (c, s) in enumerate(zip(mags, signs))}
+        x = sum(c << (64 * j) for (_, j), c in q.items())
+        y = sum(c << (64 * j) for (_, j), c in b.items())
+        a = {(0, k): d for k, d in enumerate(balanced_digits(x * y, 64)) if d}
+        assert divexact_terms(a, b) == long_divide(a, b)
+
+    @pytest.mark.parametrize("s_seed", [1, 2, 3])
+    def test_divexact_rejects_wrapped_dense_quotient(self, s_seed):
+        # (1 + uv) s / ((1 + v) s) divides in Z[t] when W is even: s spans
+        # v**0..v**4, so a spans six v-exponents, W = 6, and
+        # 1 + t**7 = (1 + t)(1 - t + ... + t**6) decodes to a wrapped quotient
+        rng = random.Random(s_seed)
+        s = {(i, j): rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(6) for j in range(5)}
+        a = school_mul({(0, 0): 1, (1, 1): 1}, s)
+        b = school_mul({(0, 0): 1, (0, 1): 1}, s)
+        assert len(a) >= 32
+        assert long_divide(a, b) is None
+        assert divexact_terms(a, b) is None
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    @pytest.mark.parametrize("step", [0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_edges(self, bits, step, sign):
+        # sixteen equal terms along v: the middle coefficient of a*b is
+        # 16 * m**2, the slot bound itself, just inside (step 0) or just
+        # past (step 1) the sign bit of a slot of the given width
+        m = math.isqrt((2 ** (bits - 1) - 1) // 16) + step
+        a = {(0, k): m for k in range(16)}
+        b = {(3, k - 5): sign * m for k in range(16)}
+        assert mul_terms(a, b) == school_mul(a, b)
+        assert fma_terms(a, b, b, {(0, 0): -m}) == school_fma(a, b, b, {(0, 0): -m})
+
+    def test_sparse_wide_operands(self):
+        a = {(0, 0): 1, (0, 10 ** 6): -2, (10 ** 6, 0): 3, (10 ** 6, 10 ** 6): 5}
+        b = {(k, 7 * k): k - 20 for k in range(40) if k != 20}
+        assert mul_terms(a, b) == school_mul(a, b)
+        assert fma_terms(b, b, a, b) == school_fma(b, b, a, b)
+        prod = school_mul(a, b)
+        assert divexact_terms(prod, b) == a
 
 
 class TestAddMul:

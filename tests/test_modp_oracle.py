@@ -41,7 +41,7 @@ def det_mod_p(a):
     return det % P
 
 
-@pytest.mark.parametrize("n", [40, 50])
+@pytest.mark.parametrize("n", [40, 50, 64])
 def test_delta0_equals_determinant_mod_p(n):
     rng = random.Random(n)
     d = make_random_diagram(rng, n)
