@@ -43,6 +43,7 @@ _SLOT_BITS = sorted(_SLOTS)
 _PACK_MIN = 150       # term products from which a product is packed
 _BOX_PER_PRODUCT = 4  # most slots a packed product may span per term product
 _DIV_PACK_MIN = 32    # dividend terms from which a quotient is packed
+_ONE = {(0, 0): 1}    # the polynomial 1
 
 
 def _top_bits(bits: int, n: int) -> int:
@@ -143,7 +144,10 @@ def mul_terms(a: dict, b: dict) -> dict:
 
 
 def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
-    """a*b - c*d in one accumulation (the Bareiss update numerator)."""
+    """a*b - c*d in one accumulation (the Bareiss update numerator).
+
+    An a of 1 (a Gaussian step's update) copies b instead of multiplying.
+    """
     if not c or not d:
         return mul_terms(a, b)
     if len(c) > len(d):
@@ -152,7 +156,7 @@ def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
         out = _packed(a, b, c, d)
         if out is not None:
             return out
-    out = mul_terms(a, b)
+    out = dict(b) if a == _ONE else mul_terms(a, b)
     items = list(d.items())
     for (i, j), x in c.items():
         for (k, l), y in items:

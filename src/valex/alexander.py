@@ -9,7 +9,8 @@ determinant Delta_0(D).  Row templates (columns in role order):
     negative:  A:  +1*in_over   +u*in_under -u*out_over   -1*out_under
                B:  +v*in_over   -1*out_over
 
-Coincident roles (kinks) accumulate additively.  Rows are ordered
+Coincident roles (kinks, one-crossing components) accumulate additively,
+and an entry that cancels to zero is not stored.  Rows are ordered
 (crossing 1 row A, crossing 1 row B, crossing 2 row A, ...) by crossing id;
 columns by arc id ascending.  Reordering crossings permutes row pairs and
 leaves the determinant unchanged; relabeling arcs can flip its sign, which is
@@ -18,13 +19,14 @@ why cross-diagram comparisons normalize first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from ._backend import divexact_terms, fma_terms, mul_terms
+from ._backend import _ONE, divexact_terms, fma_terms, mul_terms
 from .diagram import Diagram, _perm_sign, derive_incidence, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
-from .laurent import LaurentPoly, Normalized, ONE, U, V, ZERO, exact_div, normalize
+from .laurent import LaurentPoly, Normalized, U, V, ZERO, exact_div, normalize
 
 __all__ = [
     "AlexMatrix",
@@ -42,15 +44,57 @@ LINK_FACTOR = (U - 1) * (V - 1)
 KNOT_FACTOR = LINK_FACTOR * (U * V - 1)
 
 
+class _DenseRows(Sequence):
+    """Read-only n x n view of sparse rows: each row is a list of LaurentPoly."""
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self._rows)))]
+        row = self._rows[i]
+        return [LaurentPoly._raw(row[j]) if j in row else ZERO for j in range(len(self._rows))]
+
+
 @dataclass
 class AlexMatrix:
-    """Square matrix of LaurentPoly entries, columns in ascending arc id."""
+    """Square matrix over Z[u^+-1, v^+-1], columns in ascending arc id.
 
-    entries: list
+    ``rows[i]`` maps the column of each nonzero entry of row i to that
+    entry's kernel term dict; zero entries are not stored.  ``entries`` is
+    a dense view of the same matrix, one list of LaurentPoly per row, built
+    row by row as it is read.
+    """
+
+    rows: list
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> Sequence:
+        return _DenseRows(self.rows)
+
+
+def _sparse_row(pattern, col: dict) -> dict:
+    """One relation as a sparse row {column: terms}, zero entries dropped.
+
+    The pattern's (arc, exponent pair, coefficient) terms add up per column.
+    """
+    row: dict = {}
+    for arc, key, c in pattern:
+        terms = row.setdefault(col[arc], {})
+        c += terms.get(key, 0)
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return {j: terms for j, terms in row.items() if terms}
 
 
 def build_matrix(incidences) -> AlexMatrix:
@@ -62,41 +106,38 @@ def build_matrix(incidences) -> AlexMatrix:
     n2 = 2 * len(incidences)
     if len(arcs) != n2:
         raise InvalidArgument(f"expected {n2} arcs, found {len(arcs)}")
+    one, u, v = (0, 0), (1, 0), (0, 1)
     rows = []
     for inc in sorted(incidences, key=lambda i: i.crossing):
         if inc.sign > 0:
             pattern_a = (
-                (inc.in_under, ONE),
-                (inc.in_over, U),
-                (inc.out_under, -U),
-                (inc.out_over, -ONE),
+                (inc.in_under, one, 1),
+                (inc.in_over, u, 1),
+                (inc.out_under, u, -1),
+                (inc.out_over, one, -1),
             )
-            pattern_b = ((inc.in_over, -ONE), (inc.out_over, V))
+            pattern_b = ((inc.in_over, one, -1), (inc.out_over, v, 1))
         else:
             pattern_a = (
-                (inc.in_over, ONE),
-                (inc.in_under, U),
-                (inc.out_over, -U),
-                (inc.out_under, -ONE),
+                (inc.in_over, one, 1),
+                (inc.in_under, u, 1),
+                (inc.out_over, u, -1),
+                (inc.out_under, one, -1),
             )
-            pattern_b = ((inc.in_over, V), (inc.out_over, -ONE))
-        acc_a = [ZERO] * n2
-        acc_b = [ZERO] * n2
-        for arc, coeff in pattern_a:
-            acc_a[col[arc]] = acc_a[col[arc]] + coeff
-        for arc, coeff in pattern_b:
-            acc_b[col[arc]] = acc_b[col[arc]] + coeff
-        rows.append(acc_a)
-        rows.append(acc_b)
+            pattern_b = ((inc.in_over, v, 1), (inc.out_over, one, -1))
+        rows.append(_sparse_row(pattern_a, col))
+        rows.append(_sparse_row(pattern_b, col))
     return AlexMatrix(rows)
 
 
-_UNIT = {(0, 0): 1}
+def _is_unit(terms: dict) -> bool:
+    """Whether the term dict is a unit +-u^i v^j of the Laurent ring."""
+    return len(terms) == 1 and abs(next(iter(terms.values()))) == 1
 
 
 def _exact(num: dict, prev: dict) -> dict:
     """num / prev, which Sylvester's identity makes exact."""
-    if not num or prev == _UNIT:
+    if not num or prev == _ONE:
         return num
     q = divexact_terms(num, prev)
     if q is None:  # impossible over an integral domain
@@ -107,35 +148,45 @@ def _exact(num: dict, prev: dict) -> dict:
 def determinant(m: AlexMatrix | list) -> LaurentPoly:
     """Exact determinant: Gaussian steps on unit pivots, then sparse Bareiss.
 
-    Entries are LaurentPoly.  Each row is loaded as a ``{column: terms}``
-    dict of its nonzero entries, and each column keeps the set of active
-    rows that have an entry in it, so zero positions are never visited.
-    Both phases follow Markowitz (1957): a step pivots on an active entry of
-    lowest cost (r - 1)(c - 1), r and c being the entry counts of its row
-    and column.
+    ``m`` is an AlexMatrix, whose sparse ``{column: terms}`` rows are copied
+    as they are, or a dense list of rows of LaurentPoly, from which each
+    row's nonzero entries are taken.  Each column keeps the set of active
+    rows that have an entry in it, so the elimination never visits a zero
+    position.
 
-    Phase 1 pivots only on units +-u^i v^j, for as long as one is active:
-    the unit of least cost, even where a non-unit costs less, ties going to
-    the first one found.  A unit c * u^i v^j divides every entry: its
-    inverse is the monomial c * u^-i v^-j, so ``lead / pivot`` is exact and
-    only shifts exponents and signs.  A row with an entry ``lead`` in the
-    pivot column becomes a_ij - (lead / pivot) * a_pj over the pivot row's
-    columns, and every other row stays as it is.  The active matrix
-    is then the Schur complement of the pivots taken so far, whose
-    determinant times the product of those pivots is the determinant.  Most
-    Alexander-matrix entries are units, so this phase leaves a small core.
+    Phase 1 pivots only on units +-u^i v^j.  It first takes the two-unit
+    rows, each in turn: a row that still holds exactly two entries, both
+    units, when the pass reaches it is pivoted on at whichever of its two
+    columns has fewer entries (the first on a tie).  These are mostly the
+    crossings' B rows -x_in_over + v*x_out_over, so they need no search.
+    Earlier pivots merge columns, and a B row can shrink to one non-unit
+    entry such as v^k - 1; the pass leaves it alone.  Then, for as long as
+    a unit is active, phase 1 takes the one of least Markowitz (1957) cost
+    (r - 1)(c - 1), r and c being the entry counts of its row and column,
+    even where a non-unit costs less, ties going to the first one found.
+    The pivot order changes the work, never the result.
 
-    Phase 2 runs fraction-free (Bareiss 1968) elimination on that core, with
-    ties in cost going to the entry with fewer terms.  With ``prev`` the
-    previous phase-2 pivot, a row with an entry ``lead`` in the pivot column
-    becomes (pivot * a_ij - lead * a_pj) / prev over the union of its columns
-    and the pivot row's, and a row without one is scaled entry by entry to
-    pivot * a_ij / prev.  Both divisions are exact by Sylvester's identity,
-    which holds because every active entry is a minor of the core.  ``prev``
-    starts at 1 because those are minors of the core alone: phase 1 scaled
-    no row and divided only by its own unit pivots, so they enter the result
-    only through the unit product.  If an active row or column empties in either
-    phase, the matrix is singular and the result is 0.
+    A unit c * u^i v^j divides every entry: its inverse is the monomial
+    c * u^-i v^-j, so ``lead / pivot`` is exact and only shifts exponents
+    and signs.  A row with an entry ``lead`` in the pivot column becomes
+    a_ij - (lead / pivot) * a_pj over the pivot row's columns, and every
+    other row stays as it is.  The active matrix is then the Schur
+    complement of the pivots taken so far, whose determinant times the
+    product of those pivots is the determinant.  Most Alexander-matrix
+    entries are units, so this phase leaves a small core.
+
+    Phase 2 runs fraction-free (Bareiss 1968) elimination on that core,
+    each step on the entry of least cost, ties going to the entry with fewer
+    terms.  With ``prev`` the previous phase-2 pivot, a row with an entry
+    ``lead`` in the pivot column becomes (pivot * a_ij - lead * a_pj) / prev
+    over the union of its columns and the pivot row's, and a row without one
+    is scaled entry by entry to pivot * a_ij / prev.  Both divisions are
+    exact by Sylvester's identity, which holds because every active entry is
+    a minor of the core.  ``prev`` starts at 1 because those are minors of
+    the core alone: phase 1 scaled no row and divided only by its own unit
+    pivots, so they enter the result only through the unit product.  If an
+    active row or column empties in either phase, the matrix is singular and
+    the result is 0.
 
     Sign rule: the unit product times the last phase-2 pivot (1 on an empty
     core) is the determinant of the matrix with rows and columns taken in
@@ -146,14 +197,16 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
     ``fma_terms`` and ``divexact_terms``: they are the kernel every Laurent
     operation uses, and the layer benchmark counts its work at those calls.
     """
-    rows = m.entries if isinstance(m, AlexMatrix) else m
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise InvalidArgument("determinant needs a square matrix")
-    active: dict = {}
+    if isinstance(m, AlexMatrix):
+        active = {i: dict(row) for i, row in enumerate(m.rows)}
+    else:
+        if any(len(row) != len(m) for row in m):
+            raise InvalidArgument("determinant needs a square matrix")
+        active = {i: {j: e._terms for j, e in enumerate(row) if e._terms}
+                  for i, row in enumerate(m)}
+    n = len(active)
     cols: dict = {j: set() for j in range(n)}
-    for i, row in enumerate(rows):
-        active[i] = sparse = {j: e._terms for j, e in enumerate(row) if e._terms}
+    for i, sparse in active.items():
         for j in sparse:
             cols[j].add(i)
     row_order: list = []
@@ -197,30 +250,40 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
                 cost = r * (len(cols[j]) - 1)
                 if cost > best_cost or cost == best_cost and len(terms) >= best_terms:
                     continue
-                if units_only and (len(terms) > 1 or abs(next(iter(terms.values()))) != 1):
+                if units_only and not _is_unit(terms):
                     continue
                 if cost == 0 and len(terms) == 1:  # nothing is cheaper
                     return i, j
                 best_cost, best_terms, found = cost, len(terms), (i, j)
         return found
 
-    unit = _UNIT
+    def unit_step(p, q):
+        """One Gaussian step on the unit pivot (p, q); returns the pivot."""
+        pivot, pivot_row, leading = take(p, q)
+        for i in leading:
+            sparse = active[i]
+            factor = divexact_terms(sparse.pop(q), pivot)  # exact: pivot is a unit
+            for j, a in pivot_row.items():  # a_ij - (lead / pivot) * a_pj
+                store(sparse, i, j, fma_terms(_ONE, sparse.get(j, {}), factor, a))
+        return pivot
+
+    unit = _ONE
+    for p in list(active):  # each row is taken at most once, by its own turn
+        sparse = active[p]
+        if len(sparse) == 2 and all(map(_is_unit, sparse.values())):
+            q, other = sparse
+            if len(cols[other]) < len(cols[q]):
+                q = other
+            unit = mul_terms(unit, unit_step(p, q))
     while active:
         if not all(active.values()) or not all(cols.values()):
             return ZERO
         found = cheapest(units_only=True)
         if found is None:
             break
-        p, q = found
-        pivot, pivot_row, leading = take(p, q)
-        unit = mul_terms(unit, pivot)
-        for i in leading:
-            sparse = active[i]
-            factor = divexact_terms(sparse.pop(q), pivot)  # exact: pivot is a unit
-            for j, a in pivot_row.items():  # a_ij - (lead / pivot) * a_pj
-                store(sparse, i, j, fma_terms(_UNIT, sparse.get(j, {}), factor, a))
+        unit = mul_terms(unit, unit_step(*found))
 
-    prev = pivot = _UNIT
+    prev = pivot = _ONE
     while active:
         if not all(active.values()) or not all(cols.values()):
             return ZERO

@@ -219,12 +219,16 @@ class LaurentPoly:
         u0, v0 in {1, -1}), otherwise a Fraction.  Raises EvalAtZero when a
         negative exponent meets a zero base.
 
-        The terms are summed in ints with exponents shifted by their minima
-        iu and iv, and the sum is multiplied once by u0^iu * v0^iv.
+        At u0, v0 in {1, -1} a power depends only on its exponent's parity,
+        so the sum stays in ints.  Elsewhere the terms are summed in ints
+        with exponents shifted by their minima iu and iv, and the sum is
+        multiplied once by the Fraction u0^iu * v0^iv.
         """
         terms = self._terms
         if not terms:
             return 0
+        if u0 in (1, -1) and v0 in (1, -1):
+            return sum(c * u0 ** (i & 1) * v0 ** (j & 1) for (i, j), c in terms.items())
         iu = min(i for i, _ in terms)
         iv = min(j for _, j in terms)
         if (iu < 0 and u0 == 0) or (iv < 0 and v0 == 0):

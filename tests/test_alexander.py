@@ -61,6 +61,23 @@ class TestBuildMatrix:
         assert m.order == 2
         assert determinant(m) == (U - 1) * (V - 1)
 
+    @pytest.mark.parametrize("kind", KINK_KINDS)
+    def test_kink_rows_store_no_empty_entry(self, kind):
+        # the kink's A row adds +1 and -1 (or u and -u) on one arc: the
+        # cancelled entry is not stored, so the row keeps two entries
+        m = rows_of(add_kink(parse_gauss("O1+U2+U1+O2+"), 1, kind))
+        assert all(all(row.values()) for row in m.rows)
+        assert [len(row) for row in m.rows[4:]] == [2, 2]
+        assert [[LaurentPoly(row[j]) if j in row else ZERO for j in range(m.order)]
+                for row in m.rows] == list(m.entries)
+
+    def test_one_crossing_component_rows(self):
+        # O1+;U1+: in_under == out_over and in_over == out_over
+        m = rows_of(parse_gauss("O1+;U1+"))
+        assert all(all(row.values()) for row in m.rows)
+        assert m.rows == [{0: {(1, 0): 1, (0, 0): -1}, 1: {(0, 0): 1, (1, 0): -1}},
+                          {0: {(0, 1): 1, (0, 0): -1}}]
+
     def test_wrong_arc_count(self):
         # one crossing needs two distinct arcs; this one names only arc 1
         with pytest.raises(InvalidArgument):
@@ -89,7 +106,23 @@ class TestDeterminant:
         for _ in range(20):
             d = make_random_diagram(rng, rng.randint(1, 4), rng.choice([1, 2]))
             m = rows_of(d)
-            assert determinant(m) == determinant_cofactor(m)
+            want = determinant_cofactor(m)
+            assert determinant(m) == want
+            assert determinant(list(m.entries)) == want
+
+    @pytest.mark.parametrize("code", ["O1+O2+;U1+U2+", "O1+O2+O3+;U1+U2+U3+",
+                                      "O1-O2+O3-;U3-U2+U1-"])
+    def test_two_unit_rows_closing_a_cycle(self, code):
+        # the all-over component's B rows -x_in + v*x_out form a cycle over
+        # its arcs; after the others are pivoted on, the last one is
+        # +-(v^k - 1) up to a unit, which the two-unit pass must leave alone
+        m = rows_of(parse_gauss(code))
+        # every crossing is over on the first component, so every B row is one
+        assert all(len(row) == 2 and all(len(t) == 1 for t in row.values())
+                   for row in m.rows[1::2])
+        det = determinant(m)
+        assert not det.is_zero
+        assert det == determinant_cofactor(m)
 
     def test_bareiss_equals_cofactor_on_random_matrices(self, rng):
         def rand_poly():

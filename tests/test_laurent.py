@@ -387,6 +387,14 @@ class TestEvaluate:
         assert p.evaluate(2, 1) == Fraction(1, 2)
         assert p.evaluate(1, 5) == 1
 
+    def test_negative_exponents_at_unit_points_stay_int(self):
+        p = parse_poly("3*u^-3*v^-2 - 2*u^-1 + 5*v^-5 + 7*u^2*v^-1 - 4")
+        for u0 in (1, -1):
+            for v0 in (1, -1):
+                want = sum(c * Fraction(u0) ** i * Fraction(v0) ** j for (i, j), c in p.items())
+                got = p.evaluate(u0, v0)
+                assert type(got) is int and got == want, (u0, v0)
+
 
 class TestNormalize:
     def test_forced_unit(self):

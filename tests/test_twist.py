@@ -351,11 +351,16 @@ class TestEvaluateRecursive:
         assert det == KNOT_FACTOR * rec
         assert normalize(rec).poly == parse_poly("6 + 7*u*v")
 
-    @pytest.mark.parametrize("clasp", ["a", "^a", "b", "^b"])
-    def test_recursion_equals_determinant_at_order_200(self, clasp):
-        spec = TwistSpec((25, -25, 25, -24), clasp)
+    # order 642 is the largest spec of the benchmark's twist workload
+    @pytest.mark.parametrize("clasp, blocks, order", [
+        pytest.param(clasp, blocks, order, id=clasp if order == 200 else f"{clasp}-{order}")
+        for blocks, order in (((25, -25, 25, -24), 200), ((40, -40) * 4, 642))
+        for clasp in ("a", "^a", "b", "^b")
+    ])
+    def test_recursion_equals_determinant_at_order_200(self, clasp, blocks, order):
+        spec = TwistSpec(blocks, clasp)
         d = generate_twist(spec)
-        assert 2 * d.n_crossings == 200
+        assert 2 * d.n_crossings == order
         assert (normalize(delta_bar(delta0_diagram(d))).poly
                 == spec_report(spec).dbar_normalized)
 
