@@ -22,6 +22,7 @@ convention.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedClasp,
 )
-from .laurent import LaurentPoly, ONE, U, V, ZERO, monomial_pow
+from .laurent import LaurentPoly, ONE, U, V, monomial_pow
 
 __all__ = [
     "CLASPS",
@@ -63,12 +64,10 @@ __all__ = [
 
 CLASPS = ("a", "^a", "b", "^b", "ab", "ba")
 
-UV = U * V
-
 
 def _p(x: int) -> int:
     """Parity of |x| (0 or 1)."""
-    return abs(x) % 2
+    return x & 1
 
 
 def _sgn(x: int) -> int:
@@ -83,7 +82,10 @@ class TwistSpec:
     clasp: str = "a"
 
     def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
+        try:
+            blocks = tuple(operator.index(b) for b in self.blocks)
+        except TypeError:
+            raise InvalidArgument(f"twist blocks must be integers, got {self.blocks!r}") from None
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) < 1:
             raise InvalidArgument("a twist spec needs at least one block")
@@ -149,25 +151,26 @@ def parity_context(spec: TwistSpec) -> ParityContext:
     The first sum is carried as a prefix, whose last value is delta; the
     second as a suffix, which starts at its total over all blocks.
     """
-    a = spec.blocks
+    return ParityContext(*_parity(spec.blocks))
+
+
+def _parity(a: tuple) -> tuple:
+    """The fields of ``parity_context`` for a block tuple, in field order.
+
+    ``x & y & 1`` is p(x) p(y).
+    """
     s = [0]
     suffix = 0
     for b in a:
-        suffix += _p(b) * _p(1 + s[-1])
+        suffix += b & (1 + s[-1]) & 1
         s.append(s[-1] + b + 1)
     prefix = 0
     eps = []
     for j, b in enumerate(a):
-        eps.append(_p(s[j]) - 1 + prefix + suffix)
-        prefix += _p(b) * _p(s[j + 1])
-        suffix -= _p(b) * _p(1 + s[j])
-    return ParityContext(
-        s=tuple(s),
-        delta=prefix,
-        eps=tuple(eps),
-        half_sum=sum(abs(b) // 2 for b in a),
-        m=sum(abs(b) for b in a),
-    )
+        eps.append((s[j] & 1) - 1 + prefix + suffix)
+        prefix += b & s[j + 1] & 1
+        suffix -= b & (1 + s[j]) & 1
+    return tuple(s), prefix, tuple(eps), sum(abs(b) // 2 for b in a), sum(abs(b) for b in a)
 
 
 # -- diagram generation ----------------------------------------------------------
@@ -228,22 +231,19 @@ def generate_twist(spec: TwistSpec) -> Diagram:
 
 # -- closed-form base families -----------------------------------------------------
 
-def _triangle(m: int, outer: LaurentPoly, inner: LaurentPoly) -> LaurentPoly:
-    """sum_{i=0}^{m-1} sum_{j=i}^{m-1} outer^i inner^j."""
-    total = ZERO
-    for i in range(m):
-        for j in range(i, m):
-            total = total + outer ** i * inner ** j
-    return total
+def _triangle(m: int, u_outer: bool, c: int = 1, du: int = 0, dv: int = 0) -> LaurentPoly:
+    """c u^du v^dv sum_{i=0}^{m-1} sum_{j=i}^{m-1} outer^i inner^j.
+
+    (outer, inner) is (u, v) when ``u_outer`` and (v, u) otherwise, so the
+    exponent pairs (i, j) run over i <= j < m or j <= i < m.
+    """
+    return LaurentPoly._raw({(i + du, j + dv): c for i in range(m)
+                             for j in (range(i, m) if u_outer else range(i + 1))})
 
 
-def _square(t: int) -> LaurentPoly:
-    """sum_{i=0}^{t} sum_{j=0}^{t} u^i v^j."""
-    total = ZERO
-    for i in range(t + 1):
-        for j in range(t + 1):
-            total = total + U ** i * V ** j
-    return total
+def _square(t: int, c: int = 1, d: int = 0) -> LaurentPoly:
+    """c (uv)^d sum_{i=0}^{t} sum_{j=0}^{t} u^i v^j."""
+    return LaurentPoly._raw({(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)})
 
 
 def _classify_base(blocks) -> tuple:
@@ -294,21 +294,14 @@ def base_delta_bar(spec: TwistSpec) -> LaurentPoly:
     if spec.clasp != "a":
         raise NotABaseCase(f"base families are clasp-a specs, got {spec.clasp!r}")
     fam, m = _classify_base(spec.blocks)
+    even = 1 if m % 2 == 0 else -1
     if fam == 1:
-        return _triangle(m, V, U)
+        return _triangle(m, False)
     if fam == 2:
-        if m <= 1:
-            return ZERO
-        body = V * _triangle(m - 1, U, V)
-        return body if m % 2 == 0 else -body
+        return _triangle(m - 1, True, even, dv=1)
     if fam == 3:
-        if m <= 1:
-            return ZERO
-        return U * _triangle(m - 1, V, U)
-    if m == 0:
-        return ZERO
-    body = _triangle(m, U, V)
-    return body if m % 2 == 0 else -body
+        return _triangle(m - 1, False, du=1)
+    return _triangle(m, True, even)
 
 
 def vtab_closed_form(spec: TwistSpec) -> LaurentPoly:
@@ -320,21 +313,14 @@ def vtab_delta_bar(spec: TwistSpec) -> LaurentPoly:
     if spec.clasp != "ab":
         raise NotABaseCase(f"expected clasp 'ab', got {spec.clasp!r}")
     fam, m = _classify_base(spec.blocks)
+    even = 1 if m % 2 == 0 else -1
     if fam == 1:
-        if m <= 1:
-            return ZERO
-        return UV * _square(m - 2)
+        return _square(m - 2, 1, 1)
     if fam == 2:
-        if m == 0:
-            return ZERO
-        body = UV * _square(m - 1)
-        return body if m % 2 == 0 else -body
+        return _square(m - 1, even, 1)
     if fam == 3:
-        if m == 0:
-            return ZERO
-        return UV * _square(m - 1)
-    body = _square(m)
-    return body if m % 2 == 0 else -body
+        return _square(m - 1, 1, 1)
+    return _square(m, even)
 
 
 def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
@@ -370,18 +356,24 @@ def recursion_step(spec: TwistSpec):
     negative blocks).  For clasp ``ab`` the correction is identically zero
     (the smoothed links are classical Hopf links).
     """
-    ctx = parity_context(spec)
-    factor = monomial_pow(-1, 1, 1, ctx.half_sum)
-    reduced = TwistSpec(tuple(_sgn(b) * _p(b) for b in spec.blocks), spec.clasp)
-    if spec.clasp == "ab":
-        return reduced, factor, ZERO
-    sign = -1 if (ctx.delta + ctx.s[spec.n]) % 2 else 1
-    corr = ZERO
-    for i, b in enumerate(spec.blocks, start=1):
-        w = _sgn(b) * (abs(b) // 2) * sign
-        if w:
-            corr = corr + w * monomial_pow(1, 1, 1, ctx.eps[i - 1])
-    return reduced, factor, corr
+    reduced, k, corr = _step(spec.blocks, spec.clasp)
+    corr = LaurentPoly._raw({(e, e): c for e, c in corr.items() if c})
+    return TwistSpec(reduced, spec.clasp), monomial_pow(-1, 1, 1, k), corr
+
+
+def _step(blocks: tuple, clasp: str) -> tuple:
+    """``recursion_step`` on a block tuple: (reduced, k, {e: c}) for the
+    factor (-uv)^k and the correction sum_e c (uv)^e."""
+    s, delta, eps, half_sum, _ = _parity(blocks)
+    reduced = tuple(_sgn(b) * _p(b) for b in blocks)
+    corr = {}
+    if clasp != "ab":
+        sign = -1 if (delta + s[-1]) % 2 else 1
+        for e, b in zip(eps, blocks):
+            w = _sgn(b) * (abs(b) // 2) * sign
+            if w:
+                corr[e] = corr.get(e, 0) + w
+    return reduced, half_sum, corr
 
 
 def contract(spec: TwistSpec):
@@ -391,17 +383,26 @@ def contract(spec: TwistSpec):
     juxtaposes opposite-sign crossings, each cancelling pair costs one
     Reidemeister-II move, i.e. a factor of -uv.  Returns (spec, factor).
     """
-    blocks = list(spec.blocks)
-    factor = ONE
-    while True:
-        idx = next((i for i in range(1, len(blocks) - 1) if blocks[i] == 0), None)
-        if idx is None:
-            break
-        x, y = blocks[idx - 1], blocks[idx + 1]
-        if x * y < 0:
-            factor = factor * monomial_pow(-1, 1, 1, min(abs(x), abs(y)))
-        blocks[idx - 1:idx + 2] = [x + y]
-    return TwistSpec(tuple(blocks), spec.clasp), factor
+    blocks, k = _contract(spec.blocks)
+    return TwistSpec(blocks, spec.clasp), monomial_pow(-1, 1, 1, k)
+
+
+def _contract(blocks: tuple) -> tuple:
+    """``contract`` on a block tuple: (blocks, k) for the factor (-uv)^k.
+
+    Left to right, so a merge that sums to zero merges with the next block.
+    """
+    out = []
+    k = 0
+    for y in blocks:
+        if len(out) >= 2 and out[-1] == 0:
+            out.pop()
+            x = out.pop()
+            if x * y < 0:
+                k += min(abs(x), abs(y))
+            y += x
+        out.append(y)
+    return tuple(out), k
 
 
 def negative_flip(spec: TwistSpec, i: int):
@@ -414,26 +415,37 @@ def negative_flip(spec: TwistSpec, i: int):
     gives the same correction with or without a trailing one.
     """
     blocks = spec.blocks
-    n = len(blocks)
     if not _is_reduced_base_shape(blocks):
         raise ShapeMismatch(f"{spec} is not a reduced shape")
-    if not 1 <= i <= n or blocks[i - 1] != -1:
+    if not 1 <= i <= len(blocks) or blocks[i - 1] != -1:
         raise ShapeMismatch(f"block {i} of {spec} is not -1")
-    if blocks[0] == 0:
-        corr = -((-1) ** n) * monomial_pow(1, 1, 1, i - 2)
-    elif blocks[-1] == 0:
-        corr = monomial_pow(1, 1, 1, n - i - 1)
-    else:
-        corr = -monomial_pow(1, 1, 1, n - i)
+    e, c = _flip_term(blocks, i)
     flipped = TwistSpec(blocks[: i - 1] + (1,) + blocks[i:], spec.clasp)
-    return flipped, corr
+    return flipped, LaurentPoly.monomial(c, e, e)
+
+
+def _flip_term(blocks: tuple, i: int) -> tuple:
+    """(e, c): the correction c (uv)^e of ``negative_flip`` at block i.
+
+    A flip keeps n and both end blocks, so all flips of a shape read one case.
+    """
+    n = len(blocks)
+    if blocks[0] == 0:
+        return i - 2, -((-1) ** n)
+    if blocks[-1] == 0:
+        return n - i - 1, 1
+    return n - i, -1
 
 
 def _is_reduced_base_shape(blocks) -> bool:
-    if any(b not in (-1, 0, 1) for b in blocks):
-        return False
-    inner = blocks[1:-1] if len(blocks) >= 2 else ()
-    return not any(b == 0 for b in inner)
+    return all(b in (-1, 0, 1) for b in blocks) and 0 not in blocks[1:-1]
+
+
+def _add_uv(acc: dict, terms, k: int) -> None:
+    """acc += (-uv)^k sum c (uv)^e over the (e, c) pairs, with acc as {e: c}."""
+    sign = -1 if k % 2 else 1
+    for e, c in terms:
+        acc[e + k] = acc.get(e + k, 0) + sign * c
 
 
 def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
@@ -446,35 +458,43 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     Loop: recursion step, contraction, base-shape check; then flip any
     negative singleton blocks and apply the closed forms.  Each full pass
     strictly reduces crossing counts; the iteration cap guards convention
-    bugs.
+    bugs.  Every factor is a power of -uv and every correction a polynomial
+    in uv, so the loop carries the unit (-uv)^k as the int k (its sign is
+    (-1)^k) and the corrections as one dict {e: c} for sum c (uv)^e, which
+    meet the base closed form in one pass at the end.
     """
     if spec.clasp not in ("a", "ab"):
         base, transform = clasp_identity(spec)
         return transform(evaluate_recursive(base))
 
-    factor = ONE
-    acc = ZERO  # running answer is factor * dbar(current) + acc
-    current = spec
-    cap = current.m + current.n + 1
+    blocks = spec.blocks
+    k = 0
+    acc = {}  # running answer is (-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e
+    cap = spec.m + spec.n + 1
     for _ in range(cap):
-        if _is_reduced_base_shape(current.blocks):
+        if _is_reduced_base_shape(blocks):
             break
-        reduced, f, corr = recursion_step(current)
-        factor = factor * f
-        if corr:
-            acc = acc + factor * corr
-        current, f2 = contract(reduced)
-        factor = factor * f2
+        blocks, half_sum, corr = _step(blocks, spec.clasp)
+        k += half_sum
+        _add_uv(acc, corr.items(), k)
+        blocks, merged = _contract(blocks)
+        k += merged
     else:
         raise InfiniteReduction(f"{spec} did not reduce within {cap} passes")
 
-    for i, b in enumerate(current.blocks, start=1):
-        if b == -1:
-            current, corr = negative_flip(current, i)
-            if spec.clasp == "a" and corr:
-                acc = acc + factor * corr
-    base = base_delta_bar(current) if spec.clasp == "a" else vtab_delta_bar(current)
-    return factor * base + acc
+    if spec.clasp == "a":
+        _add_uv(acc, (_flip_term(blocks, i) for i, b in enumerate(blocks, 1) if b == -1), k)
+    closed_form = base_delta_bar if spec.clasp == "a" else vtab_delta_bar
+    base = closed_form(TwistSpec(tuple(abs(b) for b in blocks), spec.clasp))
+    sign = -1 if k % 2 else 1
+    out = {(i + k, j + k): sign * c for (i, j), c in base.items()}
+    for e, c in acc.items():
+        c += out.get((e, e), 0)
+        if c:
+            out[e, e] = c
+        else:
+            out.pop((e, e), None)
+    return LaurentPoly._raw(out)
 
 
 def _identity(p: LaurentPoly) -> LaurentPoly:

@@ -9,6 +9,7 @@ from valex.alexander import delta0_diagram, delta_bar
 from valex.diagram import format_gauss, odd_writhe, parse_gauss, smooth_crossing
 from valex.errors import (
     EmptyBlock,
+    InvalidArgument,
     NotABaseCase,
     ParseError,
     ShapeMismatch,
@@ -17,8 +18,12 @@ from valex.errors import (
 )
 from valex.laurent import ONE, U, V, ZERO, format_poly, monomial_pow, normalize, parse_poly
 from valex.twist import (
+    CLASPS,
     KNOT_FACTOR,
     TwistSpec,
+    _is_reduced_base_shape,
+    _square,
+    _triangle,
     base_closed_form,
     base_delta_bar,
     clasp_identity,
@@ -38,6 +43,37 @@ from valex.twist import (
 )
 
 UV = U * V
+
+
+def reference_dbar(spec: TwistSpec):
+    """evaluate_recursive as LaurentPoly arithmetic over the public steps.
+
+    The reference for the integer loop: recursion_step -> contract until a
+    reduced shape, then negative_flip and the base closed form.
+    """
+    if spec.clasp not in ("a", "ab"):
+        base, transform = clasp_identity(spec)
+        return transform(reference_dbar(base))
+    factor = ONE
+    acc = ZERO
+    current = spec
+    for _ in range(spec.m + spec.n + 1):
+        if _is_reduced_base_shape(current.blocks):
+            break
+        reduced, f, corr = recursion_step(current)
+        factor = factor * f
+        acc = acc + factor * corr
+        current, f2 = contract(reduced)
+        factor = factor * f2
+    else:
+        raise AssertionError(f"{spec} did not reduce")
+    for i, b in enumerate(current.blocks, start=1):
+        if b == -1:
+            current, corr = negative_flip(current, i)
+            if spec.clasp == "a":
+                acc = acc + factor * corr
+    base = base_delta_bar(current) if spec.clasp == "a" else vtab_delta_bar(current)
+    return factor * base + acc
 
 
 def first_crossing_of_block(spec: TwistSpec, i: int) -> int:
@@ -66,6 +102,12 @@ class TestSpecText:
                 TwistSpec(*args)
             with pytest.raises(ValexError):
                 TwistSpec(*args)
+
+    def test_non_integer_blocks_rejected(self):
+        for blocks in ((2.7, -1.2), (2.0,), ("3",), 3):
+            with pytest.raises(InvalidArgument):
+                TwistSpec(blocks)
+        assert TwistSpec((True, 2)).blocks == (1, 2)
 
 
 class TestParityContext:
@@ -182,6 +224,25 @@ class TestBaseClosedForms:
                 base_closed_form(TwistSpec(blocks))
 
 
+class TestDoubleSums:
+    @pytest.mark.parametrize("m", range(-2, 13))
+    def test_match_definitions(self, m):
+        for u_outer, outer, inner in ((True, U, V), (False, V, U)):
+            total = ZERO
+            for i in range(m):
+                for j in range(i, m):
+                    total = total + outer ** i * inner ** j
+            for c, du, dv in ((1, 0, 0), (-1, 0, 1), (1, 1, 0)):
+                got = _triangle(m, u_outer, c, du, dv)
+                assert got.terms == (c * U ** du * V ** dv * total).terms
+        square = ZERO
+        for i in range(m + 1):
+            for j in range(m + 1):
+                square = square + U ** i * V ** j
+        for c, d in ((1, 0), (-1, 1)):
+            assert _square(m, c, d).terms == (c * UV ** d * square).terms
+
+
 class TestVTabClosedForms:
     def test_guards(self):
         assert vtab_delta_bar(TwistSpec((1,), "ab")).is_zero
@@ -279,6 +340,23 @@ class TestContract:
         assert spec.blocks == (1,)
         assert factor == monomial_pow(-1, 1, 1, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
+    def test_matches_leftmost_merge(self, blocks):
+        # merge at the leftmost interior zero until none is left
+        want = list(blocks)
+        factor = ONE
+        while True:
+            idx = next((i for i in range(1, len(want) - 1) if want[i] == 0), None)
+            if idx is None:
+                break
+            x, y = want[idx - 1], want[idx + 1]
+            if x * y < 0:
+                factor = factor * monomial_pow(-1, 1, 1, min(abs(x), abs(y)))
+            want[idx - 1:idx + 2] = [x + y]
+        spec, got = contract(TwistSpec(tuple(blocks)))
+        assert spec.blocks == tuple(want) and got == factor
+
 
 class TestNegativeFlip:
     def test_trailing_zero_shape(self):
@@ -367,12 +445,27 @@ class TestEvaluateRecursive:
     def test_reduction_guard_fires_on_broken_contract(self, monkeypatch):
         from valex import twist as twist_mod
         from valex.errors import InfiniteReduction
-        from valex.laurent import ONE as one
 
-        monkeypatch.setattr(twist_mod, "recursion_step",
-                            lambda spec: (spec, one, twist_mod.ZERO))
+        monkeypatch.setattr(twist_mod, "_step", lambda blocks, clasp: (blocks, 0, {}))
         with pytest.raises(InfiniteReduction):
             twist_mod.evaluate_recursive(TwistSpec((4,)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8), st.sampled_from(CLASPS))
+    def test_matches_laurent_reference(self, blocks, clasp):
+        spec = TwistSpec(tuple(blocks), clasp)
+        got = evaluate_recursive(spec)
+        assert got.terms == reference_dbar(spec).terms
+        assert all(got.terms.values())
+
+    def test_long_spec_does_not_stall(self):
+        # 300 blocks reduce to (1,) * 300 after 150 flips: a 45,000-term
+        # triangle, which takes seconds if the closed form grows term by term
+        spec = TwistSpec((3, -1) * 150)
+        got = evaluate_recursive(spec)
+        assert len(got) == 45000
+        assert got.terms == reference_dbar(spec).terms
+        assert 2 * abs(got.evaluate(-1, -1)) == abs(ow_closed_form(spec))
 
 
 class TestClaspIdentity:
