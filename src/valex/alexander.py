@@ -14,7 +14,36 @@ and an entry that cancels to zero is not stored.  Rows are ordered
 (crossing 1 row A, crossing 1 row B, crossing 2 row A, ...) by crossing id;
 columns by arc id ascending.  Reordering crossings permutes row pairs and
 leaves the determinant unchanged; relabeling arcs can flip its sign, which is
-why cross-diagram comparisons normalize first.
+why cross-diagram comparisons normalize first.  ``build_matrix`` returns this
+matrix; it is the definition, and the oracles evaluate it.
+
+``delta0_diagram`` takes the determinant of the n x n over-arc matrix
+instead.  Every arc leaves exactly one passage, so the n out-under arcs and
+the n out-over arcs partition the 2n arcs.  A B row says x_out_over =
+v^-sign * x_in_over, so each over arc is v^k times the out-under arc that
+begins its over-arc chain.  The over-arc matrix has the A rows in crossing
+order and the out-under arcs, ascending, as columns; each arc of an A row
+is replaced by its out-under arc times v^k.  It is the Schur complement of
+the B rows on their out-over columns, a block whose rows and columns permute
+together to a triangular one with diagonal +v (positive crossings) and -1
+(negative), so, exactly and not up to a unit,
+
+    Delta_0 = sgn(row perm) * sgn(col perm) * v^#positive * (-1)^#negative
+              * det(over-arc matrix).
+
+The row permutation takes the 2n x 2n row order to (kept rows in that
+order, eliminated B rows in crossing order), and the column permutation
+takes ascending arcs to (generators ascending, the eliminated B rows'
+out-over arcs in crossing order), so that the block's determinant is the
+product of its diagonal.
+
+A component with no under-passage has no out-under arc, and its B rows
+chain its arcs into a cycle.  The out-over arc of the cycle's crossing of
+least id stays a generator, and that crossing's B row stays a row of the
+over-arc matrix, where it reads +-(v^K - 1) * x up to a unit (0 when
+K = 0), so the matrix gains one row and one column per such component.
+The cycle's other B rows are eliminated as above; #positive and #negative
+count the eliminated B rows only.
 """
 
 from __future__ import annotations
@@ -64,6 +93,9 @@ class _DenseRows(Sequence):
 class AlexMatrix:
     """Square matrix over Z[u^+-1, v^+-1], columns in ascending arc id.
 
+    The columns are all arcs for ``build_matrix`` and the generator arcs
+    for the over-arc matrix of ``delta0_diagram``.
+
     ``rows[i]`` maps the column of each nonzero entry of row i to that
     entry's kernel term dict; zero entries are not stored.  ``entries`` is
     a dense view of the same matrix, one list of LaurentPoly per row, built
@@ -81,14 +113,29 @@ class AlexMatrix:
         return _DenseRows(self.rows)
 
 
-def _sparse_row(pattern, col: dict) -> dict:
+def _relations(inc) -> tuple:
+    """The crossing's A and B rows as (arc, exponent pair, coefficient) terms."""
+    one, u, v = (0, 0), (1, 0), (0, 1)
+    if inc.sign > 0:
+        return (((inc.in_under, one, 1), (inc.in_over, u, 1),
+                 (inc.out_under, u, -1), (inc.out_over, one, -1)),
+                ((inc.in_over, one, -1), (inc.out_over, v, 1)))
+    return (((inc.in_over, one, 1), (inc.in_under, u, 1),
+             (inc.out_over, u, -1), (inc.out_under, one, -1)),
+            ((inc.in_over, v, 1), (inc.out_over, one, -1)))
+
+
+def _sparse_row(pattern, place: dict) -> dict:
     """One relation as a sparse row {column: terms}, zero entries dropped.
 
-    The pattern's (arc, exponent pair, coefficient) terms add up per column.
+    ``place`` maps each arc to (column, k): the arc's term goes to that
+    column times v^k.  Terms add up per column.
     """
     row: dict = {}
-    for arc, key, c in pattern:
-        terms = row.setdefault(col[arc], {})
+    for arc, (i, j), c in pattern:
+        col, k = place[arc]
+        terms = row.setdefault(col, {})
+        key = (i, j + k)
         c += terms.get(key, 0)
         if c:
             terms[key] = c
@@ -98,35 +145,18 @@ def _sparse_row(pattern, col: dict) -> dict:
 
 
 def build_matrix(incidences) -> AlexMatrix:
-    """Assemble the Alexander matrix from per-crossing arc roles."""
+    """Assemble the 2n x 2n Alexander matrix from per-crossing arc roles."""
     arcs = sorted(
         {a for i in incidences for a in (i.in_over, i.out_over, i.in_under, i.out_under)}
     )
-    col = {a: k for k, a in enumerate(arcs)}
     n2 = 2 * len(incidences)
     if len(arcs) != n2:
         raise InvalidArgument(f"expected {n2} arcs, found {len(arcs)}")
-    one, u, v = (0, 0), (1, 0), (0, 1)
+    place = {a: (k, 0) for k, a in enumerate(arcs)}
     rows = []
     for inc in sorted(incidences, key=lambda i: i.crossing):
-        if inc.sign > 0:
-            pattern_a = (
-                (inc.in_under, one, 1),
-                (inc.in_over, u, 1),
-                (inc.out_under, u, -1),
-                (inc.out_over, one, -1),
-            )
-            pattern_b = ((inc.in_over, one, -1), (inc.out_over, v, 1))
-        else:
-            pattern_a = (
-                (inc.in_over, one, 1),
-                (inc.in_under, u, 1),
-                (inc.out_over, u, -1),
-                (inc.out_under, one, -1),
-            )
-            pattern_b = ((inc.in_over, v, 1), (inc.out_over, one, -1))
-        rows.append(_sparse_row(pattern_a, col))
-        rows.append(_sparse_row(pattern_b, col))
+        for pattern in _relations(inc):
+            rows.append(_sparse_row(pattern, place))
     return AlexMatrix(rows)
 
 
@@ -154,17 +184,11 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
     rows that have an entry in it, so the elimination never visits a zero
     position.
 
-    Phase 1 pivots only on units +-u^i v^j.  It first takes the two-unit
-    rows, each in turn: a row that still holds exactly two entries, both
-    units, when the pass reaches it is pivoted on at whichever of its two
-    columns has fewer entries (the first on a tie).  These are mostly the
-    crossings' B rows -x_in_over + v*x_out_over, so they need no search.
-    Earlier pivots merge columns, and a B row can shrink to one non-unit
-    entry such as v^k - 1; the pass leaves it alone.  Then, for as long as
-    a unit is active, phase 1 takes the one of least Markowitz (1957) cost
-    (r - 1)(c - 1), r and c being the entry counts of its row and column,
-    even where a non-unit costs less, ties going to the first one found.
-    The pivot order changes the work, never the result.
+    Phase 1 pivots only on units +-u^i v^j.  For as long as a unit is
+    active, it takes the one of least Markowitz (1957) cost (r - 1)(c - 1),
+    r and c being the entry counts of its row and column, even where a
+    non-unit costs less, ties going to the first one found.  The pivot order
+    changes the work, never the result.
 
     A unit c * u^i v^j divides every entry: its inverse is the monomial
     c * u^-i v^-j, so ``lead / pivot`` is exact and only shifts exponents
@@ -268,13 +292,6 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
         return pivot
 
     unit = _ONE
-    for p in list(active):  # each row is taken at most once, by its own turn
-        sparse = active[p]
-        if len(sparse) == 2 and all(map(_is_unit, sparse.values())):
-            q, other = sparse
-            if len(cols[other]) < len(cols[q]):
-                q = other
-            unit = mul_terms(unit, unit_step(p, q))
     while active:
         if not all(active.values()) or not all(cols.values()):
             return ZERO
@@ -307,9 +324,55 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
 
 
 def delta0_diagram(d: Diagram) -> LaurentPoly:
-    """Delta_0 of the diagram: the determinant under its arc labeling."""
-    _, incidences = derive_incidence(d)
-    return determinant(build_matrix(incidences))
+    """Delta_0 of the diagram under its arc labeling, from the over-arc matrix.
+
+    Equal term by term to ``determinant(build_matrix(...))``; the module
+    docstring derives the over-arc matrix and the unit that relates the two.
+    """
+    _, incidences = derive_incidence(d)  # in crossing order
+    by_in_over = {inc.in_over: inc for inc in incidences}
+    # arc -> (generator arc, k): the arc is v^k times its generator
+    gen = {inc.out_under: (inc.out_under, 0) for inc in incidences}
+    for start in list(gen):  # each over-arc chain, from its out-under arc
+        arc, k = start, 0
+        while arc in by_in_over:
+            inc = by_in_over[arc]
+            arc, k = inc.out_over, k - inc.sign
+            gen[arc] = (start, k)
+    cycles = set()  # crossings whose B row stays, one per over-only component
+    for inc in incidences:
+        if inc.out_over not in gen:
+            start = arc = inc.out_over
+            cycles.add(inc.crossing)
+            gen[start] = (start, 0)
+            k = 0
+            while (nxt := by_in_over[arc]) is not inc:
+                arc, k = nxt.out_over, k - nxt.sign
+                gen[arc] = (start, k)
+
+    rank = {a: r for r, a in enumerate(sorted(gen))}
+    gens = sorted({start for start, _ in gen.values()})
+    col = {a: r for r, a in enumerate(gens)}
+    place = {a: (col[start], k) for a, (start, k) in gen.items()}
+    rows, kept, eliminated, pivots = [], [], [], []
+    sign, v_exp = 1, 0
+    for t, inc in enumerate(incidences):
+        a_row, b_row = _relations(inc)
+        rows.append(_sparse_row(a_row, place))
+        kept.append(2 * t)
+        if inc.crossing in cycles:
+            rows.append(_sparse_row(b_row, place))
+            kept.append(2 * t + 1)
+            continue
+        eliminated.append(2 * t + 1)
+        pivots.append(rank[inc.out_over])
+        if inc.sign > 0:
+            v_exp += 1  # the B row's pivot is +v
+        else:
+            sign = -sign  # the B row's pivot is -1
+    sign *= _perm_sign(kept + eliminated) * _perm_sign([rank[a] for a in gens] + pivots)
+    det = determinant(AlexMatrix(rows))
+    return LaurentPoly._raw({(i, j + v_exp): sign * c for (i, j), c in det._terms.items()})
 
 
 def delta_bar(p: LaurentPoly, is_knot: bool = True) -> LaurentPoly:

@@ -25,6 +25,18 @@ def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
         )
 
 
+def make_over_only_link(rng: random.Random, n: int, n_over: int) -> Diagram:
+    """A random two-component diagram with n crossings whose first component
+    only passes over, through crossings 1..n_over."""
+    first = [(c, True) for c in range(1, n_over + 1)]
+    second = [(c, False) for c in range(1, n_over + 1)]
+    second += [(c, o) for c in range(n_over + 1, n + 1) for o in (True, False)]
+    rng.shuffle(first)
+    rng.shuffle(second)
+    signs = {c: rng.choice([1, -1]) for c in range(1, n + 1)}
+    return Diagram([[Passage(c, o) for c, o in comp] for comp in (first, second)], signs)
+
+
 def determinant_cofactor(m: AlexMatrix | list) -> LaurentPoly:
     """Naive cofactor expansion; the independent oracle for small orders."""
     rows = m.entries if isinstance(m, AlexMatrix) else m

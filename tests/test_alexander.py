@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import determinant_cofactor, make_random_diagram
+from tests.conftest import determinant_cofactor, make_over_only_link, make_random_diagram
 from valex.alexander import (
     KNOT_FACTOR,
     LINK_FACTOR,
@@ -115,7 +115,7 @@ class TestDeterminant:
     def test_two_unit_rows_closing_a_cycle(self, code):
         # the all-over component's B rows -x_in + v*x_out form a cycle over
         # its arcs; after the others are pivoted on, the last one is
-        # +-(v^k - 1) up to a unit, which the two-unit pass must leave alone
+        # +-(v^k - 1) up to a unit, not a unit, so it is no phase-1 pivot
         m = rows_of(parse_gauss(code))
         # every crossing is over on the first component, so every B row is one
         assert all(len(row) == 2 and all(len(t) == 1 for t in row.values())
@@ -266,6 +266,61 @@ class TestDeterminant:
         m = [[ONE + U, ZERO, ZERO], [V, -U, ONE], [-ONE, U * V, V]]
         want = parse_poly("-2*u*v - 2*u^2*v")
         assert determinant(m) == want == determinant_cofactor(m)
+
+
+def assert_over_arc_matches(d):
+    got = delta0_diagram(d)
+    assert got.terms == determinant(rows_of(d)).terms, d
+    assert all(c for _, c in got.items())
+
+
+@st.composite
+def over_arc_cases(draw):
+    """A code of 1-3 components, or a link with an over-only component."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return make_over_only_link(rng, n, draw(st.integers(1, n)))
+    return make_random_diagram(rng, n, draw(st.integers(1, min(3, 2 * n))))
+
+
+class TestOverArcMatrix:
+    """delta0_diagram equals the 2n x 2n determinant term by term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(over_arc_cases())
+    def test_random_codes(self, d):
+        assert_over_arc_matches(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(over_arc_cases(), st.data())
+    def test_kinks_r2_and_smoothing(self, d, data):
+        arcs = st.integers(1, 2 * d.n_crossings)
+        arc = data.draw(arcs)
+        for kind in KINK_KINDS:
+            assert_over_arc_matches(add_kink(d, arc, kind))
+        if d.n_crossings >= 2:
+            over, under = data.draw(st.lists(arcs, min_size=2, max_size=2, unique=True))
+            assert_over_arc_matches(add_r2(d, over, under))
+        # smooth_crossing relabels the arcs through arc_labels
+        try:
+            smoothed = smooth_crossing(d, data.draw(st.sampled_from(d.crossings)))
+        except EmptyComponent:
+            return
+        assert_over_arc_matches(smoothed)
+
+    @pytest.mark.parametrize("code", ["O1+;U1+", "O1-;U1-", "O1+O2+;U1+U2+",
+                                      "O1-O2+O3-;U3-U2+U1-"])
+    def test_over_only_components(self, code):
+        d = parse_gauss(code)
+        assert not delta0_diagram(d).is_zero
+        assert_over_arc_matches(d)
+
+    def test_cycle_with_zero_v_exponent(self):
+        # the over-only component's signs add up to 0, so its cycle row
+        # v^0 - 1 is empty and Delta_0 is 0
+        d = parse_gauss("O1+O2-;U1+U2-")
+        assert delta0_diagram(d) == ZERO == determinant(rows_of(d))
 
 
 class TestDeltaBar:

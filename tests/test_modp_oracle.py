@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from tests.conftest import make_random_diagram
+from tests.conftest import make_over_only_link, make_random_diagram
 from valex.alexander import build_matrix, invariant_report
 from valex.diagram import derive_incidence
 
@@ -41,12 +41,22 @@ def det_mod_p(a):
     return det % P
 
 
-@pytest.mark.parametrize("n", [40, 50, 64])
-def test_delta0_equals_determinant_mod_p(n):
-    rng = random.Random(n)
-    d = make_random_diagram(rng, n)
+def check_mod_p(d, rng):
     u, v = rng.randrange(2, P - 1), rng.randrange(2, P - 1)
     rows = build_matrix(derive_incidence(d)[1]).entries
     delta0 = invariant_report(d).delta0
     assert not delta0.is_zero
     assert at_point(delta0, u, v) == det_mod_p([[at_point(e, u, v) for e in row] for row in rows])
+
+
+@pytest.mark.parametrize("n", [40, 50, 64])
+def test_delta0_equals_determinant_mod_p(n):
+    rng = random.Random(n)
+    check_mod_p(make_random_diagram(rng, n), rng)
+
+
+def test_link_with_over_only_component_mod_p():
+    # the first component's B rows close a cycle, so Delta_0 keeps one of
+    # them as a row of the over-arc matrix
+    rng = random.Random(40)
+    check_mod_p(make_over_only_link(rng, 40, 15), rng)
