@@ -49,7 +49,6 @@ count the eliminated B rows only.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 from ._backend import _ONE, divexact_terms, fma_terms, mul_terms
@@ -89,7 +88,6 @@ class _DenseRows(Sequence):
         return [LaurentPoly._raw(row[j]) if j in row else ZERO for j in range(len(self._rows))]
 
 
-@dataclass
 class AlexMatrix:
     """Square matrix over Z[u^+-1, v^+-1], columns in ascending arc id.
 
@@ -102,7 +100,10 @@ class AlexMatrix:
     row by row as it is read.
     """
 
-    rows: list
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
 
     @property
     def order(self) -> int:
@@ -386,23 +387,38 @@ def delta_bar(p: LaurentPoly, is_knot: bool = True) -> LaurentPoly:
     return exact_div(p, KNOT_FACTOR if is_knot else LINK_FACTOR)
 
 
-@dataclass
 class InvariantReport:
     """Delta_0, its normalized quotient and the odd-writhe verdict for one input.
 
     ``invariant_report`` builds it from a diagram and ``twist.spec_report``
-    from a twist spec; both go through ``InvariantReport.of``.
+    from a twist spec; both go through ``InvariantReport.of``.  Its fields
+    stay assignable.
     """
 
-    subject: str                 # Gauss code or twist spec
-    is_knot: bool
-    delta0: LaurentPoly          # diagram level, label dependent
-    dbar: LaurentPoly            # diagram level quotient
-    dbar_normalized: LaurentPoly
-    unit: Normalized
-    dbar_at_minus_one: int
-    odd_writhe: Optional[int]
-    conjecture_holds: Optional[bool]
+    __slots__ = ("subject", "is_knot", "delta0", "dbar", "dbar_normalized", "unit",
+                 "dbar_at_minus_one", "odd_writhe", "conjecture_holds")
+
+    def __init__(
+        self,
+        subject: str,                 # Gauss code or twist spec
+        is_knot: bool,
+        delta0: LaurentPoly,          # diagram level, label dependent
+        dbar: LaurentPoly,            # diagram level quotient
+        dbar_normalized: LaurentPoly,
+        unit: Normalized,
+        dbar_at_minus_one: int,
+        odd_writhe: Optional[int],
+        conjecture_holds: Optional[bool],
+    ):
+        self.subject = subject
+        self.is_knot = is_knot
+        self.delta0 = delta0
+        self.dbar = dbar
+        self.dbar_normalized = dbar_normalized
+        self.unit = unit
+        self.dbar_at_minus_one = dbar_at_minus_one
+        self.odd_writhe = odd_writhe
+        self.conjecture_holds = conjecture_holds
 
     @property
     def delta0_normalized(self) -> LaurentPoly:

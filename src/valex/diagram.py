@@ -17,7 +17,8 @@ odd/even strand labeling that makes matrix fixtures sign-exact, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .errors import (
     EmptyComponent,
     InvalidArgument,
@@ -59,8 +60,7 @@ _KINK_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
     """One visit of a strand through a classical crossing."""
 
     crossing: int
@@ -202,16 +202,14 @@ def format_gauss(d: Diagram) -> str:
 
 # -- arcs and incidences --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArcTable:
+class ArcTable(NamedTuple):
     """Arc ids per passage: out_arcs[ci][pi] is the gap id leaving that passage."""
 
     count: int
     out_arcs: tuple
 
 
-@dataclass(frozen=True)
-class CrossingIncidence:
+class CrossingIncidence(NamedTuple):
     """The four arc roles at one classical crossing (ids may coincide)."""
 
     crossing: int

@@ -16,7 +16,6 @@ Conventions that matter elsewhere:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from ._backend import divexact_terms, mul_terms
@@ -235,6 +234,8 @@ class LaurentPoly:
             i, j = next((i, j) for i, j in terms if (i < 0 and u0 == 0) or (j < 0 and v0 == 0))
             raise EvalAtZero(f"term u^{i}*v^{j} undefined at ({u0}, {v0})")
         total = sum(c * u0 ** (i - iu) * v0 ** (j - iv) for (i, j), c in terms.items())
+        from fractions import Fraction  # only here: it also loads decimal
+
         total = total * Fraction(u0) ** iu * Fraction(v0) ** iv
         if total.denominator == 1:
             return int(total)

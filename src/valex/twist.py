@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .alexander import KNOT_FACTOR, InvariantReport
 from .diagram import Diagram, Passage, mirror_all
@@ -74,23 +74,27 @@ def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+# A NamedTuple body may not define __new__, so TwistSpec validates in a subclass.
+class _TwistFields(NamedTuple):
+    blocks: tuple
+    clasp: str
+
+
+class TwistSpec(_TwistFields):
     """Block lengths with signs plus a clasp tag."""
 
-    blocks: tuple
-    clasp: str = "a"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, blocks, clasp: str = "a"):
         try:
-            blocks = tuple(operator.index(b) for b in self.blocks)
+            ints = tuple(operator.index(b) for b in blocks)
         except TypeError:
-            raise InvalidArgument(f"twist blocks must be integers, got {self.blocks!r}") from None
-        object.__setattr__(self, "blocks", blocks)
-        if len(blocks) < 1:
+            raise InvalidArgument(f"twist blocks must be integers, got {blocks!r}") from None
+        if len(ints) < 1:
             raise InvalidArgument("a twist spec needs at least one block")
-        if self.clasp not in CLASPS:
-            raise InvalidArgument(f"unknown clasp {self.clasp!r}; expected one of {CLASPS}")
+        if clasp not in CLASPS:
+            raise InvalidArgument(f"unknown clasp {clasp!r}; expected one of {CLASPS}")
+        return super().__new__(cls, ints, clasp)
 
     @property
     def n(self) -> int:
@@ -132,8 +136,7 @@ def format_spec(spec: TwistSpec) -> str:
 
 # -- parity bookkeeping --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityContext:
+class ParityContext(NamedTuple):
     """The partial sums and parity counts that drive every twist formula."""
 
     s: tuple       # s[i] = sum_{j<=i} (a_j + 1), s[0] = 0

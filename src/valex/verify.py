@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import diagram
 from .alexander import delta0_diagram, delta_bar, invariant_report
@@ -47,8 +46,7 @@ __all__ = [
 _SERIAL_MAX_SPECS = 32
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     subject: str
     check: str
     passed: bool
@@ -238,8 +236,7 @@ def run_law_suite(corpus: Optional[list] = None) -> list:
 
 # -- batch files --------------------------------------------------------------------
 
-@dataclass
-class BatchSummary:
+class BatchSummary(NamedTuple):
     verdicts: list        # (line_no, InvariantReport)
     errors: list          # (line_no, message)
     ignored: int          # comments and blank lines

@@ -8,7 +8,13 @@ from valex.laurent import LaurentPoly, ONE, ZERO
 
 
 def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
-    """A random valid signed Gauss diagram with n crossings."""
+    """A random valid signed Gauss diagram with n crossings.
+
+    The 2n passages are cut into ``n_comp`` nonempty components, so
+    1 <= n_comp <= 2n.
+    """
+    if not 1 <= n_comp <= 2 * n:
+        raise ValueError(f"n_comp must be in 1..{2 * n} (2n) for n = {n}, got {n_comp}")
     toks = [(c, True) for c in range(1, n + 1)] + [(c, False) for c in range(1, n + 1)]
     while True:
         rng.shuffle(toks)

@@ -83,6 +83,13 @@ class TestParse:
             d = make_random_diagram(rng, rng.randint(1, 6), rng.choice([1, 1, 2]))
             assert parse_gauss(format_gauss(d)) == d
 
+    def test_random_diagram_component_limit(self, rng):
+        # 2n passages make at most 2n components
+        assert make_random_diagram(rng, 1, 2).n_components == 2
+        for n, n_comp in ((1, 3), (2, 5), (3, 0)):
+            with pytest.raises(ValueError, match=r"n_comp must be in 1\.\."):
+                make_random_diagram(rng, n, n_comp)
+
 
 class TestIncidence:
     def test_virtual_trefoil_roles(self):

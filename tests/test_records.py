@@ -1,0 +1,76 @@
+"""valex's records: named tuples, two assignable slots classes, a lean import."""
+
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import valex
+from valex.alexander import invariant_report
+from valex.diagram import parse_gauss
+from valex.twist import TwistSpec
+from valex.verify import CheckResult
+
+
+def test_import_loads_no_dataclasses_inspect_or_fractions():
+    # -S keeps site hooks from preloading modules, so the check sees only
+    # what valex itself imports
+    src = str(Path(valex.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import valex; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+class TestTwistSpec:
+    def test_immutable(self):
+        spec = TwistSpec((1, 2))
+        with pytest.raises(AttributeError):
+            spec.blocks = (3,)
+        with pytest.raises(AttributeError):
+            spec.clasp = "b"
+
+    def test_equal_and_hashable(self):
+        a, b = TwistSpec((1, -2), "b"), TwistSpec([1, -2], "b")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, TwistSpec((1, -2))}) == 2
+        assert TwistSpec((1, -2)).clasp == "a"
+        assert a != TwistSpec((1, -2), "^b")
+
+    def test_pickle_round_trip(self):
+        spec = TwistSpec((3, -1, 0), "^a")
+        back = pickle.loads(pickle.dumps(spec))
+        assert type(back) is TwistSpec and back == spec
+        assert repr(back) == "TwistSpec(blocks=(3, -1, 0), clasp='^a')"
+        assert str(back) == "VT[^a](3,-1,0)"
+
+
+class TestCheckResult:
+    def test_detail_defaults_to_empty(self):
+        assert CheckResult("s", "c", True, "1", "1").detail == ""
+
+    def test_str(self):
+        ok = CheckResult("VT[a](1)", "divisibility", True, "x", "0")
+        bad = CheckResult("VT[a](1)", "divisibility", False, "x", "0", "why")
+        assert str(ok) == ("ok  VT[a](1)                 divisibility"
+                           "                 x == 0")
+        assert str(bad) == ("FAIL VT[a](1)                 divisibility"
+                            "                 x == 0  [why]")
+
+    def test_immutable(self):
+        r = CheckResult("s", "c", True, "1", "1")
+        with pytest.raises(AttributeError):
+            r.passed = False
+
+
+def test_invariant_report_fields_assignable():
+    rep = invariant_report(parse_gauss("O1+U2+O3+U1+O2+U3+"))
+    delta0 = rep.delta0 + valex.U
+    rep.delta0 = delta0
+    rep.conjecture_holds = False
+    assert rep.delta0 == delta0 and rep.conjecture_holds is False
+    with pytest.raises(AttributeError):
+        rep.extra = 1  # slots: no new attributes

@@ -107,7 +107,8 @@ class TestSpecText:
         for blocks in ((2.7, -1.2), (2.0,), ("3",), 3):
             with pytest.raises(InvalidArgument):
                 TwistSpec(blocks)
-        assert TwistSpec((True, 2)).blocks == (1, 2)
+        blocks = TwistSpec((True, 2)).blocks
+        assert blocks == (1, 2) and all(type(b) is int for b in blocks)
 
 
 class TestParityContext:
