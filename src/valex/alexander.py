@@ -48,13 +48,12 @@ count the eliminated B rows only.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Optional
 
 from ._backend import _ONE, divexact_terms, fma_terms, mul_terms
 from .diagram import Diagram, _perm_sign, derive_incidence, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
-from .laurent import LaurentPoly, Normalized, U, V, ZERO, exact_div, normalize
+from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
 
 __all__ = [
     "AlexMatrix",
@@ -72,32 +71,14 @@ LINK_FACTOR = (U - 1) * (V - 1)
 KNOT_FACTOR = LINK_FACTOR * (U * V - 1)
 
 
-class _DenseRows(Sequence):
-    """Read-only n x n view of sparse rows: each row is a list of LaurentPoly."""
-
-    def __init__(self, rows: list):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self._rows)))]
-        row = self._rows[i]
-        return [LaurentPoly._raw(row[j]) if j in row else ZERO for j in range(len(self._rows))]
-
-
 class AlexMatrix:
-    """Square matrix over Z[u^+-1, v^+-1], columns in ascending arc id.
-
-    The columns are all arcs for ``build_matrix`` and the generator arcs
-    for the over-arc matrix of ``delta0_diagram``.
+    """The 2n x 2n Alexander matrix of ``build_matrix``, columns in ascending arc id.
 
     ``rows[i]`` maps the column of each nonzero entry of row i to that
-    entry's kernel term dict; zero entries are not stored.  ``entries`` is
-    a dense view of the same matrix, one list of LaurentPoly per row, built
-    row by row as it is read.
+    entry's kernel term dict; zero entries are not stored.  ``determinant``
+    takes these rows.  ``entries`` is the same matrix as a list of
+    LaurentPoly rows, built when read, with the shared ZERO where no entry
+    is stored.
     """
 
     __slots__ = ("rows",)
@@ -110,8 +91,10 @@ class AlexMatrix:
         return len(self.rows)
 
     @property
-    def entries(self) -> Sequence:
-        return _DenseRows(self.rows)
+    def entries(self) -> list:
+        n = len(self.rows)
+        return [[LaurentPoly._raw(row[j]) if j in row else ZERO for j in range(n)]
+                for row in self.rows]
 
 
 def _relations(inc) -> tuple:
@@ -176,14 +159,14 @@ def _exact(num: dict, prev: dict) -> dict:
     return q
 
 
-def determinant(m: AlexMatrix | list) -> LaurentPoly:
+def determinant(m: list) -> LaurentPoly:
     """Exact determinant: Gaussian steps on unit pivots, then sparse Bareiss.
 
-    ``m`` is an AlexMatrix, whose sparse ``{column: terms}`` rows are copied
-    as they are, or a dense list of rows of LaurentPoly, from which each
-    row's nonzero entries are taken.  Each column keeps the set of active
-    rows that have an entry in it, so the elimination never visits a zero
-    position.
+    ``m`` is the list of the n rows, each a ``{column: terms}`` dict of its
+    nonzero entries, as in ``AlexMatrix.rows``; the rows are copied, and a
+    column outside 0..n-1 raises InvalidArgument.  Each column keeps the set
+    of active rows that have an entry in it, so the elimination never visits
+    a zero position.
 
     Phase 1 pivots only on units +-u^i v^j.  For as long as a unit is
     active, it takes the one of least Markowitz (1957) cost (r - 1)(c - 1),
@@ -222,18 +205,15 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
     ``fma_terms`` and ``divexact_terms``: they are the kernel every Laurent
     operation uses, and the layer benchmark counts its work at those calls.
     """
-    if isinstance(m, AlexMatrix):
-        active = {i: dict(row) for i, row in enumerate(m.rows)}
-    else:
-        if any(len(row) != len(m) for row in m):
-            raise InvalidArgument("determinant needs a square matrix")
-        active = {i: {j: e._terms for j, e in enumerate(row) if e._terms}
-                  for i, row in enumerate(m)}
+    active = {i: dict(row) for i, row in enumerate(m)}
     n = len(active)
     cols: dict = {j: set() for j in range(n)}
-    for i, sparse in active.items():
-        for j in sparse:
-            cols[j].add(i)
+    try:
+        for i, sparse in active.items():
+            for j in sparse:
+                cols[j].add(i)
+    except KeyError as e:
+        raise InvalidArgument(f"column {e.args[0]!r} is outside 0..{n - 1}") from None
     row_order: list = []
     col_order: list = []
 
@@ -277,8 +257,6 @@ def determinant(m: AlexMatrix | list) -> LaurentPoly:
                     continue
                 if units_only and not _is_unit(terms):
                     continue
-                if cost == 0 and len(terms) == 1:  # nothing is cheaper
-                    return i, j
                 best_cost, best_terms, found = cost, len(terms), (i, j)
         return found
 
@@ -372,7 +350,7 @@ def delta0_diagram(d: Diagram) -> LaurentPoly:
         else:
             sign = -sign  # the B row's pivot is -1
     sign *= _perm_sign(kept + eliminated) * _perm_sign([rank[a] for a in gens] + pivots)
-    det = determinant(AlexMatrix(rows))
+    det = determinant(rows)
     return LaurentPoly._raw({(i, j + v_exp): sign * c for (i, j), c in det._terms.items()})
 
 
@@ -391,8 +369,7 @@ class InvariantReport:
     """Delta_0, its normalized quotient and the odd-writhe verdict for one input.
 
     ``invariant_report`` builds it from a diagram and ``twist.spec_report``
-    from a twist spec; both go through ``InvariantReport.of``.  Its fields
-    stay assignable.
+    from a twist spec.  Its fields stay assignable.
     """
 
     __slots__ = ("subject", "is_knot", "delta0", "dbar", "dbar_normalized", "unit",
@@ -401,24 +378,26 @@ class InvariantReport:
     def __init__(
         self,
         subject: str,                 # Gauss code or twist spec
-        is_knot: bool,
         delta0: LaurentPoly,          # diagram level, label dependent
         dbar: LaurentPoly,            # diagram level quotient
-        dbar_normalized: LaurentPoly,
-        unit: Normalized,
-        dbar_at_minus_one: int,
+        is_knot: bool,
         odd_writhe: Optional[int],
-        conjecture_holds: Optional[bool],
     ):
+        """Normalize dbar, evaluate it at (-1, -1) and test 2|dbar(-1,-1)| = |OW|.
+
+        Without an odd writhe (links, clasps ab/ba) the verdict is None.
+        """
+        norm = normalize(dbar)
+        val = norm.poly.evaluate(-1, -1)
         self.subject = subject
         self.is_knot = is_knot
         self.delta0 = delta0
         self.dbar = dbar
-        self.dbar_normalized = dbar_normalized
-        self.unit = unit
-        self.dbar_at_minus_one = dbar_at_minus_one
+        self.dbar_normalized = norm.poly
+        self.unit = norm
+        self.dbar_at_minus_one = val
         self.odd_writhe = odd_writhe
-        self.conjecture_holds = conjecture_holds
+        self.conjecture_holds = None if odd_writhe is None else 2 * abs(val) == abs(odd_writhe)
 
     @property
     def delta0_normalized(self) -> LaurentPoly:
@@ -429,34 +408,13 @@ class InvariantReport:
         """
         return (KNOT_FACTOR if self.is_knot else LINK_FACTOR) * self.dbar_normalized
 
-    @classmethod
-    def of(cls, subject: str, delta0: LaurentPoly, dbar: LaurentPoly, is_knot: bool,
-           odd_writhe: Optional[int]) -> "InvariantReport":
-        """Normalize dbar, evaluate it at (-1, -1) and test 2|dbar(-1,-1)| = |OW|.
-
-        Without an odd writhe (links, clasps ab/ba) the verdict is None.
-        """
-        norm = normalize(dbar)
-        val = norm.poly.evaluate(-1, -1)
-        return cls(
-            subject=subject,
-            is_knot=is_knot,
-            delta0=delta0,
-            dbar=dbar,
-            dbar_normalized=norm.poly,
-            unit=norm,
-            dbar_at_minus_one=val,
-            odd_writhe=odd_writhe,
-            conjecture_holds=None if odd_writhe is None else 2 * abs(val) == abs(odd_writhe),
-        )
-
 
 def invariant_report(d: Diagram) -> InvariantReport:
-    """Delta_0 of the diagram by its determinant, then ``InvariantReport.of``.
+    """The report of the diagram, with Delta_0 by its determinant.
 
     Multi-component diagrams have no odd writhe, so they carry no verdict.
     """
     p = delta0_diagram(d)
     knot = d.is_knot
-    return InvariantReport.of(format_gauss(d), p, delta_bar(p, is_knot=knot), knot,
-                              odd_writhe(d) if knot else None)
+    return InvariantReport(format_gauss(d), p, delta_bar(p, is_knot=knot), knot,
+                           odd_writhe(d) if knot else None)

@@ -96,7 +96,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    summary = batch_check(args.file)
+    with open(args.file, encoding="utf-8") as fh:
+        summary = batch_check(fh)
     for no, rep in summary.verdicts:
         if args.machine:
             print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "

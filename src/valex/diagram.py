@@ -544,15 +544,8 @@ def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
     x1 = remap[over_arc]
     y1 = remap[under_arc]
     x2, x3 = x1 + 1, x1 + 2
+    # fronting (x1, y3, x2, y2, x3, y1) has the sign of fronting (over_arc, under_arc): 6 or 9 inversions
     y2, y3 = y1 + 1, y1 + 2
-
-    old_all = sorted(outs.values())
-    sigma_small = _extract_sign(old_all, [over_arc, under_arc])
-    new_all = sorted(remap[a] for a in old_all) + [x2, x3, y2, y3]
-    new_all.sort()
-    sigma_big = _extract_sign(new_all, [x1, y3, x2, y2, x3, y1])
-    if sigma_small * sigma_big < 0:
-        y2, y3 = y3, y2
 
     new_labels = []
     for nci, comp in enumerate(comps):

@@ -560,4 +560,4 @@ def spec_report(spec: TwistSpec) -> InvariantReport:
         ow = ow_closed_form(spec)
     except UnsupportedClasp:
         ow = None
-    return InvariantReport.of(format_spec(spec), KNOT_FACTOR * dbar, dbar, True, ow)
+    return InvariantReport(format_spec(spec), KNOT_FACTOR * dbar, dbar, True, ow)

@@ -7,9 +7,10 @@ Three layers:
   2|dbar(-1,-1)| = |OW| conjecture, and the divisibility law.
 * ``run_law_suite`` exercises the diagram-level laws (Reidemeister-I
   factors, the exact skein identity, R2 insertion, mirror/reverse symmetry,
-  divisibility) on a corpus of small diagrams.
-* ``batch_check`` streams conjecture verdicts for a user-supplied file of
-  Gauss codes (one per line, ``#`` comments and blank lines ignored).
+  divisibility) on the built-in corpus of small diagrams.
+* ``batch_check`` streams conjecture verdicts for the lines of a
+  user-supplied file of Gauss codes (one per line, ``#`` comments and blank
+  lines ignored).
 
 Failures are recorded in the returned results, never raised; reruns are
 deterministic.  Grid evaluation parallelizes per spec, with results in input
@@ -168,13 +169,11 @@ def builtin_corpus() -> list:
 _KINK_FACTOR = {"Ia": U * V, "Ib": U * V, "Ic": -ONE, "Id": -ONE}
 
 
-def run_law_suite(corpus: Optional[list] = None) -> list:
-    """Diagram-law checks: R1 factors, exact skein, R2, symmetry, divisibility."""
-    if corpus is None:
-        corpus = builtin_corpus()
+def run_law_suite() -> list:
+    """Diagram-law checks on ``builtin_corpus``: R1, skein, R2, symmetry, divisibility."""
     uv1 = U * V - 1
     results = []
-    for name, d in corpus:
+    for name, d in builtin_corpus():
         base = delta0_diagram(d)
         knot = d.is_knot
         try:
@@ -255,17 +254,12 @@ class BatchSummary(NamedTuple):
         return self.checked > 0 and not self.errors and self.held == self.checked
 
 
-def batch_check(source) -> BatchSummary:
-    """Check the conjecture for each Gauss code in a file (or iterable of lines).
+def batch_check(lines: Iterable[str]) -> BatchSummary:
+    """Check the conjecture for each Gauss code among the lines of a file.
 
     Malformed lines and links are reported with their numbers and skipped;
     comments (``#``) and blank lines are ignored but counted.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
     verdicts = []
     errors = []
     ignored = 0

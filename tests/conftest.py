@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from valex.alexander import AlexMatrix
 from valex.diagram import Diagram, Passage
 from valex.laurent import LaurentPoly, ONE, ZERO
 
@@ -43,28 +42,31 @@ def make_over_only_link(rng: random.Random, n: int, n_over: int) -> Diagram:
     return Diagram([[Passage(c, o) for c, o in comp] for comp in (first, second)], signs)
 
 
-def determinant_cofactor(m: AlexMatrix | list) -> LaurentPoly:
-    """Naive cofactor expansion; the independent oracle for small orders."""
-    rows = m.entries if isinstance(m, AlexMatrix) else m
+def sparse_rows(dense: list) -> list:
+    """The ``{column: terms}`` rows ``determinant`` takes, from rows of LaurentPoly."""
+    return [{j: e.terms for j, e in enumerate(row) if not e.is_zero} for row in dense]
+
+
+def determinant_cofactor(m: list) -> LaurentPoly:
+    """Naive cofactor expansion of sparse rows; the independent oracle for small orders."""
 
     def rec(rs, cols):
         if len(cols) == 1:
-            return rs[0][cols[0]]
+            return LaurentPoly(rs[0].get(cols[0], {}))
         total = ZERO
         sub = rs[1:]
         for pos, c in enumerate(cols):
-            a = rs[0][c]
-            if a.is_zero:
+            if c not in rs[0]:
                 continue
             minor = rec(sub, cols[:pos] + cols[pos + 1:])
-            term = a * minor
+            term = LaurentPoly(rs[0][c]) * minor
             total = total + term if pos % 2 == 0 else total - term
         return total
 
-    n = len(rows)
+    n = len(m)
     if n == 0:
         return ONE
-    return rec(rows, list(range(n)))
+    return rec(m, list(range(n)))
 
 
 @pytest.fixture

@@ -208,7 +208,7 @@ def test_odd_writhe_identity_and_conjecture(tmp_path):
         "O1+U1+\nO1-U1-\nO1+U2+O2+U1+\n"
         "O1-U2-U1-O2-\nO1+U2-U1+O2-\n"
     )
-    summary = batch_check(path)
+    summary = batch_check(path.read_text().splitlines(keepends=True))
     assert summary.checked == 9 and not summary.errors
     assert summary.held == summary.checked
     report("odd-writhe identity + conjecture", time.time() - t0, 70.0)
