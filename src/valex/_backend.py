@@ -146,7 +146,9 @@ def mul_terms(a: dict, b: dict) -> dict:
 def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d in one accumulation (the Bareiss update numerator).
 
-    An a of 1 (a Gaussian step's update) copies b instead of multiplying.
+    An a of 1 copies b instead of multiplying.  ``alexander.determinant``
+    passes one for its unit steps' updates of ``_PACK_MIN`` or more term
+    products, so this copy runs when such an update is not packed.
     """
     if not c or not d:
         return mul_terms(a, b)

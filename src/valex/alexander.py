@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._backend import _ONE, divexact_terms, fma_terms, mul_terms
+from ._backend import _ONE, _PACK_MIN, divexact_terms, fma_terms, mul_terms
 from .diagram import Diagram, _perm_sign, derive_incidence, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
@@ -144,11 +144,6 @@ def build_matrix(incidences) -> AlexMatrix:
     return AlexMatrix(rows)
 
 
-def _is_unit(terms: dict) -> bool:
-    """Whether the term dict is a unit +-u^i v^j of the Laurent ring."""
-    return len(terms) == 1 and abs(next(iter(terms.values()))) == 1
-
-
 def _exact(num: dict, prev: dict) -> dict:
     """num / prev, which Sylvester's identity makes exact."""
     if not num or prev == _ONE:
@@ -159,29 +154,43 @@ def _exact(num: dict, prev: dict) -> dict:
     return q
 
 
+def _cheapest(active: dict, cols: dict) -> tuple:
+    """The active (row, column) of least (cost, terms), the first one found on ties."""
+    best_cost, best_terms, found = len(cols) ** 2, 0, None  # above every cost
+    for i, sparse in active.items():
+        r = len(sparse) - 1
+        for j, terms in sparse.items():
+            cost = r * (len(cols[j]) - 1)
+            if cost > best_cost or cost == best_cost and len(terms) >= best_terms:
+                continue
+            best_cost, best_terms, found = cost, len(terms), (i, j)
+    return found
+
+
 def determinant(m: list) -> LaurentPoly:
     """Exact determinant: Gaussian steps on unit pivots, then sparse Bareiss.
 
     ``m`` is the list of the n rows, each a ``{column: terms}`` dict of its
-    nonzero entries, as in ``AlexMatrix.rows``; the rows are copied, and a
-    column outside 0..n-1 raises InvalidArgument.  Each column keeps the set
-    of active rows that have an entry in it, so the elimination never visits
-    a zero position.
+    nonzero entries, as in ``AlexMatrix.rows``.  An entry stored as ``{}`` is
+    zero and is dropped, a nonzero entry in a column outside 0..n-1 raises
+    InvalidArgument, and neither the rows nor their term dicts are written.
+    Each column keeps the set of active rows that have an entry in it, so the
+    elimination never visits a zero position.
 
-    Phase 1 pivots only on units +-u^i v^j.  For as long as a unit is
-    active, it takes the one of least Markowitz (1957) cost (r - 1)(c - 1),
+    Phase 1 pivots only on units e * u^a v^b, e = +-1.  For as long as a unit
+    is active, it takes the one of least Markowitz (1957) cost (r - 1)(c - 1),
     r and c being the entry counts of its row and column, even where a
-    non-unit costs less, ties going to the first one found.  The pivot order
-    changes the work, never the result.
-
-    A unit c * u^i v^j divides every entry: its inverse is the monomial
-    c * u^-i v^-j, so ``lead / pivot`` is exact and only shifts exponents
-    and signs.  A row with an entry ``lead`` in the pivot column becomes
-    a_ij - (lead / pivot) * a_pj over the pivot row's columns, and every
-    other row stays as it is.  The active matrix is then the Schur
+    non-unit costs less, ties going to the first one found in row-then-column
+    order.  The pivot order changes the work, never the result.  The unit's
+    inverse is the monomial e * u^-a v^-b, so dividing the pivot row by it
+    only shifts each exponent pair by (-a, -b) and multiplies each
+    coefficient by e.  A row with an entry ``lead`` in the pivot column
+    becomes a_ij - lead * (a_pj / pivot) over the pivot row's columns, and
+    every other row stays as it is.  The active matrix is then the Schur
     complement of the pivots taken so far, whose determinant times the
-    product of those pivots is the determinant.  Most Alexander-matrix
-    entries are units, so this phase leaves a small core.
+    product of those pivots is the determinant; that product is carried as
+    a sign and an exponent pair.  Most Alexander-matrix entries are units, so
+    this phase leaves a small core.
 
     Phase 2 runs fraction-free (Bareiss 1968) elimination on that core,
     each step on the entry of least cost, ties going to the entry with fewer
@@ -192,20 +201,24 @@ def determinant(m: list) -> LaurentPoly:
     exact by Sylvester's identity, which holds because every active entry is
     a minor of the core.  ``prev`` starts at 1 because those are minors of
     the core alone: phase 1 scaled no row and divided only by its own unit
-    pivots, so they enter the result only through the unit product.  If an
-    active row or column empties in either phase, the matrix is singular and
-    the result is 0.
+    pivots, so they enter the result only through the unit product.  In
+    either phase only a row with an entry in the pivot column, or a column of
+    the pivot row, can lose its last entry; if one does, the matrix is
+    singular and the result is 0.
 
     Sign rule: the unit product times the last phase-2 pivot (1 on an empty
     core) is the determinant of the matrix with rows and columns taken in
     pivot order, so it is multiplied by the parity of the row permutation
-    and by that of the column permutation.
+    and by that of the column permutation, whose product is the parity of
+    the permutation that takes each pivot's row to its column.
 
-    Every product and quotient goes through ``_backend``'s ``mul_terms``,
-    ``fma_terms`` and ``divexact_terms``: they are the kernel every Laurent
-    operation uses, and the layer benchmark counts its work at those calls.
+    Phase 1 sums an update of fewer than ``_PACK_MIN`` term products itself,
+    into a copy of the entry, and makes no kernel call for its quotients or
+    its unit product.  A larger update goes through ``_backend``'s
+    ``fma_terms``, which packs it into ints, and so does every product and
+    quotient of phase 2 (``fma_terms``, ``mul_terms``, ``divexact_terms``).
     """
-    active = {i: dict(row) for i, row in enumerate(m)}
+    active = {i: {j: terms for j, terms in row.items() if terms} for i, row in enumerate(m)}
     n = len(active)
     cols: dict = {j: set() for j in range(n)}
     try:
@@ -214,77 +227,79 @@ def determinant(m: list) -> LaurentPoly:
                 cols[j].add(i)
     except KeyError as e:
         raise InvalidArgument(f"column {e.args[0]!r} is outside 0..{n - 1}") from None
-    row_order: list = []
-    col_order: list = []
+    if not all(active.values()) or not all(cols.values()):
+        return ZERO
+    match = list(range(n))  # match[p] = q for each pivot (p, q)
+    sign, ue, ve = 1, 0, 0  # the unit pivots' product is sign * u^ue v^ve
 
-    def take(p, q):
-        """Take pivot (p, q) out of the active matrix and record its place.
+    while True:
+        best, found = n * n, None  # above every cost
+        for i, sparse in active.items():
+            r = len(sparse) - 1
+            for j, terms in sparse.items():
+                if len(terms) == 1:
+                    cost = r * (len(cols[j]) - 1)
+                    if cost < best:
+                        (c,) = terms.values()
+                        if c == 1 or c == -1:
+                            best, found = cost, (i, j)
+        if found is None:
+            break
+        p, q = found
+        pivot_row = active.pop(p)
+        (((a, b), e),) = pivot_row.pop(q).items()
+        sign *= e
+        ue += a
+        ve += b
+        leading = cols.pop(q)
+        leading.discard(p)
+        match[p] = q
+        quotient = []  # (column, its active rows, a_pj / pivot) over the pivot row
+        for j, terms in pivot_row.items():
+            col = cols[j]
+            col.discard(p)
+            quotient.append((j, col, {(x - a, y - b): e * k for (x, y), k in terms.items()}))
+        for i in leading:
+            sparse = active[i]
+            lead = sparse.pop(q)
+            lead_terms = lead.items()
+            for j, col, qt in quotient:
+                if len(lead) * len(qt) >= _PACK_MIN:
+                    t = fma_terms(_ONE, sparse.get(j, {}), lead, qt)
+                else:
+                    t = dict(sparse.get(j, ()))  # the entry may be the caller's
+                    qt_terms = qt.items()
+                    for (x, y), k in lead_terms:
+                        for (z, w), l in qt_terms:
+                            key = (x + z, y + w)
+                            s = t.get(key, 0) - k * l
+                            if s:
+                                t[key] = s
+                            else:  # it cancels a term of a_ij
+                                del t[key]
+                if t:
+                    if j not in sparse:
+                        col.add(i)
+                    sparse[j] = t
+                else:
+                    del sparse[j]
+                    col.discard(i)
+            if not sparse:
+                return ZERO
+        for _, col, _ in quotient:
+            if not col:
+                return ZERO
 
-        Returns the pivot, the rest of its row and the other active rows
-        with an entry in its column.
-        """
+    prev = pivot = _ONE
+    while active:
+        p, q = _cheapest(active, cols)
         pivot_row = active.pop(p)
         pivot = pivot_row.pop(q)
         for j in pivot_row:
             cols[j].discard(p)
         leading = cols.pop(q)
         leading.discard(p)
-        row_order.append(p)
-        col_order.append(q)
-        return pivot, pivot_row, leading
-
-    def store(sparse, i, j, value):
-        """Set a_ij to value, keeping the column sets in step."""
-        if value:
-            if j not in sparse:
-                cols[j].add(i)
-            sparse[j] = value
-        elif j in sparse:
-            del sparse[j]
-            cols[j].discard(i)
-
-    def cheapest(units_only):
-        """The active (row, column) of least (cost, terms), or None.
-
-        Ties go to the first entry found; units_only skips non-units.
-        """
-        best_cost, best_terms, found = n * n, 0, None  # above every cost
-        for i, sparse in active.items():
-            r = len(sparse) - 1
-            for j, terms in sparse.items():
-                cost = r * (len(cols[j]) - 1)
-                if cost > best_cost or cost == best_cost and len(terms) >= best_terms:
-                    continue
-                if units_only and not _is_unit(terms):
-                    continue
-                best_cost, best_terms, found = cost, len(terms), (i, j)
-        return found
-
-    def unit_step(p, q):
-        """One Gaussian step on the unit pivot (p, q); returns the pivot."""
-        pivot, pivot_row, leading = take(p, q)
-        for i in leading:
-            sparse = active[i]
-            factor = divexact_terms(sparse.pop(q), pivot)  # exact: pivot is a unit
-            for j, a in pivot_row.items():  # a_ij - (lead / pivot) * a_pj
-                store(sparse, i, j, fma_terms(_ONE, sparse.get(j, {}), factor, a))
-        return pivot
-
-    unit = _ONE
-    while active:
-        if not all(active.values()) or not all(cols.values()):
-            return ZERO
-        found = cheapest(units_only=True)
-        if found is None:
-            break
-        unit = mul_terms(unit, unit_step(*found))
-
-    prev = pivot = _ONE
-    while active:
-        if not all(active.values()) or not all(cols.values()):
-            return ZERO
-        p, q = cheapest(units_only=False)
-        pivot, pivot_row, leading = take(p, q)
+        match[p] = q
         for i, sparse in active.items():
             if i not in leading:
                 if pivot != prev:
@@ -293,13 +308,23 @@ def determinant(m: list) -> LaurentPoly:
                 continue
             lead = sparse.pop(q)
             for j in sparse.keys() | pivot_row.keys():
-                num = fma_terms(pivot, sparse.get(j, {}), lead, pivot_row.get(j, {}))
-                store(sparse, i, j, _exact(num, prev))
+                t = _exact(fma_terms(pivot, sparse.get(j, {}), lead, pivot_row.get(j, {})), prev)
+                if t:
+                    if j not in sparse:
+                        cols[j].add(i)
+                    sparse[j] = t
+                elif j in sparse:
+                    del sparse[j]
+                    cols[j].discard(i)
+            if not sparse:
+                return ZERO
+        for j in pivot_row:
+            if not cols[j]:
+                return ZERO
         prev = pivot
-    out = mul_terms(unit, pivot)
-    if _perm_sign(row_order) * _perm_sign(col_order) < 0:
-        out = {key: -c for key, c in out.items()}
-    return LaurentPoly._raw(out)
+    if _perm_sign(match) < 0:
+        sign = -sign
+    return LaurentPoly._raw({(i + ue, j + ve): sign * c for (i, j), c in pivot.items()})
 
 
 def delta0_diagram(d: Diagram) -> LaurentPoly:

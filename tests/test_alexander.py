@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from tests.conftest import (
     make_random_diagram,
     sparse_rows,
 )
+from valex import alexander
 from valex.alexander import (
     KNOT_FACTOR,
     LINK_FACTOR,
@@ -32,6 +35,7 @@ from valex.diagram import (
 from valex.errors import EmptyComponent, InvalidArgument, NotDivisible
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO, normalize, parse_poly
 from valex.twist import TwistSpec, generate_twist
+from valex.verify import acceptance_grid
 
 VT1_VALUE = parse_poly("-1 + u + v - u^2*v - u*v^2 + u^2*v^2")
 
@@ -95,6 +99,53 @@ class TestBuildMatrix:
             for row in rows_of(d).entries:
                 for e in row:
                     assert set(e.terms) <= allowed
+
+
+_EXPS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+# (kind, i, j, c): kind 0 is a zero entry, 1-3 the unit c * u^i v^j, 4 the
+# one-term non-unit 2c * u^i v^j and 5 the two-term c * u^i v^j + 2 * u^(i+1) v^j
+_ENTRY = st.tuples(st.integers(0, 5), st.integers(-2, 2), st.integers(-2, 2),
+                   st.sampled_from([1, -1]))
+
+
+def _entry(kind: int, i: int, j: int, c: int) -> dict:
+    if kind == 0:
+        return {}
+    if kind < 4:
+        return {(i, j): c}
+    if kind == 4:
+        return {(i, j): 2 * c}
+    return {(i, j): c, (i + 1, j): 2}
+
+
+@st.composite
+def unit_heavy_rows(draw):
+    """Sparse rows of order 1..7, mostly units +-u^i v^j.
+
+    Zero entries are left out or stored as {}.  A row or a column may be a
+    unit times another, so that it empties during phase 1 and the result is 0.
+    """
+    n = draw(st.integers(1, 7))
+    entries = [_entry(*e) for e in draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))]
+    store_zeros = draw(st.booleans())
+    m = [{j: t for j, t in enumerate(entries[i * n:(i + 1) * n]) if t or store_zeros}
+         for i in range(n)]
+    kind = draw(st.sampled_from(["none", "row", "column"]))
+    if n > 1 and kind != "none":
+        k, src = draw(st.permutations(range(n)))[:2]
+        (a, b), c = draw(_EXPS), draw(st.sampled_from([1, -1]))
+
+        def times(t):
+            return {(x + a, y + b): c * z for (x, y), z in t.items()}
+
+        if kind == "row":
+            m[k] = {j: times(t) for j, t in m[src].items()}
+        else:
+            for row in m:
+                row.pop(k, None)
+                if src in row:
+                    row[k] = times(row[src])
+    return m
 
 
 class TestDeterminant:
@@ -207,6 +258,7 @@ class TestDeterminant:
         assert determinant(sparse_rows([[U - V]])) == U - V
         assert determinant(sparse_rows([[LaurentPoly({(1, 2): 3, (0, 0): 0})]])) == 3 * U * V**2
         assert determinant([{}]) == ZERO
+        assert determinant([{0: {}}]) == ZERO
 
     def test_unit_pivots_with_negative_coefficients_and_exponents(self, rng):
         # the units are -u^i v^j with i, j != 0, so a wrong sign or exponent
@@ -272,6 +324,75 @@ class TestDeterminant:
         m = sparse_rows([[ONE + U, ZERO, ZERO], [V, -U, ONE], [-ONE, U * V, V]])
         want = parse_poly("-2*u*v - 2*u^2*v")
         assert determinant(m) == want == determinant_cofactor(m)
+
+    def test_empty_entry_is_zero(self):
+        # a stored {} is a zero entry; the phase-2 search once took it as
+        # the pivot of fewest terms and returned 0
+        m = [{0: {}, 1: {(0, 0): 2}, 2: {(0, 0): 3}},
+             {0: {(0, 0): 2}, 1: {(0, 0): 2}, 2: {(0, 0): 5}},
+             {0: {(0, 0): 3}, 1: {(0, 0): 7}, 2: {(0, 0): 2}}]
+        assert determinant(m) == 46 * ONE == determinant_cofactor(m)
+
+    def test_unit_pivots_with_large_updates(self, rng, monkeypatch):
+        # units on the diagonal and 13- to 15-term entries elsewhere, so a
+        # unit step's update multiplies two entries of 13 or more terms: 169
+        # or more term products, which phase 1 sends to fma_terms
+        def big():
+            terms, size = {}, rng.randint(13, 15)
+            while len(terms) < size:
+                terms[(rng.randint(-2, 2), rng.randint(-2, 2))] = rng.choice([-3, -2, -1, 1, 2, 3])
+            return terms
+
+        def unit():
+            return {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice([-1, 1])}
+
+        products = []
+        fma_terms = alexander.fma_terms
+
+        def spy(a, b, c, d):
+            if a == ONE.terms:
+                products.append(len(c) * len(d))
+            return fma_terms(a, b, c, d)
+
+        monkeypatch.setattr(alexander, "fma_terms", spy)
+        for order in (3, 4, 5):
+            for _ in range(2):
+                m = [{j: unit() if i == j else big() for j in range(order)} for i in range(order)]
+                det = determinant(m)
+                assert not det.is_zero
+                assert det == determinant_cofactor(m)
+            # row 1 is a 13-term multiple of row 0, whose unit is the first
+            # pivot: the packed update cancels all of row 1
+            m = [{j: unit() if i == j else big() for j in range(order)} for i in range(order)]
+            factor = LaurentPoly(big())
+            m[1] = {j: (factor * LaurentPoly(t)).terms for j, t in m[0].items()}
+            assert determinant(m) == ZERO == determinant_cofactor(m)
+        assert products and min(products) >= 150
+
+    def test_input_rows_unchanged(self, rng, monkeypatch):
+        # the rows of every over-arc matrix of the acceptance grid and of
+        # n = 16 codes, and their term dicts, are as they were after the call
+        calls = []
+        real = alexander.determinant
+
+        def checked(m):
+            before = copy.deepcopy(m)
+            det = real(m)
+            assert m == before
+            calls.append(len(m))
+            return det
+
+        monkeypatch.setattr(alexander, "determinant", checked)
+        for spec in acceptance_grid():
+            delta0_diagram(generate_twist(spec))
+        for _ in range(10):
+            delta0_diagram(make_random_diagram(rng, 16))
+        assert len(calls) == 910
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_heavy_rows())
+    def test_unit_heavy_matrices(self, m):
+        assert determinant(m) == determinant_cofactor(m)
 
 
 def assert_over_arc_matches(d):
