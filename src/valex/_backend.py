@@ -143,18 +143,25 @@ def mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
+def fma_packs(a: dict, b: dict, c: dict, d: dict) -> bool:
+    """Whether ``fma_terms(a, b, c, d)`` with nonempty c and d tries packing.
+
+    It does from ``_PACK_MIN`` term products on; below that it sums
+    schoolbook.
+    """
+    return len(c) * len(d) + len(a) * len(b) >= _PACK_MIN
+
+
 def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d in one accumulation (the Bareiss update numerator).
 
-    An a of 1 copies b instead of multiplying.  ``alexander.determinant``
-    passes one for its unit steps' updates of ``_PACK_MIN`` or more term
-    products, so this copy runs when such an update is not packed.
+    An a of 1 copies b instead of multiplying.
     """
     if not c or not d:
         return mul_terms(a, b)
     if len(c) > len(d):
         c, d = d, c
-    if len(c) * len(d) + len(a) * len(b) >= _PACK_MIN:
+    if fma_packs(a, b, c, d):
         out = _packed(a, b, c, d)
         if out is not None:
             return out

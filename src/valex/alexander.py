@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._backend import _ONE, _PACK_MIN, divexact_terms, fma_terms, mul_terms
+from ._backend import _ONE, divexact_terms, fma_packs, fma_terms, mul_terms
 from .diagram import Diagram, _perm_sign, derive_incidence, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
@@ -172,8 +172,9 @@ def determinant(m: list) -> LaurentPoly:
 
     ``m`` is the list of the n rows, each a ``{column: terms}`` dict of its
     nonzero entries, as in ``AlexMatrix.rows``.  An entry stored as ``{}`` is
-    zero and is dropped, a nonzero entry in a column outside 0..n-1 raises
-    InvalidArgument, and neither the rows nor their term dicts are written.
+    zero and is dropped, an entry in a column outside 0..n-1 raises
+    InvalidArgument, even a ``{}`` one, and neither the rows nor their term
+    dicts are written.
     Each column keeps the set of active rows that have an entry in it, so the
     elimination never visits a zero position.
 
@@ -182,9 +183,10 @@ def determinant(m: list) -> LaurentPoly:
     r and c being the entry counts of its row and column, even where a
     non-unit costs less, ties going to the first one found in row-then-column
     order.  The pivot order changes the work, never the result.  The unit's
-    inverse is the monomial e * u^-a v^-b, so dividing the pivot row by it
-    only shifts each exponent pair by (-a, -b) and multiplies each
-    coefficient by e.  A row with an entry ``lead`` in the pivot column
+    inverse is the monomial e * u^-a v^-b, so dividing an entry of the pivot
+    row by it only shifts each exponent pair by (-a, -b) and multiplies each
+    coefficient by e; each quotient a_pj / pivot is taken once per pivot, not
+    once per updated row.  A row with an entry ``lead`` in the pivot column
     becomes a_ij - lead * (a_pj / pivot) over the pivot row's columns, and
     every other row stays as it is.  The active matrix is then the Schur
     complement of the pivots taken so far, whose determinant times the
@@ -212,19 +214,24 @@ def determinant(m: list) -> LaurentPoly:
     and by that of the column permutation, whose product is the parity of
     the permutation that takes each pivot's row to its column.
 
-    Phase 1 sums an update of fewer than ``_PACK_MIN`` term products itself,
-    into a copy of the entry, and makes no kernel call for its quotients or
-    its unit product.  A larger update goes through ``_backend``'s
-    ``fma_terms``, which packs it into ints, and so does every product and
-    quotient of phase 2 (``fma_terms``, ``mul_terms``, ``divexact_terms``).
+    Phase 1 takes its quotients a_pj / pivot with ``_backend``'s
+    ``divexact_terms``, keeps the unit product in ints, and sums each update
+    itself, into a copy of the entry, unless ``fma_packs`` says that
+    ``fma_terms`` would pack it; those updates go to ``fma_terms``.  Every
+    product and quotient of phase 2 goes through the kernel (``fma_terms``,
+    ``mul_terms``, ``divexact_terms``).
     """
-    active = {i: {j: terms for j, terms in row.items() if terms} for i, row in enumerate(m)}
-    n = len(active)
+    n = len(m)
     cols: dict = {j: set() for j in range(n)}
+    active = {}
     try:
-        for i, sparse in active.items():
-            for j in sparse:
-                cols[j].add(i)
+        for i, row in enumerate(m):
+            sparse = active[i] = {}
+            for j, terms in row.items():
+                col = cols[j]
+                if terms:
+                    col.add(i)
+                    sparse[j] = terms
     except KeyError as e:
         raise InvalidArgument(f"column {e.args[0]!r} is outside 0..{n - 1}") from None
     if not all(active.values()) or not all(cols.values()):
@@ -247,7 +254,8 @@ def determinant(m: list) -> LaurentPoly:
             break
         p, q = found
         pivot_row = active.pop(p)
-        (((a, b), e),) = pivot_row.pop(q).items()
+        unit = pivot_row.pop(q)
+        (((a, b), e),) = unit.items()
         sign *= e
         ue += a
         ve += b
@@ -258,16 +266,17 @@ def determinant(m: list) -> LaurentPoly:
         for j, terms in pivot_row.items():
             col = cols[j]
             col.discard(p)
-            quotient.append((j, col, {(x - a, y - b): e * k for (x, y), k in terms.items()}))
+            quotient.append((j, col, divexact_terms(terms, unit)))
         for i in leading:
             sparse = active[i]
             lead = sparse.pop(q)
             lead_terms = lead.items()
             for j, col, qt in quotient:
-                if len(lead) * len(qt) >= _PACK_MIN:
-                    t = fma_terms(_ONE, sparse.get(j, {}), lead, qt)
+                a_ij = sparse.get(j, {})
+                if fma_packs(_ONE, a_ij, lead, qt):
+                    t = fma_terms(_ONE, a_ij, lead, qt)
                 else:
-                    t = dict(sparse.get(j, ()))  # the entry may be the caller's
+                    t = dict(a_ij)  # the entry may be the caller's
                     qt_terms = qt.items()
                     for (x, y), k in lead_terms:
                         for (z, w), l in qt_terms:

@@ -202,6 +202,9 @@ class TestDeterminant:
             determinant([{0: {(1, 0): 1}, 2: {(0, 1): 1}}, {0: {(0, 0): 1}}])
         with pytest.raises(InvalidArgument, match="column -1"):
             determinant([{-1: {(0, 0): 1}}])
+        # a zero entry stored as {} is checked like any other
+        with pytest.raises(InvalidArgument, match="column 3"):
+            determinant([{0: {(0, 0): 1}, 3: {}}])
 
     def test_zero_pivot_column(self):
         m = sparse_rows([[ZERO, U], [ZERO, V]])
