@@ -18,9 +18,13 @@ than their term count (sparse operands with wide spans), stay schoolbook.
 
 Exact division maps u -> t**W and v -> t in the same way.  It runs one long
 division in Z[t], or, from ``_DIV_PACK_MIN`` terms of a dense dividend on,
-one ``divmod`` of the operands packed into 64-bit slots.  Either quotient is
-decoded only if none of its products with the divisor wrapped past the
-encoding's v-width (see ``divexact_terms``).
+one ``divmod`` of the operands packed into slots of B bits, B the smallest
+of 8, 16, 32 and 64 that holds every coefficient of both operands.  When
+the quotient's digits cannot be trusted at B bits, the division is packed
+again at the next width, and after 64 bits the long division runs.  Either
+quotient is decoded only if none of its products with the divisor wrapped
+past the encoding's v-width (see ``divexact_terms``).  Packed products and
+packed quotients are read back through one slot decoder, ``_decode``.
 
 This is valex's only kernel.  The module keeps the name ``_backend`` and the
 ``BACKEND`` constant because external tools key on them: the layer benchmark
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress
+from itertools import compress, product
 
 BACKEND = "python"
 
@@ -77,6 +81,14 @@ def _unpack(x: int, n: int, bits: int) -> array:
     return array(_SLOTS[bits], ((x + off) ^ off).to_bytes(bits // 8 * n, sys.byteorder))
 
 
+def _decode(slots: array, rows: range, cols: range) -> dict:
+    """The nonzero slots as {(i, j): c}, slot k being (rows[k // W], cols[k % W]).
+
+    W is len(cols); rows needs at least one entry per started row of W slots.
+    """
+    return dict(compress(zip(product(rows, cols), slots), slots))
+
+
 def _packed(a: dict, b: dict, c: dict, d: dict) -> dict | None:
     """a*b - c*d by Kronecker substitution, or None when schoolbook is kept.
 
@@ -105,9 +117,9 @@ def _packed(a: dict, b: dict, c: dict, d: dict) -> dict | None:
         work += len(x) * len(y)
         bound += (min(len(x), len(y)) * max(map(abs, x.values()))
                   * max(map(abs, y.values())))
-    u0, v0 = min(lo_u), min(lo_v)
+    u0, v0, u1 = min(lo_u), min(lo_v), max(hi_u)
     w = max(hi_v) - v0 + 1
-    n = (max(hi_u) - u0 + 1) * w
+    n = (u1 - u0 + 1) * w
     bits = next((s for s in _SLOT_BITS if bound.bit_length() < s), None)
     if bits is None or n > _BOX_PER_PRODUCT * work:
         return None
@@ -116,8 +128,7 @@ def _packed(a: dict, b: dict, c: dict, d: dict) -> dict | None:
     for sign, x, y, xu0, xv0 in packs:
         prod = _pack(x, xu0, xv0, w, bits, off) * _pack(y, u0 - xu0, v0 - xv0, w, bits, off)
         total = total + prod if sign > 0 else total - prod
-    slots = _unpack(total, n, bits)
-    return {(k // w + u0, k % w + v0): slots[k] for k in compress(range(n), slots)}
+    return _decode(_unpack(total, n, bits), range(u0, u1 + 1), range(v0, v0 + w))
 
 
 def mul_terms(a: dict, b: dict) -> dict:
@@ -155,7 +166,8 @@ def fma_packs(a: dict, b: dict, c: dict, d: dict) -> bool:
 def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d in one accumulation (the Bareiss update numerator).
 
-    An a of 1 copies b instead of multiplying.
+    On the schoolbook path an a of 1 copies b instead of multiplying; the
+    packed path packs and multiplies it like any other factor.
     """
     if not c or not d:
         return mul_terms(a, b)
@@ -186,16 +198,21 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
     becomes the int key i*W + j (u -> t**W, v -> t), and one long division in
     Z[t] runs on the keys, taking the top key of the remainder each step.
 
-    From _DIV_PACK_MIN dividend terms on, when the top key of a is below
-    _BOX_PER_PRODUCT times its term count and every coefficient of a and b
-    is below 2**63 in size, the division is instead one divmod of the two
-    operands packed at t = 2**64.  A nonzero remainder means b does not
-    divide a in Z[t].  Otherwise the quotient's balanced 64-bit digits are a
-    polynomial q with q(2**64) * b(2**64) == a(2**64).  If also
-    min(len q, len b) * max|q| * max|b| < 2**63, every coefficient of q*b is
-    below 2**63 in size, like those of a, and a balanced digit expansion is
-    unique, so q*b == a in Z[t] and q is the Z[t] quotient.  If that bound
-    fails, the long division runs instead.
+    From _DIV_PACK_MIN dividend terms on, when the top key of a (read off
+    its lexicographic top term) is below _BOX_PER_PRODUCT times its term
+    count, the division is instead one divmod of the two operands packed at
+    t = 2**B.  B starts at the smallest of 8, 16, 32 and 64 bits for which
+    every coefficient of a and b is below 2**(B - 1) in size.  If b divides
+    a in Z[t], with quotient q, then a(2**B) == q(2**B) * b(2**B) exactly,
+    so a nonzero remainder means b does not divide a, at any B.  Otherwise
+    the quotient's balanced B-bit digits are a polynomial q with
+    q(2**B) * b(2**B) == a(2**B).  If also
+    min(len q, len b) * max|q| * max|b| < 2**(B - 1), every coefficient of
+    q*b is below 2**(B - 1) in size, like those of a, and a balanced digit
+    expansion is unique, so q*b == a in Z[t] and q is the Z[t] quotient.  If
+    that bound fails, or the quotient has more digits than a Z[t] quotient
+    can, the division is packed again at the next width; past 64 bits the
+    long division runs instead.
 
     A Z[t] quotient is the bivariate one only if no product of a quotient
     term and a term of b wraps past W, i.e. every quotient term has
@@ -203,6 +220,8 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
     by term; without the check, (1+uv)/(1+v) would divide in Z[t] and decode
     to the wrong 1 + u - v.  A true quotient always passes, because its
     v-span is span_v(a) - span_v(b), and the quotient in Z[t] is unique.
+    The packed quotient is checked once per row of W slots (its last
+    span_v(b) slots must be empty) and read back by ``_decode``.
 
     A monomial b = d * u^i v^j needs no long division: it divides a exactly
     when d divides every coefficient, and the quotient shifts each exponent
@@ -229,51 +248,53 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
     span_b = max(b_v) - b_iv
     if span_b >= w:
         return None
-    r = {(i - a_iu) * w + j - a_iv: c for (i, j), c in a.items()}
-    bk = {(i - b_iu) * w + j - b_iv: c for (i, j), c in b.items()}
-    da = max(r)
-    db = max(bk)
+    a_top, b_top = max(a), max(b)
+    da = (a_top[0] - a_iu) * w + a_top[1] - a_iv
+    db = (b_top[0] - b_iu) * w + b_top[1] - b_iv
     if db > da:
         return None
-    q = None
-    if _DIV_PACK_MIN <= len(r) and da < _BOX_PER_PRODUCT * len(r):
-        mb = max(map(abs, bk.values()))
-        if max(map(abs, r.values())) >> 63 == 0 and mb >> 63 == 0:
-            off = _top_bits(64, da + 1)
-            top, rem = divmod(_pack(a, a_iu, a_iv, w, 64, off),
-                              _pack(b, b_iu, b_iv, w, 64, off))
+    su = a_iu - b_iu
+    sv = a_iv - b_iv
+    if _DIV_PACK_MIN <= len(a) and da < _BOX_PER_PRODUCT * len(a):
+        n = da - db + 1
+        mb = max(map(abs, b.values()))
+        size = max(max(map(abs, a.values())), mb).bit_length()
+        for bits in [s for s in _SLOT_BITS if size < s]:
+            off = _top_bits(bits, da + 1)
+            top, rem = divmod(_pack(a, a_iu, a_iv, w, bits, off),
+                              _pack(b, b_iu, b_iv, w, bits, off))
             if rem:
                 return None
             try:
-                slots = _unpack(top, da - db + 1, 64)
-            except OverflowError:  # top has more than da - db + 1 digits
-                slots = []
-            q = {k: slots[k] for k in compress(range(len(slots)), slots)}
-            if not q or (min(len(q), len(bk)) * max(map(abs, q.values())) * mb) >> 63:
-                q = None
-    if q is None:
-        lead = bk.pop(db)  # the top term of r cancels against it by construction
-        rest = list(bk.items())
-        q = {}
-        while r:
-            e = max(r)
-            if e < db:
-                return None
-            top, rem = divmod(r.pop(e), lead)
-            if rem:
-                return None
-            shift = e - db
-            q[shift] = top
-            for k, c in rest:
-                key = k + shift
-                v = r.get(key, 0) - top * c
-                if v:
-                    r[key] = v
-                elif key in r:
-                    del r[key]
+                slots = _unpack(top, n, bits)
+            except OverflowError:  # top has more than n digits
+                continue
+            if (min(n - slots.count(0), len(b)) * max(map(abs, slots)) * mb) >> (bits - 1) == 0:
+                if any(any(slots[k - span_b:k]) for k in range(w, n + w, w)):
+                    return None
+                return _decode(slots, range(su, su + (n - 1) // w + 1), range(sv, sv + w))
+    r = {(i - a_iu) * w + j - a_iv: c for (i, j), c in a.items()}
+    bk = {(i - b_iu) * w + j - b_iv: c for (i, j), c in b.items()}
+    lead = bk.pop(db)  # the top term of r cancels against it by construction
+    rest = list(bk.items())
+    q = {}
+    while r:
+        e = max(r)
+        if e < db:
+            return None
+        top, rem = divmod(r.pop(e), lead)
+        if rem:
+            return None
+        shift = e - db
+        q[shift] = top
+        for k, c in rest:
+            key = k + shift
+            v = r.get(key, 0) - top * c
+            if v:
+                r[key] = v
+            elif key in r:
+                del r[key]
 
-    su = a_iu - b_iu
-    sv = a_iv - b_iv
     out = {}
     for k, c in q.items():
         i, j = divmod(k, w)

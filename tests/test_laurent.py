@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from valex import _backend
 from valex._backend import divexact_terms, fma_terms, mul_terms
 from valex.errors import (
     DivisionByZero,
@@ -184,6 +185,20 @@ def balanced_digits(x: int, bits: int) -> list:
     return digits
 
 
+@pytest.fixture
+def slot_widths(monkeypatch):
+    """The slot widths, in bits, at which the kernel reads packed results back."""
+    widths = []
+    unpack = _backend._unpack
+
+    def spy(x, n, bits):
+        widths.append(bits)
+        return unpack(x, n, bits)
+
+    monkeypatch.setattr(_backend, "_unpack", spy)
+    return widths
+
+
 @st.composite
 def packable_terms(draw, max_size=24):
     """Signed term dicts for the packed kernel paths.
@@ -234,24 +249,63 @@ class TestPackedKernel:
         if not perturb:
             assert want == q
 
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(2 ** 62 - 2 ** 40, 2 ** 63 + 2 ** 40),
-                    min_size=33, max_size=40),
-           st.lists(st.sampled_from([-1, 1]), min_size=33, max_size=33),
-           st.sampled_from([{(0, 0): 1, (0, 1): 1}, {(0, 0): -1, (0, 1): 1},
-                            {(0, 0): 1, (0, 2): -1}, {(0, 0): 3, (0, 1): 1}]))
-    def test_divexact_with_carries_at_t_2_64(self, mags, signs, b):
-        # a is the balanced base-2**64 expansion of q(2**64) * b(2**64), with
-        # q's coefficients near 2**63: where they carry, b divides the packed
-        # ints but not a
+    @given(data=st.data())
+    def test_divexact_with_carries_at_every_width(self, bits, data):
+        # a is the balanced base-2**bits expansion of q(2**bits) * b(2**bits),
+        # with q's coefficients near 2**(bits - 1): a and b fit slots of the
+        # given width, and where q's digits carry, b divides the packed ints
+        # but not a
+        near = 2 ** (bits * 5 // 8)
+        mags = data.draw(st.lists(st.integers(2 ** (bits - 2) - near, 2 ** (bits - 1) + near),
+                                  min_size=33, max_size=40))
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=33, max_size=33))
+        b = data.draw(st.sampled_from([{(0, 0): 1, (0, 1): 1}, {(0, 0): -1, (0, 1): 1},
+                                       {(0, 0): 1, (0, 2): -1}, {(0, 0): 3, (0, 1): 1}]))
         q = {(0, k): s * c for k, (c, s) in enumerate(zip(mags, signs))}
-        x = sum(c << (64 * j) for (_, j), c in q.items())
-        y = sum(c << (64 * j) for (_, j), c in b.items())
-        a = {(0, k): d for k, d in enumerate(balanced_digits(x * y, 64)) if d}
+        x = sum(c << (bits * j) for (_, j), c in q.items())
+        y = sum(c << (bits * j) for (_, j), c in b.items())
+        a = {(0, k): d for k, d in enumerate(balanced_digits(x * y, bits)) if d}
         assert divexact_terms(a, b) == long_divide(a, b)
 
+    def test_divexact_widens_past_the_operands_width(self, slot_widths):
+        # q = sum k(39 - k) v**k needs 10 bits, but a = q (1 - v)**2 needs
+        # only 7: a and b pack into 8-bit slots, where q's digits do not
+        # fit, and q comes out of 16-bit slots
+        q = {(0, k): k * (39 - k) for k in range(1, 39)}
+        b = {(0, 0): 1, (0, 1): -2, (0, 2): 1}
+        a = school_mul(q, b)
+        assert len(a) == 40 and max(map(abs, a.values())) == 38 and max(q.values()) == 380
+        before = [dict(a), dict(b)]
+        assert divexact_terms(a, b) == q
+        assert slot_widths == [8, 16]
+        # the width holds b too: a / q packs at 16 bits
+        slot_widths.clear()
+        assert divexact_terms(a, q) == b
+        assert slot_widths == [16]
+        # a + v**5 leaves a remainder at 8 bits, so no quotient is read
+        slot_widths.clear()
+        off = dict(a)
+        off[(0, 5)] += 1
+        assert long_divide(off, b) is None
+        assert divexact_terms(off, b) is None
+        assert slot_widths == []
+        assert [a, b] == before
+        # q = 4k v**k up to k = 37, then 127 v**38: a = q (1 - v) fits 8-bit
+        # slots, but q's balanced base-2**8 digits carry into a slot above
+        # its top term, so the quotient is read again at 16 bits
+        slot_widths.clear()
+        q = {(0, k): 4 * k for k in range(1, 38)}
+        q[(0, 38)] = 127
+        b = {(0, 0): 1, (0, 1): -1}
+        a = school_mul(q, b)
+        assert len(a) == 39 and max(map(abs, a.values())) == 127
+        assert divexact_terms(a, b) == q
+        assert slot_widths == [8, 16]
+
     @pytest.mark.parametrize("s_seed", [1, 2, 3])
-    def test_divexact_rejects_wrapped_dense_quotient(self, s_seed):
+    def test_divexact_rejects_wrapped_dense_quotient(self, s_seed, slot_widths):
         # (1 + uv) s / ((1 + v) s) divides in Z[t] when W is even: s spans
         # v**0..v**4, so a spans six v-exponents, W = 6, and
         # 1 + t**7 = (1 + t)(1 - t + ... + t**6) decodes to a wrapped quotient
@@ -260,8 +314,26 @@ class TestPackedKernel:
         a = school_mul({(0, 0): 1, (1, 1): 1}, s)
         b = school_mul({(0, 0): 1, (0, 1): 1}, s)
         assert len(a) >= 32
+        before = [dict(a), dict(b)]
         assert long_divide(a, b) is None
         assert divexact_terms(a, b) is None
+        assert slot_widths == [8]  # the Z[t] quotient is read, then rejected
+        assert [a, b] == before
+
+    def test_divexact_rejects_quotient_wrapped_in_its_last_row(self, slot_widths):
+        # with W = 6, a = s (1 + v) + u**5 v**5 + u**6 is (s + t**35)(1 + t)
+        # in Z[t], s spanning v**0..v**4 in rows u**0..u**5: only the
+        # quotient's last row, u**5, holds a slot that wraps past W
+        rng = random.Random(6)
+        s = {(i, j): rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(6) for j in range(5)}
+        b = {(0, 0): 1, (0, 1): 1}
+        a = school_mul(s, b)
+        a[(5, 5)] += 1
+        a[(6, 0)] = 1
+        assert len(a) >= 32 and all(a.values())
+        assert long_divide(a, b) is None
+        assert divexact_terms(a, b) is None
+        assert slot_widths == [8]
 
     @pytest.mark.parametrize("bits", [8, 16, 32, 64])
     @pytest.mark.parametrize("step", [0, 1])
