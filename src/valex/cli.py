@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 runtime or verification failure, 2 usage error,
 3 internal error (any other exception, printed as one line without a
 traceback).
 All output is plain text; ``--machine`` switches to ``key=value`` lines.
-Polynomials are printed in the package grammar, so CLI output feeds back
-into ``--gauss``/``--spec`` pipelines unchanged.
+Polynomials are printed in the package grammar, so they re-parse with
+``parse_poly``; ``valex twist`` prints a Gauss code that ``--gauss`` accepts.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import re
 import sys
 
 from .alexander import invariant_report
-from .diagram import format_gauss, parse_gauss
+from .diagram import _out_labels, format_gauss, parse_gauss
 from .errors import ValexError
 from .laurent import format_poly
 from .twist import (
     clasp_identity,
     format_spec,
     generate_twist,
-    mirror_invariant,
     parse_spec,
     spec_report,
 )
@@ -82,15 +81,14 @@ def cmd_compute(args) -> int:
 def cmd_twist(args) -> int:
     spec = parse_spec(args.spec)
     d = generate_twist(spec)
-    base, transform = clasp_identity(spec)
+    base, mirrored = clasp_identity(spec)
     print(f"# {format_spec(spec)}: {d.n_crossings} classical crossings"
           f" (crossing 1 = clasp), {d.n_components} component")
     if base != spec:
         print(f"# generated via clasp identity as {format_spec(base)}"
-              + (" mirrored" if transform is mirror_invariant else ""))
-    labels = d.arc_labels or tuple(range(1, 2 * d.n_crossings + 1))
+              + (" mirrored" if mirrored else ""))
     print(f"# arc labels along traversal (columns of the matrix): "
-          f"{' '.join(str(x) for x in labels)}")
+          f"{' '.join(str(x) for x in _out_labels(d))}")
     print(format_gauss(d))
     return 0
 

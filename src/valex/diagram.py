@@ -220,49 +220,43 @@ class CrossingIncidence(NamedTuple):
     out_under: int
 
 
+def _out_labels(d: Diagram) -> tuple:
+    """The arc leaving each passage, in traversal order: passage t leaves on
+    ``arc_labels[t]``, or on arc t + 1 when the diagram carries no labeling.
+
+    A passage enters on the arc that leaves the passage before it in its
+    component, cyclically.
+    """
+    return d.arc_labels or tuple(range(1, 2 * len(d.signs) + 1))
+
+
 def derive_incidence(d: Diagram):
     """Number the arcs and read off each crossing's four roles.
 
     Deterministic given the code: arcs follow traversal order unless the
     diagram carries an explicit labeling.
     """
-    labels = d.arc_labels
+    labels = _out_labels(d)
     base = 0
     out_arcs = []
     roles: dict[int, dict[str, int]] = {}
     for comp in d.components:
-        k = len(comp)
-        outs = []
-        ins = []
-        for pi in range(k):
-            t_out = base + pi + 1
-            t_in = base + pi if pi > 0 else base + k
-            outs.append(labels[t_out - 1] if labels else t_out)
-            ins.append(labels[t_in - 1] if labels else t_in)
-        for pi, p in enumerate(comp):
+        outs = labels[base: base + len(comp)]
+        for p, a_in, a_out in zip(comp, outs[-1:] + outs[:-1], outs):
             slot = roles.setdefault(p.crossing, {})
             if p.over:
-                slot["in_over"] = ins[pi]
-                slot["out_over"] = outs[pi]
+                slot["in_over"] = a_in
+                slot["out_over"] = a_out
             else:
-                slot["in_under"] = ins[pi]
-                slot["out_under"] = outs[pi]
-        out_arcs.append(tuple(outs))
-        base += k
+                slot["in_under"] = a_in
+                slot["out_under"] = a_out
+        out_arcs.append(outs)
+        base += len(comp)
     table = ArcTable(base, tuple(out_arcs))
     incidences = [
         CrossingIncidence(cid, d.signs[cid], **roles[cid]) for cid in sorted(roles)
     ]
     return table, incidences
-
-
-def _out_label_map(d: Diagram, table: ArcTable) -> dict:
-    """(ci, pi) -> arc id that leaves that passage; table is d's ArcTable."""
-    return {
-        (ci, pi): table.out_arcs[ci][pi]
-        for ci, comp in enumerate(d.components)
-        for pi in range(len(comp))
-    }
 
 
 def _perm_sign(perm) -> int:
@@ -279,12 +273,10 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _extract_sign(all_labels, front) -> int:
-    """Sign of the permutation from ascending order to (front, rest ascending)."""
-    order = sorted(all_labels)
-    rank = {x: r for r, x in enumerate(order)}
+def _extract_sign(count, front) -> int:
+    """Sign of the permutation from 1..count to (front, rest ascending)."""
     skip = set(front)
-    return _perm_sign([rank[x] for x in front] + [rank[x] for x in order if x not in skip])
+    return _perm_sign([x - 1 for x in front] + [r for r in range(count) if r + 1 not in skip])
 
 
 # -- transforms ------------------------------------------------------------------
@@ -337,10 +329,35 @@ def odd_writhe(d: Diagram) -> int:
     return total
 
 
-def _relabel_for_insert(d: Diagram, arc: int, count: int):
-    """Old label -> new label map that opens ``count`` fresh slots after ``arc``."""
-    n2 = 2 * d.n_crossings
-    return {old: old if old <= arc else old + count for old in range(1, n2 + 1)}
+def _insert_after(d: Diagram, inserts: dict, new_signs: dict) -> Diagram:
+    """Place ``inserts[t]``, a list of passages, right after traversal position t.
+
+    Each insertion splits the arc leaving t.  That arc keeps its label, shifted
+    up by the slots opened below it; the inserted passages leave on the next
+    labels in order, and every old label above a split arc moves up to make
+    room.  Both Reidemeister insertions use this rule.
+    """
+    outs = _out_labels(d)
+    cuts = [(outs[t], len(ps)) for t, ps in inserts.items()]
+    comps, labels, t = [], [], 0
+    for comp in d.components:
+        new = []
+        for p in comp:
+            label = outs[t] + sum(k for cut, k in cuts if cut < outs[t])
+            extra = inserts.get(t, [])
+            new += [p, *extra]
+            labels += range(label, label + len(extra) + 1)
+            t += 1
+        comps.append(new)
+    return Diagram(comps, {**d.signs, **new_signs}, labels)
+
+
+def _passage_leaving(outs: tuple, arc) -> int:
+    """Traversal position of the passage that leaves on ``arc``."""
+    try:
+        return outs.index(arc)
+    except ValueError:
+        raise UnknownArc(f"no arc {arc}") from None
 
 
 def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
@@ -356,32 +373,10 @@ def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
     if kind not in _KINK_TABLE:
         raise InvalidArgument(f"unknown kink kind {kind!r} (expected one of {KINK_KINDS})")
     sign, over_first = _KINK_TABLE[kind]
-    outs = _out_label_map(d, derive_incidence(d)[0])
-    target = None
-    for key, label in outs.items():
-        if label == arc:
-            target = key
-            break
-    if target is None:
-        raise UnknownArc(f"no arc {arc}")
-    ci, pi = target
-    new_id = max(d.signs) + 1 if d.signs else 1
-    k1 = Passage(new_id, over_first)
-    k2 = Passage(new_id, not over_first)
-    comps = [list(comp) for comp in d.components]
-    comps[ci] = comps[ci][: pi + 1] + [k1, k2] + comps[ci][pi + 1:]
-    signs = dict(d.signs)
-    signs[new_id] = sign
-
-    remap = _relabel_for_insert(d, arc, 2)
-    # labels of the enlarged diagram in its traversal order
-    new_labels = []
-    for oci, comp in enumerate(d.components):
-        for opi in range(len(comp)):
-            new_labels.append(remap[outs[(oci, opi)]])
-            if (oci, opi) == (ci, pi):
-                new_labels.extend([arc + 1, arc + 2])
-    return Diagram(comps, signs, new_labels)
+    t = _passage_leaving(_out_labels(d), arc)
+    new_id = max(d.signs) + 1
+    kink = [Passage(new_id, over_first), Passage(new_id, not over_first)]
+    return _insert_after(d, {t: kink}, {new_id: sign})
 
 
 def smooth_crossing(d: Diagram, cid: int) -> Diagram:
@@ -405,7 +400,7 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
                for ci, comp in enumerate(d.components) for pi, p in enumerate(comp)}
     oci, opi = old_pos[Passage(cid, True)]
     uci, upi = old_pos[Passage(cid, False)]
-    table, incidences = derive_incidence(d)
+    _, incidences = derive_incidence(d)
     inc = next(i for i in incidences if i.crossing == cid)
     if d.signs[cid] > 0:
         quad = (inc.in_under, inc.out_over, inc.out_under, inc.in_over)
@@ -419,7 +414,9 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     pairs = [{a1, a2}, {a3, a4}]
     if pairs[0] & pairs[1]:
         pairs = [pairs[0] | pairs[1]]
-    root = {x: min(pair) for pair in pairs for x in pair}
+    n2 = 2 * d.n_crossings
+    root = {x: x for x in range(1, n2 + 1)}
+    root.update((x, min(pair)) for pair in pairs for x in pair)
 
     # new passage structure
     comps = [list(comp) for comp in d.components]
@@ -451,8 +448,7 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     # its component) and a2 == a4 (over passage alone); adjacency coincidences
     # were rejected above.  The canonical-order skein relation picks up an
     # extra -1 in the first chain case (first-occurrence column collapse).
-    old_labels = sorted({a for comp in table.out_arcs for a in comp})
-    classes = sorted({root.get(x, x) for x in old_labels})
+    classes = sorted(set(root.values()))
     class_label = {c: rank + 1 for rank, c in enumerate(classes)}
     r1, r4 = root[a1], root[a4]
     if len({a1, a2, a3, a4}) == 4:
@@ -461,9 +457,8 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
         front_old, rel, front_roots = [a1, a2, a4], -1, [r1]
     else:  # a2 == a4
         front_old, rel, front_roots = [a1, a2, a3], 1, [r1]
-    sigma_old = _extract_sign(old_labels, front_old)
-    new_all = [class_label[c] for c in classes]
-    sigma_new = _extract_sign(new_all, [class_label[r] for r in front_roots])
+    sigma_old = _extract_sign(n2, front_old)
+    sigma_new = _extract_sign(len(classes), [class_label[r] for r in front_roots])
     if sigma_old * rel * sigma_new < 0:
         if len(front_roots) == 2:
             class_label[r1], class_label[r4] = class_label[r4], class_label[r1]
@@ -474,12 +469,8 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
                 class_label[front_roots[0]],
             )
 
-    outs = _out_label_map(d, table)
-    new_labels = []
-    for comp in new_comps:
-        for p in comp:
-            label = outs[old_pos[p]]
-            new_labels.append(class_label[root.get(label, label)])
+    out_of = dict(zip((p for comp in d.components for p in comp), _out_labels(d)))
+    new_labels = [class_label[root[out_of[p]]] for comp in new_comps for p in comp]
     return Diagram(new_comps, signs, new_labels)
 
 
@@ -492,70 +483,17 @@ def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
     """
     if over_arc == under_arc:
         raise UnknownArc("R2 insertion needs two distinct arcs")
-    outs = _out_label_map(d, derive_incidence(d)[0])
-    t_over = t_under = None
-    for key, label in outs.items():
-        if label == over_arc:
-            t_over = key
-        elif label == under_arc:
-            t_under = key
-    if t_over is None:
-        raise UnknownArc(f"no arc {over_arc}")
-    if t_under is None:
-        raise UnknownArc(f"no arc {under_arc}")
-
-    base = max(d.signs) if d.signs else 0
-    id1, id2 = base + 1, base + 2  # id1 first along the over strand, negative
-    comps = [list(comp) for comp in d.components]
-    oci, opi = t_over
-    uci, upi = t_under
-    over_insert = [Passage(id1, True), Passage(id2, True)]
-    under_insert = [Passage(id2, False), Passage(id1, False)]
-    if oci == uci:
-        ci = oci
-        first, second = sorted([(opi, over_insert), (upi, under_insert)])
-        comp = comps[ci]
-        comps[ci] = (
-            comp[: first[0] + 1]
-            + first[1]
-            + comp[first[0] + 1: second[0] + 1]
-            + second[1]
-            + comp[second[0] + 1:]
-        )
-    else:
-        comps[oci] = comps[oci][: opi + 1] + over_insert + comps[oci][opi + 1:]
-        comps[uci] = comps[uci][: upi + 1] + under_insert + comps[uci][upi + 1:]
-    signs = dict(d.signs)
-    signs[id1] = -1
-    signs[id2] = 1
-
-    # label slots: over arc splits to (x1=over_arc, x2, x3), under to (y1, y2, y3);
-    # slots open after each split arc, lower label first
-    lo, hi = sorted([over_arc, under_arc])
-    remap = {}
-    n2 = 2 * d.n_crossings
-    for old in range(1, n2 + 1):
-        new = old
-        if old > lo:
-            new += 2
-        if old > hi:
-            new += 2
-        remap[old] = new
-    x1 = remap[over_arc]
-    y1 = remap[under_arc]
-    x2, x3 = x1 + 1, x1 + 2
-    # fronting (x1, y3, x2, y2, x3, y1) has the sign of fronting (over_arc, under_arc): 6 or 9 inversions
-    y2, y3 = y1 + 1, y1 + 2
-
-    new_labels = []
-    for nci, comp in enumerate(comps):
-        opos = 0  # position within the old component (insertion keeps old order)
-        for p in comp:
-            if p.crossing == id1:
-                new_labels.append(x2 if p.over else y3)
-            elif p.crossing == id2:
-                new_labels.append(x3 if p.over else y2)
-            else:
-                new_labels.append(remap[outs[(nci, opos)]])
-                opos += 1
-    return Diagram(comps, signs, new_labels)
+    outs = _out_labels(d)
+    t_over = _passage_leaving(outs, over_arc)
+    t_under = _passage_leaving(outs, under_arc)
+    id1 = max(d.signs) + 1  # first along the over strand, negative
+    id2 = id1 + 1
+    # along each strand the over arc splits into labels (x1, x2, x3) and the
+    # under arc into (y1, y2, y3); fronting (x1, y3, x2, y2, x3, y1) has the
+    # sign of fronting (over_arc, under_arc): 6 or 9 inversions
+    return _insert_after(
+        d,
+        {t_over: [Passage(id1, True), Passage(id2, True)],
+         t_under: [Passage(id2, False), Passage(id1, False)]},
+        {id1: -1, id2: 1},
+    )

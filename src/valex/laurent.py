@@ -54,7 +54,7 @@ class LaurentPoly:
     equality.  Arithmetic is available through the usual operators.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -65,14 +65,12 @@ class LaurentPoly:
                 if c:
                     clean[(int(i), int(j))] = c
         self._terms = clean
-        self._hash = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "LaurentPoly":
         """Wrap a kernel-produced dict without re-validation."""
         p = cls.__new__(cls)
         p._terms = terms
-        p._hash = None
         return p
 
     @classmethod
@@ -114,9 +112,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"LaurentPoly({format_poly(self)!r})"

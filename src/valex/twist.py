@@ -195,11 +195,11 @@ def generate_twist(spec: TwistSpec) -> Diagram:
     families exactly, sign included.
     """
     if spec.clasp != "a":
-        base, transform = clasp_identity(spec)
+        base, mirrored = clasp_identity(spec)
         if base.clasp != "a":
             raise UnsupportedClasp(f"no diagram generator for clasp {spec.clasp!r}")
         d = generate_twist(base)
-        return mirror_all(d) if transform is mirror_invariant else d
+        return mirror_all(d) if mirrored else d
 
     ctx = parity_context(spec)
     m = ctx.m
@@ -454,9 +454,9 @@ def _add_uv(acc: dict, terms, k: int) -> None:
 def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     """Diagram-level dbar via the 4-step algorithm (clasps ``a`` and ``ab``).
 
-    Other clasps are rewritten through their clasp identity first; their
-    result then carries the symmetry transform and is canonical only after
-    normalization.
+    Other clasps are rewritten through their clasp identity first; the
+    mirrored ones pass the result through ``mirror_invariant`` and are
+    canonical only after normalization.
 
     Loop: recursion step, contraction, base-shape check; then flip any
     negative singleton blocks and apply the closed forms.  Each full pass
@@ -467,8 +467,9 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     meet the base closed form in one pass at the end.
     """
     if spec.clasp not in ("a", "ab"):
-        base, transform = clasp_identity(spec)
-        return transform(evaluate_recursive(base))
+        base, mirrored = clasp_identity(spec)
+        dbar = evaluate_recursive(base)
+        return mirror_invariant(dbar) if mirrored else dbar
 
     blocks = spec.blocks
     k = 0
@@ -500,10 +501,6 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     return LaurentPoly._raw(out)
 
 
-def _identity(p: LaurentPoly) -> LaurentPoly:
-    return p
-
-
 def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
     """Map an invariant to that of the mirror image (every crossing switched).
 
@@ -513,23 +510,24 @@ def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
 
 
 def clasp_identity(spec: TwistSpec):
-    """Rewrite any clasp onto {a, ab}; returns (spec, polynomial transform).
+    """Rewrite any clasp onto {a, ab}; returns (spec, mirrored).
 
-    The ``b``-side clasps mirror every crossing, so their transform is
-    ``mirror_invariant``: p(u, v) -> -p(v, u).  It applies verbatim to dbar as
-    well since the knot factor (u-1)(v-1)(uv-1) is (up to sign) symmetric
-    under the swap.  Mirroring also negates the odd writhe.
+    The ``b``-side clasps mirror every crossing (``mirrored`` is True), so
+    their invariants come from the base spec's through ``mirror_invariant``:
+    p(u, v) -> -p(v, u).  It applies verbatim to dbar as well since the knot
+    factor (u-1)(v-1)(uv-1) is (up to sign) symmetric under the swap.
+    Mirroring also negates the odd writhe.
     """
     if spec.clasp in ("a", "ab"):
-        return spec, _identity
+        return spec, False
     if spec.clasp == "^a":
-        return TwistSpec(spec.blocks + (0,), "a"), _identity
+        return TwistSpec(spec.blocks + (0,), "a"), False
     if spec.clasp == "b":
-        return TwistSpec(tuple(-b for b in spec.blocks), "a"), mirror_invariant
+        return TwistSpec(tuple(-b for b in spec.blocks), "a"), True
     if spec.clasp == "^b":
-        return TwistSpec(tuple(-b for b in spec.blocks) + (0,), "a"), mirror_invariant
+        return TwistSpec(tuple(-b for b in spec.blocks) + (0,), "a"), True
     # ba: lengthen the final block by a half-twist
-    return TwistSpec(spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab"), _identity
+    return TwistSpec(spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab"), False
 
 
 def ow_closed_form(spec: TwistSpec) -> int:
@@ -539,13 +537,13 @@ def ow_closed_form(spec: TwistSpec) -> int:
     mirroring negates the odd writhe.  ``ab``/``ba`` have no closed form and
     raise UnsupportedClasp.
     """
-    base, transform = clasp_identity(spec)
+    base, mirrored = clasp_identity(spec)
     if base.clasp != "a":
         raise UnsupportedClasp(f"no odd-writhe closed form for clasp {spec.clasp!r}")
     total = sum(base.blocks)
     s_n = total + base.n
     ow = total + _p(total) * (1 if s_n % 2 == 0 else -1)
-    return -ow if transform is mirror_invariant else ow
+    return -ow if mirrored else ow
 
 
 def spec_report(spec: TwistSpec) -> InvariantReport:

@@ -103,7 +103,7 @@ def _check_one_spec(spec: TwistSpec) -> list:
     results.append(
         CheckResult(name, "recursion_vs_determinant", ok,
                     format_poly(rec_n), "<determinant>" if det_n is None else format_poly(det_n),
-                    "" if rec == det_bar else "equal only after normalization")
+                    "equal only after normalization" if ok and rec != det_bar else "")
     )
 
     ow = rep.odd_writhe

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from valex.cli import main
 from valex.diagram import odd_writhe
 from valex.laurent import LaurentPoly, parse_poly
 from valex.twist import TwistSpec, format_spec, generate_twist
+from valex.verify import run_law_suite
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
@@ -206,8 +208,8 @@ class TestVerify:
         assert "4 specs checked" in out and "workers=1)" in out
 
     # batch files go through `valex batch` only, so `verify --file` is refused too
-    @pytest.mark.parametrize("argv", [("--n", "0"), ("--range", "3..-3"),
-                                      ("--file", "knots.txt")])
+    @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "x"), ("--range", "3"),
+                                      ("--range", "3..-3"), ("--file", "knots.txt")])
     def test_empty_grid_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
@@ -220,3 +222,11 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "checks passed" in out
+
+    def test_verbose_prints_every_law_check(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--verbose")
+        *lines, last = out.splitlines()
+        assert code == 0
+        assert len(lines) == len(run_law_suite()) and all(x.startswith("ok ") for x in lines)
+        n = re.fullmatch(r"selftest: (\d+)/(\d+) checks passed", last)
+        assert n and n[1] == n[2]

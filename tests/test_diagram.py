@@ -64,6 +64,12 @@ class TestParse:
         # int() refuses more digits than the int-string conversion limit
         with pytest.raises(ParseError):
             parse_gauss(f"O{'9' * 5000}+U{'9' * 5000}+")
+        with pytest.raises(ParseError):
+            parse_gauss("O0+U0+")
+
+    def test_trailing_whitespace(self):
+        assert parse_gauss("O1+U1+ ") == parse_gauss("O1+U1+")
+        assert parse_gauss("O1+U1+\t;U2-O2-") == parse_gauss("O1+U1+;U2-O2-")
 
     def test_empty_component(self):
         with pytest.raises(EmptyComponent):

@@ -385,6 +385,21 @@ class TestAddMul:
     def test_int_coercion(self):
         assert 2 * U == U + U
         assert U - 1 == U + (-1)
+        assert 3 - U == LaurentPoly({(0, 0): 3, (1, 0): -1})
+        assert ONE == 1 and U - U == 0
+
+    def test_equal_polys_hash_equal(self):
+        built = parse_poly("1 + u*v")
+        assert hash(built) == hash(ONE + U * V)
+        assert len({built: 1, ONE + U * V: 2}) == 1
+
+    def test_bool_and_repr(self):
+        assert not bool(U - U) and bool(U)
+        assert repr(U + V) == "LaurentPoly('v + u')"
+
+    def test_negative_power_of_nonunit(self):
+        with pytest.raises(NonUnitNegativePower):
+            (U + 1) ** -1
 
 
 class TestMonomialPow:
@@ -532,6 +547,14 @@ class TestTextForm:
 
     def test_star_optional(self):
         assert parse_poly("2u v^2") == 2 * U * V ** 2
+
+    def test_cancelling_terms(self):
+        assert parse_poly("u - u") == ZERO
+
+    @pytest.mark.parametrize("text", ["2 3", "uu", "u^", "+"])
+    def test_parse_error_malformed_term(self, text):
+        with pytest.raises(ParseError):
+            parse_poly(text)
 
 
 @settings(max_examples=200, deadline=None)

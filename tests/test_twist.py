@@ -31,6 +31,7 @@ from valex.twist import (
     evaluate_recursive,
     format_spec,
     generate_twist,
+    mirror_invariant,
     negative_flip,
     ow_closed_form,
     parity_context,
@@ -52,8 +53,9 @@ def reference_dbar(spec: TwistSpec):
     reduced shape, then negative_flip and the base closed form.
     """
     if spec.clasp not in ("a", "ab"):
-        base, transform = clasp_identity(spec)
-        return transform(reference_dbar(base))
+        base, mirrored = clasp_identity(spec)
+        dbar = reference_dbar(base)
+        return mirror_invariant(dbar) if mirrored else dbar
     factor = ONE
     acc = ZERO
     current = spec
@@ -96,6 +98,9 @@ class TestSpecText:
     def test_errors(self):
         for bad in ("VT[q](1)", "VT[a]()", "VT[a](x)", "knot(1)"):
             with pytest.raises(ParseError):
+                parse_spec(bad)
+        for bad in ("VT[aa](1)", "VT[^ab](1)"):
+            with pytest.raises(ParseError, match="unknown clasp tag"):
                 parse_spec(bad)
         for args in (((),), ((1,), "q")):
             with pytest.raises(ValueError):
@@ -471,21 +476,16 @@ class TestEvaluateRecursive:
 
 class TestClaspIdentity:
     def test_rewrites(self):
-        spec, tr = clasp_identity(TwistSpec((1,), "^a"))
-        assert spec.blocks == (1, 0) and spec.clasp == "a"
-        assert tr(U) == U
-
-        spec, tr = clasp_identity(TwistSpec((1,), "b"))
-        assert spec.blocks == (-1,) and spec.clasp == "a"
-        assert tr(U + 2 * V) == -(V + 2 * U)
-
-        spec, tr = clasp_identity(TwistSpec((1, 2), "ba"))
-        assert spec.blocks == (1, 3) and spec.clasp == "ab"
+        assert clasp_identity(TwistSpec((1,), "^a")) == (TwistSpec((1, 0), "a"), False)
+        assert clasp_identity(TwistSpec((1,), "b")) == (TwistSpec((-1,), "a"), True)
+        assert clasp_identity(TwistSpec((1,), "^b")) == (TwistSpec((-1, 0), "a"), True)
+        assert clasp_identity(TwistSpec((1, 2), "ba")) == (TwistSpec((1, 3), "ab"), False)
+        assert mirror_invariant(U + 2 * V) == -(V + 2 * U)
 
     def test_transform_involution_up_to_normalization(self):
         q = evaluate_recursive(TwistSpec((2, 3)))
-        _, tr = clasp_identity(TwistSpec((2, 3), "b"))
-        assert normalize(tr(tr(q))).poly == normalize(q).poly
+        assert clasp_identity(TwistSpec((2, 3), "b"))[1]
+        assert normalize(mirror_invariant(mirror_invariant(q))).poly == normalize(q).poly
 
     def test_variants_match_generated_diagrams(self):
         for clasp in ("^a", "b", "^b"):

@@ -1,6 +1,8 @@
 from valex.diagram import parse_gauss, smooth_crossing
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
+from valex import verify
 from valex.errors import EmptyComponent
+from valex.laurent import U
 from valex.twist import TwistSpec, spec_report
 from valex.verify import (
     batch_check,
@@ -71,6 +73,14 @@ class TestGrid:
         serial = run_grid(specs, workers=1)
         parallel = run_grid(specs, workers=2)
         assert serial == parallel
+
+    def test_failed_recursion_check_claims_no_normalized_match(self, monkeypatch):
+        # a determinant that is not divisible leaves no Delta-bar to compare
+        monkeypatch.setattr(verify, "delta0_diagram", lambda d: U)
+        results = {r.check: r for r in run_grid([TwistSpec((1,))], workers=1)}
+        assert not results["divisibility"].passed
+        rvd = results["recursion_vs_determinant"]
+        assert (rvd.passed, rvd.rhs, rvd.detail) == (False, "<determinant>", "")
 
     def test_worker_count(self):
         # small grids run in-process whatever the request
