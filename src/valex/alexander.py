@@ -23,10 +23,11 @@ the n out-over arcs partition the 2n arcs.  A B row says x_out_over =
 v^-sign * x_in_over, so each over arc is v^k times the out-under arc that
 begins its over-arc chain.  The over-arc matrix has the A rows in crossing
 order and the out-under arcs, ascending, as columns; each arc of an A row
-is replaced by its out-under arc times v^k.  It is the Schur complement of
-the B rows on their out-over columns, a block whose rows and columns permute
-together to a triangular one with diagonal +v (positive crossings) and -1
-(negative), so, exactly and not up to a unit,
+is replaced by its out-under arc times v^k, so the row has at most three
+entries (the over passage's two arcs share a column).  It is the Schur
+complement of the B rows on their out-over columns, a block whose rows and
+columns permute together to a triangular one with diagonal +v (positive
+crossings) and -1 (negative), so, exactly and not up to a unit,
 
     Delta_0 = sgn(row perm) * sgn(col perm) * v^#positive * (-1)^#negative
               * det(over-arc matrix).
@@ -37,11 +38,18 @@ takes ascending arcs to (generators ascending, the eliminated B rows'
 out-over arcs in crossing order), so that the block's determinant is the
 product of its diagonal.
 
+``delta0_diagram`` places every arc in one walk over each component's
+passages, in traversal order, starting at an under-passage.  The arc
+leaving an under-passage is a generator with k = 0; each over-passage after
+it subtracts its crossing's sign from k for the arc it leaves.  Arcs are
+always 1..2n, so an arc's place in ascending order is its id minus one.
+
 A component with no under-passage has no out-under arc, and its B rows
-chain its arcs into a cycle.  The out-over arc of the cycle's crossing of
-least id stays a generator, and that crossing's B row stays a row of the
-over-arc matrix, where it reads +-(v^K - 1) * x up to a unit (0 when
-K = 0), so the matrix gains one row and one column per such component.
+chain its arcs into a cycle.  The walk starts such a component at the
+passage of its crossing of least id, whose out-over arc stays a generator,
+and that crossing's B row stays a row of the over-arc matrix, where it
+reads +-(v^K - 1) * x up to a unit (0 when K = 0), so the matrix gains one
+row and one column per such component.
 The cycle's other B rows are eliminated as above; #positive and #negative
 count the eliminated B rows only.
 """
@@ -51,7 +59,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._backend import _ONE, divexact_terms, fma_packs, fma_terms, mul_terms
-from .diagram import Diagram, _perm_sign, derive_incidence, format_gauss, odd_writhe
+from .diagram import Diagram, _component_arcs, _perm_sign, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
 
@@ -97,35 +105,41 @@ class AlexMatrix:
                 for row in self.rows]
 
 
-def _relations(inc) -> tuple:
-    """The crossing's A and B rows as (arc, exponent pair, coefficient) terms."""
-    one, u, v = (0, 0), (1, 0), (0, 1)
-    if inc.sign > 0:
-        return (((inc.in_under, one, 1), (inc.in_over, u, 1),
-                 (inc.out_under, u, -1), (inc.out_over, one, -1)),
-                ((inc.in_over, one, -1), (inc.out_over, v, 1)))
-    return (((inc.in_over, one, 1), (inc.in_under, u, 1),
-             (inc.out_over, u, -1), (inc.out_under, one, -1)),
-            ((inc.in_over, v, 1), (inc.out_over, one, -1)))
+def _relations(sign, in_over, out_over, in_under, out_under) -> tuple:
+    """The crossing's A and B rows as (column, terms) pieces, one per arc.
+
+    Each arc is given by its place (column, k): its term goes to that column
+    times v^k.
+    """
+    (j1, k1), (j2, k2), (j3, k3), (j4, k4) = in_under, in_over, out_under, out_over
+    if sign > 0:
+        return (((j1, {(0, k1): 1}), (j2, {(1, k2): 1}), (j3, {(1, k3): -1}),
+                 (j4, {(0, k4): -1})),
+                ((j2, {(0, k2): -1}), (j4, {(0, k4 + 1): 1})))
+    return (((j2, {(0, k2): 1}), (j1, {(1, k1): 1}), (j4, {(1, k4): -1}),
+             (j3, {(0, k3): -1})),
+            ((j2, {(0, k2 + 1): 1}), (j4, {(0, k4): -1})))
 
 
-def _sparse_row(pattern, place: dict) -> dict:
-    """One relation as a sparse row {column: terms}, zero entries dropped.
+def _sparse_row(pieces) -> dict:
+    """A row {column: terms} from fresh (column, terms) pieces.
 
-    ``place`` maps each arc to (column, k): the arc's term goes to that
-    column times v^k.  Terms add up per column.
+    Pieces in one column add up, and a term or entry that cancels to zero
+    is not stored; columns keep the order in which they first appear.
     """
     row: dict = {}
-    for arc, (i, j), c in pattern:
-        col, k = place[arc]
-        terms = row.setdefault(col, {})
-        key = (i, j + k)
-        c += terms.get(key, 0)
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
-    return {j: terms for j, terms in row.items() if terms}
+    for j, terms in pieces:
+        entry = row.setdefault(j, terms)
+        if entry is not terms:
+            for key, c in terms.items():
+                c += entry.get(key, 0)
+                if c:
+                    entry[key] = c
+                else:
+                    del entry[key]
+            if not entry:
+                del row[j]
+    return row
 
 
 def build_matrix(incidences) -> AlexMatrix:
@@ -139,8 +153,9 @@ def build_matrix(incidences) -> AlexMatrix:
     place = {a: (k, 0) for k, a in enumerate(arcs)}
     rows = []
     for inc in sorted(incidences, key=lambda i: i.crossing):
-        for pattern in _relations(inc):
-            rows.append(_sparse_row(pattern, place))
+        rows.extend(map(_sparse_row, _relations(
+            inc.sign, place[inc.in_over], place[inc.out_over],
+            place[inc.in_under], place[inc.out_under])))
     return AlexMatrix(rows)
 
 
@@ -336,54 +351,66 @@ def determinant(m: list) -> LaurentPoly:
     return LaurentPoly._raw({(i + ue, j + ve): sign * c for (i, j), c in pivot.items()})
 
 
+def _over_arc_pieces(sign, in_over, out_over, in_under, out_under) -> tuple:
+    """A crossing's A row in the over-arc matrix as ``_sparse_row`` pieces.
+
+    The arcs are given by their places (column, k), as in ``_relations``.
+    The over passage's two arcs share a column, so they make one piece and
+    the row has at most three entries.
+    """
+    (j1, k1), (j2, k2), k4, j3 = in_under, in_over, out_over[1], out_under[0]
+    if sign > 0:
+        return ((j1, {(0, k1): 1}), (j2, {(1, k2): 1, (0, k4): -1}), (j3, {(1, 0): -1}))
+    return ((j2, {(0, k2): 1, (1, k4): -1}), (j1, {(1, k1): 1}), (j3, {(0, 0): -1}))
+
+
 def delta0_diagram(d: Diagram) -> LaurentPoly:
     """Delta_0 of the diagram under its arc labeling, from the over-arc matrix.
 
     Equal term by term to ``determinant(build_matrix(...))``; the module
-    docstring derives the over-arc matrix and the unit that relates the two.
+    docstring derives the over-arc matrix, the walk that builds it and the
+    unit that relates the two.
     """
-    _, incidences = derive_incidence(d)  # in crossing order
-    by_in_over = {inc.in_over: inc for inc in incidences}
-    # arc -> (generator arc, k): the arc is v^k times its generator
-    gen = {inc.out_under: (inc.out_under, 0) for inc in incidences}
-    for start in list(gen):  # each over-arc chain, from its out-under arc
-        arc, k = start, 0
-        while arc in by_in_over:
-            inc = by_in_over[arc]
-            arc, k = inc.out_over, k - inc.sign
-            gen[arc] = (start, k)
-    cycles = set()  # crossings whose B row stays, one per over-only component
-    for inc in incidences:
-        if inc.out_over not in gen:
-            start = arc = inc.out_over
-            cycles.add(inc.crossing)
-            gen[start] = (start, 0)
-            k = 0
-            while (nxt := by_in_over[arc]) is not inc:
-                arc, k = nxt.out_over, k - nxt.sign
-                gen[arc] = (start, k)
-
-    rank = {a: r for r, a in enumerate(sorted(gen))}
-    gens = sorted({start for start, _ in gen.values()})
+    signs = d.signs
+    place = [None] * (2 * len(signs) + 1)  # arc -> (generator arc, k)
+    under, over = {}, {}  # crossing -> (in-arc, out-arc) of its under/over passage
+    for comp, ins, outs in _component_arcs(d):
+        s = next((t for t, p in enumerate(comp) if not p.over), None)
+        k = 0
+        if s is None:  # over-only: its least crossing's out-arc is a generator
+            s = min(range(len(comp)), key=lambda t: comp[t].crossing)
+            k = signs[comp[s].crossing]  # its own step below leaves k = 0
+        g = outs[s]
+        for t in range(s - len(comp), s):  # from passage s, once around
+            p, a = comp[t], outs[t]
+            if p.over:
+                over[p.crossing] = ins[t], a
+                k -= signs[p.crossing]
+            else:
+                under[p.crossing] = ins[t], a
+                g, k = a, 0
+            place[a] = g, k
+    gens = [a for a, (g, _) in enumerate(place[1:], 1) if a == g]  # ascending
     col = {a: r for r, a in enumerate(gens)}
-    place = {a: (col[start], k) for a, (start, k) in gen.items()}
+    place = [None] + [(col[g], k) for g, k in place[1:]]
     rows, kept, eliminated, pivots = [], [], [], []
     sign, v_exp = 1, 0
-    for t, inc in enumerate(incidences):
-        a_row, b_row = _relations(inc)
-        rows.append(_sparse_row(a_row, place))
+    for t, c in enumerate(sorted(signs)):
+        (i_o, o_o), (i_u, o_u) = over[c], under[c]
+        roles = signs[c], place[i_o], place[o_o], place[i_u], place[o_u]
+        rows.append(_sparse_row(_over_arc_pieces(*roles)))
         kept.append(2 * t)
-        if inc.crossing in cycles:
-            rows.append(_sparse_row(b_row, place))
+        if o_o in col:  # the out-over arc of an over-only cycle: the B row stays
+            rows.append(_sparse_row(_relations(*roles)[1]))
             kept.append(2 * t + 1)
             continue
         eliminated.append(2 * t + 1)
-        pivots.append(rank[inc.out_over])
-        if inc.sign > 0:
+        pivots.append(o_o - 1)
+        if signs[c] > 0:
             v_exp += 1  # the B row's pivot is +v
         else:
             sign = -sign  # the B row's pivot is -1
-    sign *= _perm_sign(kept + eliminated) * _perm_sign([rank[a] for a in gens] + pivots)
+    sign *= _perm_sign(kept + eliminated) * _perm_sign([a - 1 for a in gens] + pivots)
     det = determinant(rows)
     return LaurentPoly._raw({(i, j + v_exp): sign * c for (i, j), c in det._terms.items()})
 
@@ -406,26 +433,27 @@ class InvariantReport:
     from a twist spec.  Its fields stay assignable.
     """
 
-    __slots__ = ("subject", "is_knot", "delta0", "dbar", "dbar_normalized", "unit",
+    __slots__ = ("subject", "is_knot", "_delta0", "dbar", "dbar_normalized", "unit",
                  "dbar_at_minus_one", "odd_writhe", "conjecture_holds")
 
     def __init__(
         self,
         subject: str,                 # Gauss code or twist spec
-        delta0: LaurentPoly,          # diagram level, label dependent
+        delta0: Optional[LaurentPoly],  # diagram level, label dependent
         dbar: LaurentPoly,            # diagram level quotient
         is_knot: bool,
         odd_writhe: Optional[int],
     ):
         """Normalize dbar, evaluate it at (-1, -1) and test 2|dbar(-1,-1)| = |OW|.
 
-        Without an odd writhe (links, clasps ab/ba) the verdict is None.
+        Without an odd writhe (links, clasps ab/ba) the verdict is None.  A
+        ``delta0`` of None is the factor times dbar, built when first read.
         """
         norm = normalize(dbar)
         val = norm.poly.evaluate(-1, -1)
         self.subject = subject
         self.is_knot = is_knot
-        self.delta0 = delta0
+        self._delta0 = delta0
         self.dbar = dbar
         self.dbar_normalized = norm.poly
         self.unit = norm
@@ -434,13 +462,27 @@ class InvariantReport:
         self.conjecture_holds = None if odd_writhe is None else 2 * abs(val) == abs(odd_writhe)
 
     @property
+    def delta0(self) -> LaurentPoly:
+        """Delta_0; a report made without one builds factor * dbar here, once."""
+        if self._delta0 is None:
+            self._delta0 = self._factor() * self.dbar
+        return self._delta0
+
+    @delta0.setter
+    def delta0(self, value: LaurentPoly) -> None:
+        self._delta0 = value
+
+    def _factor(self) -> LaurentPoly:
+        return KNOT_FACTOR if self.is_knot else LINK_FACTOR
+
+    @property
     def delta0_normalized(self) -> LaurentPoly:
         """factor * dbar_normalized.
 
         The factor is (u-1)(v-1)(uv-1) for knots and (u-1)(v-1) for links,
         matching the printed values of the source examples.
         """
-        return (KNOT_FACTOR if self.is_knot else LINK_FACTOR) * self.dbar_normalized
+        return self._factor() * self.dbar_normalized
 
 
 def invariant_report(d: Diagram) -> InvariantReport:

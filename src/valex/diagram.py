@@ -223,11 +223,22 @@ class CrossingIncidence(NamedTuple):
 def _out_labels(d: Diagram) -> tuple:
     """The arc leaving each passage, in traversal order: passage t leaves on
     ``arc_labels[t]``, or on arc t + 1 when the diagram carries no labeling.
+    """
+    return d.arc_labels or tuple(range(1, 2 * len(d.signs) + 1))
+
+
+def _component_arcs(d: Diagram):
+    """Per component: its passages, the arcs entering them and the arcs leaving them.
 
     A passage enters on the arc that leaves the passage before it in its
     component, cyclically.
     """
-    return d.arc_labels or tuple(range(1, 2 * len(d.signs) + 1))
+    labels = _out_labels(d)
+    base = 0
+    for comp in d.components:
+        outs = labels[base: base + len(comp)]
+        yield comp, outs[-1:] + outs[:-1], outs
+        base += len(comp)
 
 
 def derive_incidence(d: Diagram):
@@ -236,13 +247,10 @@ def derive_incidence(d: Diagram):
     Deterministic given the code: arcs follow traversal order unless the
     diagram carries an explicit labeling.
     """
-    labels = _out_labels(d)
-    base = 0
     out_arcs = []
     roles: dict[int, dict[str, int]] = {}
-    for comp in d.components:
-        outs = labels[base: base + len(comp)]
-        for p, a_in, a_out in zip(comp, outs[-1:] + outs[:-1], outs):
+    for comp, ins, outs in _component_arcs(d):
+        for p, a_in, a_out in zip(comp, ins, outs):
             slot = roles.setdefault(p.crossing, {})
             if p.over:
                 slot["in_over"] = a_in
@@ -251,8 +259,7 @@ def derive_incidence(d: Diagram):
                 slot["in_under"] = a_in
                 slot["out_under"] = a_out
         out_arcs.append(outs)
-        base += len(comp)
-    table = ArcTable(base, tuple(out_arcs))
+    table = ArcTable(2 * len(d.signs), tuple(out_arcs))
     incidences = [
         CrossingIncidence(cid, d.signs[cid], **roles[cid]) for cid in sorted(roles)
     ]

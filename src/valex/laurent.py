@@ -112,7 +112,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {(0, 0)}:  # a constant hashes as the int it equals
+            return hash(terms.get((0, 0), 0))
+        return hash(frozenset(terms.items()))
 
     def __repr__(self):
         return f"LaurentPoly({format_poly(self)!r})"

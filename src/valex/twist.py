@@ -549,13 +549,14 @@ def ow_closed_form(spec: TwistSpec) -> int:
 def spec_report(spec: TwistSpec) -> InvariantReport:
     """The invariant report of a twist knot, from the recursion and closed forms.
 
-    dbar is ``evaluate_recursive(spec)`` and Delta_0 is KNOT_FACTOR * dbar;
-    for ``ab``/``ba``, which have no odd-writhe closed form, the odd writhe
-    and the verdict stay None.
+    dbar is ``evaluate_recursive(spec)`` and Delta_0 is KNOT_FACTOR * dbar,
+    built when the report's ``delta0`` is first read; for ``ab``/``ba``,
+    which have no odd-writhe closed form, the odd writhe and the verdict
+    stay None.
     """
     dbar = evaluate_recursive(spec)
     try:
         ow = ow_closed_form(spec)
     except UnsupportedClasp:
         ow = None
-    return InvariantReport(format_spec(spec), KNOT_FACTOR * dbar, dbar, True, ow)
+    return InvariantReport(format_spec(spec), None, dbar, True, ow)

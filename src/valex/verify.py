@@ -13,8 +13,10 @@ Three layers:
   lines ignored).
 
 Failures are recorded in the returned results, never raised; reruns are
-deterministic.  Grid evaluation parallelizes per spec, with results in input
-order.
+deterministic.  The one exception is a grid spec of clasp ``ab`` or ``ba``,
+which has no diagram to check: ``run_grid`` raises UnsupportedClasp for it
+before any spec runs.  Grid evaluation parallelizes per spec, with results
+in input order.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from . import diagram
 from .alexander import delta0_diagram, delta_bar, invariant_report
 from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientation, \
     smooth_crossing, switch_crossing
-from .errors import EmptyComponent, NotAKnot, ValexError
+from .errors import EmptyComponent, NotAKnot, UnsupportedClasp, ValexError
 from .laurent import ONE, U, V, format_poly, normalize
-from .twist import TwistSpec, generate_twist, parity_context, spec_report
+from .twist import TwistSpec, clasp_identity, generate_twist, parity_context, \
+    spec_report
 
 __all__ = [
     "CheckResult",
@@ -81,7 +84,8 @@ def acceptance_grid() -> list:
 
 def _check_one_spec(spec: TwistSpec) -> list:
     name = str(spec)
-    ctx = parity_context(spec)
+    base, _ = clasp_identity(spec)  # the identity takes the clasp-a spec's parities
+    ctx = parity_context(base)
     rep = spec_report(spec)
     rec = rep.dbar
     det = delta0_diagram(generate_twist(spec))
@@ -108,7 +112,7 @@ def _check_one_spec(spec: TwistSpec) -> list:
 
     ow = rep.odd_writhe
     lhs = 2 * rec.evaluate(-1, -1)
-    sgn = -1 if (ctx.delta + ctx.s[spec.n] + ctx.half_sum) % 2 else 1
+    sgn = -1 if (ctx.delta + ctx.s[base.n] + ctx.half_sum) % 2 else 1
     results.append(
         CheckResult(name, "signed_odd_writhe_identity", lhs == sgn * ow,
                     str(lhs), f"{sgn * ow}")
@@ -133,8 +137,16 @@ def worker_count(n_specs: int, workers: Optional[int] = None) -> int:
 
 
 def run_grid(specs: Iterable[TwistSpec], workers: Optional[int] = None) -> list:
-    """Run the four per-spec checks over a grid; results in input order."""
+    """Run the four per-spec checks over a grid; results in input order.
+
+    Specs of clasps ``a``, ``^a``, ``b`` and ``^b`` are checked.  A spec of
+    clasp ``ab`` or ``ba`` has no diagram and raises UnsupportedClasp before
+    any spec runs.
+    """
     specs = list(specs)
+    for spec in specs:
+        if clasp_identity(spec)[0].clasp != "a":
+            raise UnsupportedClasp(f"run_grid has no diagram for clasp {spec.clasp!r}")
     nproc = worker_count(len(specs), workers)
     if nproc > 1:
         import multiprocessing as mp

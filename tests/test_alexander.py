@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings
@@ -445,6 +446,13 @@ class TestOverArcMatrix:
         d = parse_gauss(code)
         assert not delta0_diagram(d).is_zero
         assert_over_arc_matches(d)
+
+    @pytest.mark.parametrize("clasp", ["a", "^a", "b", "^b"])
+    def test_twist_diagrams(self, clasp):
+        # generated diagrams carry explicit, and for b/^b mirrored, arc labels
+        for n in (1, 2):
+            for blocks in itertools.product(range(-4, 5), repeat=n):
+                assert_over_arc_matches(generate_twist(TwistSpec(blocks, clasp)))
 
     def test_cycle_with_zero_v_exponent(self):
         # the over-only component's signs add up to 0, so its cycle row

@@ -393,6 +393,13 @@ class TestAddMul:
         assert hash(built) == hash(ONE + U * V)
         assert len({built: 1, ONE + U * V: 2}) == 1
 
+    def test_constants_hash_as_their_ints(self):
+        # ONE == 1 and ZERO == 0, so they must also hash alike
+        assert hash(ONE) == hash(1) and hash(-ONE) == hash(-1)
+        assert hash(ZERO) == hash(0)
+        assert {0: "z"}.get(ZERO) == "z"
+        assert len({1: "a", ONE: "b"}) == 1
+
     def test_bool_and_repr(self):
         assert not bool(U - U) and bool(U)
         assert repr(U + V) == "LaurentPoly('v + u')"

@@ -474,6 +474,19 @@ class TestEvaluateRecursive:
         assert 2 * abs(got.evaluate(-1, -1)) == abs(ow_closed_form(spec))
 
 
+class TestSpecReport:
+    def test_delta0_is_factor_times_dbar(self):
+        rep = spec_report(TwistSpec((3, -2), "^b"))
+        assert rep.delta0 == KNOT_FACTOR * rep.dbar
+        assert rep.delta0 is rep.delta0  # built once, when first read
+
+    def test_fields_stay_assignable(self):
+        rep = spec_report(TwistSpec((1,)))
+        rep.delta0 = ONE
+        rep.dbar = ZERO
+        assert (rep.delta0, rep.dbar) == (ONE, ZERO)
+
+
 class TestClaspIdentity:
     def test_rewrites(self):
         assert clasp_identity(TwistSpec((1,), "^a")) == (TwistSpec((1, 0), "a"), False)

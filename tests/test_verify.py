@@ -1,7 +1,9 @@
+import pytest
+
 from valex.diagram import parse_gauss, smooth_crossing
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
 from valex import verify
-from valex.errors import EmptyComponent
+from valex.errors import EmptyComponent, UnsupportedClasp
 from valex.laurent import U
 from valex.twist import TwistSpec, spec_report
 from valex.verify import (
@@ -81,6 +83,23 @@ class TestGrid:
         assert not results["divisibility"].passed
         rvd = results["recursion_vs_determinant"]
         assert (rvd.passed, rvd.rhs, rvd.detail) == (False, "<determinant>", "")
+
+    @pytest.mark.parametrize("clasp", ["^a", "b", "^b"])
+    def test_other_clasps_all_pass(self, clasp):
+        # the signed identity takes its parities from the clasp-a spec
+        specs = [TwistSpec(s.blocks, clasp) for s in grid_specs(2, -4, 4)]
+        results = run_grid(specs, workers=1)
+        assert len(results) == 4 * len(specs)
+        bad = [r for r in results if not r.passed]
+        assert not bad, "\n".join(str(r) for r in bad)
+
+    @pytest.mark.parametrize("clasp", ["ab", "ba"])
+    def test_clasps_without_diagram_raise_before_any_spec_runs(self, clasp, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "_check_one_spec", ran.append)
+        with pytest.raises(UnsupportedClasp):
+            run_grid([TwistSpec((1,)), TwistSpec((1, 1), clasp)], workers=1)
+        assert ran == []
 
     def test_worker_count(self):
         # small grids run in-process whatever the request
