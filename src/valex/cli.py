@@ -40,12 +40,9 @@ def _print_report(lines, machine: bool):
 
 def cmd_compute(args) -> int:
     if args.spec:
-        spec = parse_spec(args.spec)
-        rep = spec_report(spec)
-        exact_diagram_level = spec.clasp in ("a", "ab", "^a")
+        rep = spec_report(parse_spec(args.spec))
     else:
         rep = invariant_report(parse_gauss(args.gauss))
-        exact_diagram_level = True
 
     if args.quiet:
         print(format_poly(rep.dbar_normalized))
@@ -57,8 +54,6 @@ def cmd_compute(args) -> int:
         ("dbar(D)", format_poly(rep.dbar)),
     ]
     if args.raw:
-        if not exact_diagram_level:
-            lines.append(("note", "diagram-level values for this clasp are defined up to units"))
         _print_report(lines, args.machine)
         return 0
 

@@ -38,10 +38,6 @@ class NotDivisible(ValexError, ArithmeticError):
     """Exact polynomial division has a nonzero remainder."""
 
 
-class EvalAtZero(ValexError, ZeroDivisionError):
-    """Evaluation hit a negative exponent at a zero base."""
-
-
 # -- diagram ---------------------------------------------------------------
 
 class PairingError(ValexError):

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 from ._backend import divexact_terms, mul_terms
 from .errors import (
     DivisionByZero,
-    EvalAtZero,
+    InvalidArgument,
     NonUnitNegativePower,
     NotDivisible,
     ParseError,
@@ -73,20 +73,7 @@ class LaurentPoly:
         p._terms = terms
         return p
 
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls._raw({(0, 0): c} if c else {})
-
-    @classmethod
-    def monomial(cls, c: int, i: int, j: int) -> "LaurentPoly":
-        return cls._raw({(i, j): c} if c else {})
-
     # -- container-ish accessors -------------------------------------------
-
-    @property
-    def terms(self) -> dict:
-        """A copy of the term mapping {(u_exp, v_exp): coeff}."""
-        return dict(self._terms)
 
     def items(self) -> Iterator:
         return iter(self._terms.items())
@@ -96,10 +83,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -129,7 +112,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly.const(other)
+            return LaurentPoly._raw({(0, 0): other} if other else {})
         return None
 
     def __add__(self, other):
@@ -154,20 +137,13 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) - c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return LaurentPoly._raw(out)
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + -self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -197,11 +173,6 @@ class LaurentPoly:
 
     # -- structure queries ---------------------------------------------------
 
-    def min_u_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(i for i, _ in self._terms)
-
     def substituted_swap(self) -> "LaurentPoly":
         """p(u, v) -> p(v, u)."""
         return LaurentPoly._raw({(j, i): c for (i, j), c in self._terms.items()})
@@ -210,41 +181,21 @@ class LaurentPoly:
         """p(u, v) -> p(u^-1, v^-1)."""
         return LaurentPoly._raw({(-i, -j): c for (i, j), c in self._terms.items()})
 
-    def evaluate(self, u0: int, v0: int):
-        """Exact substitution of integers for u and v.
+    def evaluate(self, u0: int, v0: int) -> int:
+        """Exact substitution of u0, v0 in {1, -1} for u and v.
 
-        Returns an int when the result is integral (always the case for
-        u0, v0 in {1, -1}), otherwise a Fraction.  Raises EvalAtZero when a
-        negative exponent meets a zero base.
-
-        At u0, v0 in {1, -1} a power depends only on its exponent's parity,
-        so the sum stays in ints.  Elsewhere the terms are summed in ints
-        with exponents shifted by their minima iu and iv, and the sum is
-        multiplied once by the Fraction u0^iu * v0^iv.
+        A power of +/-1 depends only on its exponent's parity, so the sum
+        stays in ints.  Any other point raises InvalidArgument.
         """
-        terms = self._terms
-        if not terms:
-            return 0
-        if u0 in (1, -1) and v0 in (1, -1):
-            return sum(c * u0 ** (i & 1) * v0 ** (j & 1) for (i, j), c in terms.items())
-        iu = min(i for i, _ in terms)
-        iv = min(j for _, j in terms)
-        if (iu < 0 and u0 == 0) or (iv < 0 and v0 == 0):
-            i, j = next((i, j) for i, j in terms if (i < 0 and u0 == 0) or (j < 0 and v0 == 0))
-            raise EvalAtZero(f"term u^{i}*v^{j} undefined at ({u0}, {v0})")
-        total = sum(c * u0 ** (i - iu) * v0 ** (j - iv) for (i, j), c in terms.items())
-        from fractions import Fraction  # only here: it also loads decimal
-
-        total = total * Fraction(u0) ** iu * Fraction(v0) ** iv
-        if total.denominator == 1:
-            return int(total)
-        return total
+        if u0 not in (1, -1) or v0 not in (1, -1):
+            raise InvalidArgument(f"evaluate takes u, v in {{1, -1}}, not ({u0}, {v0})")
+        return sum(c * u0 ** (i & 1) * v0 ** (j & 1) for (i, j), c in self._terms.items())
 
 
-ZERO = LaurentPoly.const(0)
-ONE = LaurentPoly.const(1)
-U = LaurentPoly.monomial(1, 1, 0)
-V = LaurentPoly.monomial(1, 0, 1)
+ZERO = LaurentPoly._raw({})
+ONE = LaurentPoly._raw({(0, 0): 1})
+U = LaurentPoly._raw({(1, 0): 1})
+V = LaurentPoly._raw({(0, 1): 1})
 
 
 def monomial_pow(c: int, i: int, j: int, k: int) -> LaurentPoly:
@@ -261,7 +212,7 @@ def monomial_pow(c: int, i: int, j: int, k: int) -> LaurentPoly:
         coeff = c ** k
     else:
         coeff = 1 if c == 1 or k % 2 == 0 else -1
-    return LaurentPoly.monomial(coeff, i * k, j * k)
+    return LaurentPoly._raw({(i * k, j * k): coeff})
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -270,9 +221,9 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     Raises DivisionByZero when b == 0 and NotDivisible when no exact quotient
     exists (the latter signals a violated divisibility law upstream).
     """
-    if b.is_zero:
+    if not b:
         raise DivisionByZero("division by the zero polynomial")
-    if a.is_zero:
+    if not a:
         return ZERO
     q = divexact_terms(a._terms, b._terms)
     if q is None:
@@ -296,9 +247,9 @@ def normalize(a: LaurentPoly) -> Normalized:
     u-degree) is made positive.  The zero polynomial normalizes to itself
     with unit (0, +1).
     """
-    if a.is_zero:
+    if not a:
         return Normalized(ZERO, 0, 1)
-    s = a.min_u_exp()
+    s = min(i for i, _ in a._terms)
     shifted = {(i - s, j - s): c for (i, j), c in a._terms.items()}
     pivot_key = min(shifted, key=lambda k: (k[0] + k[1], k[0]))
     sign = 1 if shifted[pivot_key] > 0 else -1
@@ -314,7 +265,7 @@ def format_poly(a: LaurentPoly) -> str:
 
     The output is re-parseable by :func:`parse_poly` (round-trip stable).
     """
-    if a.is_zero:
+    if not a:
         return "0"
     parts = []
     for (i, j), c in sorted(a._terms.items(), key=_term_sort_key):
@@ -385,14 +336,12 @@ def parse_poly(text: str) -> LaurentPoly:
         jexp = 0
         seen_u = False
         seen_v = False
-        got_part = False
         while True:
             pos = skip_ws(pos)
             if pos < n and s[pos].isdigit():
                 if coeff is not None or seen_u or seen_v:
                     raise ParseError("unexpected number", pos)
                 coeff, pos = _parse_int(s, pos)
-                got_part = True
             elif pos < n and s[pos] in "uv":
                 var = s[pos]
                 if (var == "u" and seen_u) or (var == "v" and seen_v):
@@ -409,7 +358,6 @@ def parse_poly(text: str) -> LaurentPoly:
                     iexp = exp
                 else:
                     jexp = exp
-                got_part = True
             else:
                 raise ParseError("expected a coefficient or variable", pos)
             pos = skip_ws(pos)
@@ -420,8 +368,6 @@ def parse_poly(text: str) -> LaurentPoly:
                 continue
             break
 
-        if not got_part:
-            raise ParseError("empty term", pos)
         c = sign * (1 if coeff is None else coeff)
         key = (iexp, jexp)
         v = terms.get(key, 0) + c

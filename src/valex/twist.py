@@ -424,7 +424,7 @@ def negative_flip(spec: TwistSpec, i: int):
         raise ShapeMismatch(f"block {i} of {spec} is not -1")
     e, c = _flip_term(blocks, i)
     flipped = TwistSpec(blocks[: i - 1] + (1,) + blocks[i:], spec.clasp)
-    return flipped, LaurentPoly.monomial(c, e, e)
+    return flipped, monomial_pow(c, e, e, 1)
 
 
 def _flip_term(blocks: tuple, i: int) -> tuple:

@@ -63,8 +63,8 @@ class TestBuildMatrix:
         kink_row_a, kink_row_b = m.entries[4], m.entries[5]
         assert kink_row_a[0:3] == [U, ZERO, -U]
         assert kink_row_b[0:3] == [-ONE, V, ZERO]
-        assert all(e.is_zero for e in kink_row_a[3:])
-        assert all(e.is_zero for e in kink_row_b[3:])
+        assert not any(kink_row_a[3:])
+        assert not any(kink_row_b[3:])
 
     def test_vhl_two_by_two(self):
         m = rows_of(parse_gauss("O1+;U1+"))
@@ -99,7 +99,7 @@ class TestBuildMatrix:
             d = make_random_diagram(rng, rng.randint(1, 5), rng.choice([1, 2]))
             for row in rows_of(d).entries:
                 for e in row:
-                    assert set(e.terms) <= allowed
+                    assert {key for key, _ in e.items()} <= allowed
 
 
 _EXPS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -176,7 +176,7 @@ class TestDeterminant:
         assert all(len(row) == 2 and all(len(t) == 1 for t in row.values())
                    for row in m[1::2])
         det = determinant(m)
-        assert not det.is_zero
+        assert det
         assert det == determinant_cofactor(m)
 
     def test_bareiss_equals_cofactor_on_random_matrices(self, rng):
@@ -282,7 +282,7 @@ class TestDeterminant:
                 m = sparse_rows([[entry() for _ in range(order)] for _ in range(order)])
                 det = determinant(m)
                 assert det == determinant_cofactor(m)
-                nonzero += not det.is_zero
+                nonzero += bool(det)
         assert nonzero >= 20
 
     def test_no_unit_entry(self, rng):
@@ -354,7 +354,7 @@ class TestDeterminant:
         fma_terms = alexander.fma_terms
 
         def spy(a, b, c, d):
-            if a == ONE.terms:
+            if a == {(0, 0): 1}:
                 products.append(len(c) * len(d))
             return fma_terms(a, b, c, d)
 
@@ -363,13 +363,13 @@ class TestDeterminant:
             for _ in range(2):
                 m = [{j: unit() if i == j else big() for j in range(order)} for i in range(order)]
                 det = determinant(m)
-                assert not det.is_zero
+                assert det
                 assert det == determinant_cofactor(m)
             # row 1 is a 13-term multiple of row 0, whose unit is the first
             # pivot: the packed update cancels all of row 1
             m = [{j: unit() if i == j else big() for j in range(order)} for i in range(order)]
             factor = LaurentPoly(big())
-            m[1] = {j: (factor * LaurentPoly(t)).terms for j, t in m[0].items()}
+            m[1] = {j: dict((factor * LaurentPoly(t)).items()) for j, t in m[0].items()}
             assert determinant(m) == ZERO == determinant_cofactor(m)
         assert products and min(products) >= 150
 
@@ -401,7 +401,7 @@ class TestDeterminant:
 
 def assert_over_arc_matches(d):
     got = delta0_diagram(d)
-    assert got.terms == determinant(rows_of(d).rows).terms, d
+    assert got == determinant(rows_of(d).rows), d
     assert all(c for _, c in got.items())
 
 
@@ -444,7 +444,7 @@ class TestOverArcMatrix:
                                       "O1-O2+O3-;U3-U2+U1-"])
     def test_over_only_components(self, code):
         d = parse_gauss(code)
-        assert not delta0_diagram(d).is_zero
+        assert delta0_diagram(d)
         assert_over_arc_matches(d)
 
     @pytest.mark.parametrize("clasp", ["a", "^a", "b", "^b"])
@@ -470,7 +470,7 @@ class TestDeltaBar:
         assert delta_bar(p, is_knot=False) == ONE
 
     def test_zero(self):
-        assert delta_bar(ZERO).is_zero
+        assert not delta_bar(ZERO)
 
     def test_violation_raises(self):
         with pytest.raises(NotDivisible):
@@ -563,7 +563,7 @@ class TestInvariantReport:
 
     def test_vt0(self):
         rep = invariant_report(generate_twist(TwistSpec((0,))))
-        assert rep.dbar_normalized.is_zero
+        assert not rep.dbar_normalized
         assert rep.odd_writhe == 0
         assert rep.conjecture_holds
 

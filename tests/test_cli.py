@@ -45,6 +45,13 @@ class TestCompute:
         assert code == 0
         assert "dbar_norm" not in out
 
+    def test_raw_b_clasp_prints_no_note(self, capsys):
+        # the b-side recursion is as exact at diagram level as the a side
+        code, out, _ = run(capsys, "compute", "--spec", "VT[b](2,-1)", "--raw")
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == \
+            ["input", "delta0(D)", "dbar(D)"]
+
     def test_machine_output_reparseable(self, capsys):
         code, out, _ = run(capsys, "compute", "--spec", "VT[a](-7,3,-5,-2,3)",
                            "--machine")
@@ -63,7 +70,7 @@ class TestCompute:
         _, out, _ = run(capsys, "compute", "--gauss", code, "--machine")
         fields = dict(line.split("=", 1) for line in out.strip().splitlines())
         sign, shift = fields["unit"][0], int(fields["unit"].split("^", 1)[1])
-        unit = LaurentPoly.monomial(1 if sign == "+" else -1, shift, shift)
+        unit = LaurentPoly({(shift, shift): 1 if sign == "+" else -1})
         assert parse_poly(fields["delta0(D)"]) == unit * parse_poly(fields["delta0_norm"])
 
     def test_bad_gauss_exits_1(self, capsys):

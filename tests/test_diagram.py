@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 from tests.conftest import make_random_diagram
@@ -83,6 +85,20 @@ class TestParse:
         for code in (TREFOIL, VTREFOIL, "O1+;U1+", "O1-U2-U1-O2-"):
             d = parse_gauss(code)
             assert parse_gauss(format_gauss(d)) == d
+
+    def test_equal_diagrams_hash_equal(self):
+        d = parse_gauss("O1-U2+U1-O2+")
+        # the same signs inserted in the other order
+        same = Diagram(d.components, {2: 1, 1: -1})
+        assert same == d and hash(same) == hash(d)
+        assert len({d: 1, same: 2}) == 1
+
+    @pytest.mark.parametrize("code", [TREFOIL, VTREFOIL, "O1+;U1+"])
+    def test_repr_holds_a_parseable_code(self, code):
+        d = parse_gauss(code)
+        text = repr(d)
+        assert text.startswith("Diagram(") and text.endswith(")")
+        assert parse_gauss(ast.literal_eval(text[len("Diagram("):-1])) == d
 
     def test_roundtrip_random(self, rng):
         for _ in range(25):

@@ -10,7 +10,7 @@ from valex import _backend
 from valex._backend import divexact_terms, fma_terms, mul_terms
 from valex.errors import (
     DivisionByZero,
-    EvalAtZero,
+    InvalidArgument,
     NonUnitNegativePower,
     NotDivisible,
     ParseError,
@@ -32,8 +32,8 @@ from valex.laurent import (
 def mul_naive(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Independent second multiplication routine (sorted-list convolution)."""
     out = {}
-    for (i, j), c in sorted(a.terms.items()):
-        for (k, l), d in sorted(b.terms.items()):
+    for (i, j), c in sorted(a.items()):
+        for (k, l), d in sorted(b.items()):
             out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
     return LaurentPoly(out)
 
@@ -76,8 +76,8 @@ class TestKernelContract:
         assert [a, b, c, d] == before
         assert all(prod.values()) and all(out.values())
         pa, pb, pc, pd = (LaurentPoly(x) for x in (a, b, c, d))
-        assert prod == mul_naive(pa, pb).terms
-        assert out == (mul_naive(pa, pb) - mul_naive(pc, pd)).terms
+        assert LaurentPoly(prod) == mul_naive(pa, pb)
+        assert LaurentPoly(out) == mul_naive(pa, pb) - mul_naive(pc, pd)
 
     @settings(max_examples=150, deadline=None)
     @given(term_dicts, nonzero_term_dicts)
@@ -360,14 +360,14 @@ class TestPackedKernel:
 class TestAddMul:
     def test_add_cancellation(self):
         assert U + (-U) == ZERO
-        assert (U + (-U)).is_zero
+        assert not U + (-U)
 
     def test_add_merge(self):
         assert (ONE + U * V) + U * V == ONE + 2 * U * V
 
     def test_add_disjoint(self):
         p = monomial_pow(1, -1, 1, 1) + monomial_pow(1, 1, -1, 1)
-        assert p.terms == {(-1, 1): 1, (1, -1): 1}
+        assert p == LaurentPoly({(-1, 1): 1, (1, -1): 1})
 
     def test_mul_expand(self):
         assert (U - 1) * (V - 1) == U * V - U - V + 1
@@ -404,9 +404,15 @@ class TestAddMul:
         assert not bool(U - U) and bool(U)
         assert repr(U + V) == "LaurentPoly('v + u')"
 
+    def test_negative_power_of_unit_monomial(self):
+        assert U ** -2 == LaurentPoly({(-2, 0): 1})
+        assert (-U * V) ** -1 == LaurentPoly({(-1, -1): -1})
+
     def test_negative_power_of_nonunit(self):
         with pytest.raises(NonUnitNegativePower):
             (U + 1) ** -1
+        with pytest.raises(NonUnitNegativePower):
+            (2 * U) ** -1
 
 
 class TestMonomialPow:
@@ -414,17 +420,17 @@ class TestMonomialPow:
         assert monomial_pow(-1, 1, 1, 2) == U ** 2 * V ** 2
 
     def test_unit_inverse(self):
-        assert monomial_pow(1, 1, 1, -1).terms == {(-1, -1): 1}
+        assert monomial_pow(1, 1, 1, -1) == LaurentPoly({(-1, -1): 1})
 
     def test_large_unit_power(self):
-        assert monomial_pow(-1, 1, 1, 12).terms == {(12, 12): 1}
+        assert monomial_pow(-1, 1, 1, 12) == LaurentPoly({(12, 12): 1})
 
     def test_negative_power_of_nonunit(self):
         with pytest.raises(NonUnitNegativePower):
             monomial_pow(2, 1, 0, -1)
 
     def test_zero_monomial(self):
-        assert monomial_pow(0, 3, 1, 2).is_zero
+        assert not monomial_pow(0, 3, 1, 2)
         assert monomial_pow(0, 0, 0, 0) == ONE
 
 
@@ -438,10 +444,12 @@ class TestExactDiv:
         assert exact_div(p, ONE) == p
 
     def test_not_divisible(self):
-        # substitute u = -1: 2(v-1)(-v-1) != 0 certifies non-divisibility
+        # substitute u = -1: p(-1, v) = 2(v-1)(-v-1) != 0 certifies non-divisibility
         p = (U - 1) * (V - 1) * (U * V - 1)
-        cert = p.evaluate(-1, 2)
-        assert cert != 0
+        cert = {}
+        for (i, j), c in p.items():
+            cert[j] = cert.get(j, 0) + (-1) ** i * c
+        assert any(cert.values())
         with pytest.raises(NotDivisible):
             exact_div(p, U + 1)
         with pytest.raises(NotDivisible):
@@ -472,14 +480,10 @@ class TestEvaluate:
     def test_zero(self):
         assert ZERO.evaluate(-1, -1) == 0
 
-    def test_negative_exponent_at_zero(self):
-        with pytest.raises(EvalAtZero):
-            monomial_pow(1, -1, 0, 1).evaluate(0, 1)
-
-    def test_fraction_result(self):
-        p = monomial_pow(1, -1, 0, 1)
-        assert p.evaluate(2, 1) == Fraction(1, 2)
-        assert p.evaluate(1, 5) == 1
+    @pytest.mark.parametrize("u0, v0", [(0, 1), (2, 1), (1, -2), (-1, 0)])
+    def test_points_other_than_units_raise(self, u0, v0):
+        with pytest.raises(InvalidArgument):
+            monomial_pow(1, -1, 0, 1).evaluate(u0, v0)
 
     def test_negative_exponents_at_unit_points_stay_int(self):
         p = parse_poly("3*u^-3*v^-2 - 2*u^-1 + 5*v^-5 + 7*u^2*v^-1 - 4")
@@ -493,7 +497,7 @@ class TestEvaluate:
 class TestNormalize:
     def test_forced_unit(self):
         res = normalize(monomial_pow(-1, 1, 1, 2) * 3)
-        assert res.poly == LaurentPoly.const(3)
+        assert res.poly == LaurentPoly({(0, 0): 3})
         assert (res.shift, res.sign) == (2, 1)
 
     def test_worked_example_unit(self):
@@ -514,19 +518,19 @@ class TestNormalize:
 
     def test_zero_total(self):
         res = normalize(ZERO)
-        assert res.poly.is_zero and res.shift == 0 and res.sign == 1
+        assert not res.poly and res.shift == 0 and res.sign == 1
 
 
 class TestTextForm:
     def test_two_block_value(self):
         p = parse_poly("1 + u + u*v")
-        assert p.terms == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+        assert p == LaurentPoly({(0, 0): 1, (1, 0): 1, (1, 1): 1})
 
     def test_negative_exponents(self):
-        assert parse_poly("u^-1*v^-1").terms == {(-1, -1): 1}
+        assert parse_poly("u^-1*v^-1") == LaurentPoly({(-1, -1): 1})
 
     def test_zero(self):
-        assert parse_poly("0").is_zero
+        assert not parse_poly("0")
         assert format_poly(ZERO) == "0"
 
     def test_format_sorted(self):
@@ -537,6 +541,11 @@ class TestTextForm:
         with pytest.raises(ParseError) as exc:
             parse_poly("1 + !")
         assert exc.value.position == 4
+
+    def test_parse_error_number_after_variable(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("u*2")
+        assert exc.value.position == 2
 
     @pytest.mark.parametrize("text, position", [
         (f"1 + {'9' * 5000}*u", 4),   # past the int-string digit limit
@@ -582,7 +591,7 @@ def test_associative_distributive(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(small_polys, small_polys)
 def test_exact_div_roundtrip(a, b):
-    if b.is_zero:
+    if not b:
         return
     assert exact_div(a * b, b) == a
 
@@ -605,12 +614,12 @@ def test_evaluate_is_ring_hom(a, b, u0, v0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_polys, st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool))
+@given(small_polys, st.sampled_from([-1, 1]), st.sampled_from([-1, 1]))
 def test_evaluate_matches_termwise_sum(a, u0, v0):
     want = sum(Fraction(c) * Fraction(u0) ** i * Fraction(v0) ** j for (i, j), c in a.items())
     got = a.evaluate(u0, v0)
     assert got == want
-    assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert type(got) is int
 
 
 @settings(max_examples=200, deadline=None)
