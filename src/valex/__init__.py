@@ -49,18 +49,14 @@ from .twist import (
     base_closed_form,
     base_delta_bar,
     clasp_identity,
-    contract,
     evaluate_recursive,
     format_spec,
     generate_twist,
-    negative_flip,
     ow_closed_form,
     parity_context,
     parse_spec,
-    recursion_step,
     smoothed_closed_form,
     spec_report,
-    vtab_closed_form,
     vtab_delta_bar,
 )
 from .verify import (
@@ -88,8 +84,7 @@ __all__ = [
     # twist
     "TwistSpec", "parse_spec", "format_spec", "parity_context",
     "generate_twist", "base_closed_form", "base_delta_bar",
-    "vtab_closed_form", "vtab_delta_bar", "smoothed_closed_form",
-    "recursion_step", "contract", "negative_flip", "evaluate_recursive",
+    "vtab_delta_bar", "smoothed_closed_form", "evaluate_recursive",
     "clasp_identity", "ow_closed_form", "spec_report",
     # verify
     "run_grid", "run_law_suite", "batch_check",

@@ -95,10 +95,6 @@ class AlexMatrix:
         self.rows = rows
 
     @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    @property
     def entries(self) -> list:
         n = len(self.rows)
         return [[LaurentPoly._raw(row[j]) if j in row else ZERO for j in range(n)]

@@ -74,10 +74,6 @@ class EmptyBlock(ValexError):
     """Operation requires a nonempty twist block."""
 
 
-class ShapeMismatch(ValexError):
-    """Twist spec does not match the required reduced shape."""
-
-
 class UnsupportedClasp(ValexError):
     """Clasp variant has no direct diagram generator."""
 

@@ -1,5 +1,10 @@
 """Virtual twist knots: generators, closed forms, and the recursion engine.
 
+``evaluate_recursive`` (and ``spec_report``, which wraps it) is the
+recursion's public entry.  Its three steps, the recursion step, the
+contraction and the negative flip, are the private ``_step``, ``_contract``
+and ``_flip_term``, which work on block tuples and carry the paper's formulas.
+
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
 separated by single virtual crossings, and the clasp closes the twist with
@@ -26,7 +31,7 @@ import operator
 import re
 from typing import NamedTuple
 
-from .alexander import KNOT_FACTOR, InvariantReport
+from .alexander import InvariantReport
 from .diagram import Diagram, Passage, mirror_all
 from .errors import (
     EmptyBlock,
@@ -34,7 +39,6 @@ from .errors import (
     InvalidArgument,
     NotABaseCase,
     ParseError,
-    ShapeMismatch,
     UnsupportedClasp,
 )
 from .laurent import LaurentPoly, ONE, U, V, monomial_pow
@@ -49,12 +53,8 @@ __all__ = [
     "generate_twist",
     "base_closed_form",
     "base_delta_bar",
-    "vtab_closed_form",
     "vtab_delta_bar",
     "smoothed_closed_form",
-    "recursion_step",
-    "contract",
-    "negative_flip",
     "evaluate_recursive",
     "clasp_identity",
     "mirror_invariant",
@@ -143,7 +143,6 @@ class ParityContext(NamedTuple):
     delta: int     # sum_j p(a_j) p(s(j))
     eps: tuple     # eps[i-1] = epsilon(i), i = 1..n
     half_sum: int  # sum_i floor(|a_i| / 2)
-    m: int         # sum_i |a_i|
 
 
 def parity_context(spec: TwistSpec) -> ParityContext:
@@ -173,7 +172,7 @@ def _parity(a: tuple) -> tuple:
         eps.append((s[j] & 1) - 1 + prefix + suffix)
         prefix += b & s[j + 1] & 1
         suffix -= b & (1 + s[j]) & 1
-    return tuple(s), prefix, tuple(eps), sum(abs(b) // 2 for b in a), sum(abs(b) for b in a)
+    return tuple(s), prefix, tuple(eps), sum(abs(b) // 2 for b in a)
 
 
 # -- diagram generation ----------------------------------------------------------
@@ -202,7 +201,7 @@ def generate_twist(spec: TwistSpec) -> Diagram:
         return mirror_all(d) if mirrored else d
 
     ctx = parity_context(spec)
-    m = ctx.m
+    m = spec.m
     n = spec.n
     clasp_positive = _p(ctx.s[n]) == 0
 
@@ -307,11 +306,6 @@ def base_delta_bar(spec: TwistSpec) -> LaurentPoly:
     return _triangle(m, True, even)
 
 
-def vtab_closed_form(spec: TwistSpec) -> LaurentPoly:
-    """Diagram-level Delta_0 for the clasp-ab base families."""
-    return KNOT_FACTOR * vtab_delta_bar(spec)
-
-
 def vtab_delta_bar(spec: TwistSpec) -> LaurentPoly:
     if spec.clasp != "ab":
         raise NotABaseCase(f"expected clasp 'ab', got {spec.clasp!r}")
@@ -333,8 +327,11 @@ def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
         (-uv)^{sum floor(|a_j|/2)} (-1)^{-p(s(i-1)) + delta + s(n)}
         (uv)^{eps(i)} (u-1)(v-1)
     It is a unit times (u-1)(v-1): smoothing a knot's crossing gives a
-    2-component link, never divisible by (uv-1).
+    2-component link, never divisible by (uv-1).  The formula reads the
+    clasp-a layout's blocks, so any other clasp raises UnsupportedClasp.
     """
+    if spec.clasp != "a":
+        raise UnsupportedClasp(f"no smoothed closed form for clasp {spec.clasp!r}")
     if not 1 <= i <= spec.n:
         raise EmptyBlock(f"block index {i} out of range 1..{spec.n}")
     if spec.blocks[i - 1] == 0:
@@ -348,26 +345,18 @@ def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
 
 # -- recursion engine ---------------------------------------------------------------
 
-def recursion_step(spec: TwistSpec):
-    """One application of the twist recursion.
-
-    Returns (reduced_spec, factor, correction) with
-        dbar(spec) = factor * (dbar(reduced) + correction)
-    where factor = (-uv)^{sum floor(|a_i|/2)}, the reduced blocks are
-    sgn(a_i) * p(a_i), and the correction sums
-    +/- floor(|a_i|/2) (-1)^{delta+s(n)} (uv)^{eps(i)} (subtracted for
-    negative blocks).  For clasp ``ab`` the correction is identically zero
-    (the smoothed links are classical Hopf links).
-    """
-    reduced, k, corr = _step(spec.blocks, spec.clasp)
-    corr = LaurentPoly._raw({(e, e): c for e, c in corr.items() if c})
-    return TwistSpec(reduced, spec.clasp), monomial_pow(-1, 1, 1, k), corr
-
-
 def _step(blocks: tuple, clasp: str) -> tuple:
-    """``recursion_step`` on a block tuple: (reduced, k, {e: c}) for the
-    factor (-uv)^k and the correction sum_e c (uv)^e."""
-    s, delta, eps, half_sum, _ = _parity(blocks)
+    """One application of the twist recursion: (reduced, k, {e: c}) with
+
+        dbar(blocks) = (-uv)^k (dbar(reduced) + sum_e c (uv)^e)
+
+    where k = sum_i floor(|a_i|/2), the reduced blocks are sgn(a_i) p(a_i),
+    and the correction sums sgn(a_i) floor(|a_i|/2) (-1)^{delta+s(n)}
+    (uv)^{eps(i)}.  For clasp ``ab`` the correction is identically zero (the
+    smoothed links are classical Hopf links).  Terms of two blocks may
+    cancel to a zero coefficient.
+    """
+    s, delta, eps, half_sum = _parity(blocks)
     reduced = tuple(_sgn(b) * _p(b) for b in blocks)
     corr = {}
     if clasp != "ab":
@@ -379,21 +368,14 @@ def _step(blocks: tuple, clasp: str) -> tuple:
     return reduced, half_sum, corr
 
 
-def contract(spec: TwistSpec):
-    """Remove interior empty blocks by merging their neighbours.
+def _contract(blocks: tuple) -> tuple:
+    """Remove interior empty blocks by merging their neighbours: (blocks, k)
+    for the factor (-uv)^k.
 
     Contraction itself is a virtual move (no polynomial change); when a merge
     juxtaposes opposite-sign crossings, each cancelling pair costs one
-    Reidemeister-II move, i.e. a factor of -uv.  Returns (spec, factor).
-    """
-    blocks, k = _contract(spec.blocks)
-    return TwistSpec(blocks, spec.clasp), monomial_pow(-1, 1, 1, k)
-
-
-def _contract(blocks: tuple) -> tuple:
-    """``contract`` on a block tuple: (blocks, k) for the factor (-uv)^k.
-
-    Left to right, so a merge that sums to zero merges with the next block.
+    Reidemeister-II move, i.e. a factor of -uv.  Left to right, so a merge
+    that sums to zero merges with the next block.
     """
     out = []
     k = 0
@@ -408,29 +390,15 @@ def _contract(blocks: tuple) -> tuple:
     return tuple(out), k
 
 
-def negative_flip(spec: TwistSpec, i: int):
-    """Turn the -1 in block i of a reduced shape into +1.
-
-    Returns (flipped_spec, correction) with
-        dbar(spec) = dbar(flipped) + correction,
-    the correction depending on which of the four reduced shapes the blocks
-    match (no end zeros, leading zero, trailing zero, both); a leading zero
-    gives the same correction with or without a trailing one.
-    """
-    blocks = spec.blocks
-    if not _is_reduced_base_shape(blocks):
-        raise ShapeMismatch(f"{spec} is not a reduced shape")
-    if not 1 <= i <= len(blocks) or blocks[i - 1] != -1:
-        raise ShapeMismatch(f"block {i} of {spec} is not -1")
-    e, c = _flip_term(blocks, i)
-    flipped = TwistSpec(blocks[: i - 1] + (1,) + blocks[i:], spec.clasp)
-    return flipped, monomial_pow(c, e, e, 1)
-
-
 def _flip_term(blocks: tuple, i: int) -> tuple:
-    """(e, c): the correction c (uv)^e of ``negative_flip`` at block i.
+    """(e, c) for turning the -1 in block i of a reduced shape into +1:
 
-    A flip keeps n and both end blocks, so all flips of a shape read one case.
+        dbar(blocks) = dbar(flipped) + c (uv)^e
+
+    The correction depends on which of the four reduced shapes the blocks
+    match (no end zeros, leading zero, trailing zero, both); a leading zero
+    gives the same correction with or without a trailing one.  A flip keeps n
+    and both end blocks, so all flips of a shape read one case.
     """
     n = len(blocks)
     if blocks[0] == 0:
@@ -458,8 +426,9 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     mirrored ones pass the result through ``mirror_invariant`` and are
     canonical only after normalization.
 
-    Loop: recursion step, contraction, base-shape check; then flip any
-    negative singleton blocks and apply the closed forms.  Each full pass
+    Loop: recursion step (``_step``), contraction (``_contract``),
+    base-shape check; then flip any negative singleton blocks
+    (``_flip_term``) and apply the closed forms.  Each full pass
     strictly reduces crossing counts; the iteration cap guards convention
     bugs.  Every factor is a power of -uv and every correction a polynomial
     in uv, so the loop carries the unit (-uv)^k as the int k (its sign is

@@ -1,6 +1,9 @@
-"""valex's records: named tuples, two assignable slots classes, a lean import."""
+"""valex's records: named tuples, two assignable slots classes, a lean import,
+and exports that resolve."""
 
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,17 @@ def test_import_loads_no_dataclasses_inspect_or_fractions():
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _exports() -> list:
+    modules = [valex] + [importlib.import_module(f"valex.{info.name}")
+                         for info in pkgutil.iter_modules(valex.__path__)]
+    return [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
+
+
+@pytest.mark.parametrize("module, name", _exports())
+def test_every_export_resolves(module, name):
+    getattr(importlib.import_module(module), name)
 
 
 class TestTwistSpec:

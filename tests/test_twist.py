@@ -4,78 +4,145 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valex import alexander, twist
-from valex.alexander import delta0_diagram, delta_bar
+from valex import twist
+from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
 from valex.diagram import format_gauss, odd_writhe, parse_gauss, smooth_crossing
 from valex.errors import (
     EmptyBlock,
     InvalidArgument,
     NotABaseCase,
     ParseError,
-    ShapeMismatch,
     UnsupportedClasp,
     ValexError,
 )
 from valex.laurent import ONE, U, V, ZERO, format_poly, monomial_pow, normalize, parse_poly
 from valex.twist import (
     CLASPS,
-    KNOT_FACTOR,
     TwistSpec,
-    _is_reduced_base_shape,
+    _contract,
+    _flip_term,
     _square,
+    _step,
     _triangle,
     base_closed_form,
     base_delta_bar,
     clasp_identity,
-    contract,
     evaluate_recursive,
     format_spec,
     generate_twist,
     mirror_invariant,
-    negative_flip,
     ow_closed_form,
     parity_context,
     parse_spec,
-    recursion_step,
     smoothed_closed_form,
     spec_report,
-    vtab_closed_form,
     vtab_delta_bar,
 )
 
 UV = U * V
 
 
-def reference_dbar(spec: TwistSpec):
-    """evaluate_recursive as LaurentPoly arithmetic over the public steps.
+def paper_parities(blocks) -> tuple:
+    """(s, delta, eps): the paper's sums written out term by term, O(n^2)."""
+    def p(x):
+        return abs(x) % 2
 
-    The reference for the integer loop: recursion_step -> contract until a
-    reduced shape, then negative_flip and the base closed form.
+    n = len(blocks)
+    s = [0]
+    for b in blocks:
+        s.append(s[-1] + b + 1)
+    delta = sum(p(blocks[j - 1]) * p(s[j]) for j in range(1, n + 1))
+    eps = tuple(
+        p(s[i - 1]) - 1
+        + sum(p(blocks[j - 1]) * p(s[j]) for j in range(1, i))
+        + sum(p(blocks[j - 1]) * p(1 + s[j - 1]) for j in range(i, n + 1))
+        for i in range(1, n + 1)
+    )
+    return tuple(s), delta, eps
+
+
+def leftmost_merge(blocks) -> tuple:
+    """(blocks, k): merge at the leftmost interior zero until none is left;
+    each merge of opposite signs costs (-uv)^min(|x|, |y|)."""
+    out = list(blocks)
+    k = 0
+    while True:
+        idx = next((i for i in range(1, len(out) - 1) if out[i] == 0), None)
+        if idx is None:
+            return tuple(out), k
+        x, y = out[idx - 1], out[idx + 1]
+        if x * y < 0:
+            k += min(abs(x), abs(y))
+        out[idx - 1:idx + 2] = [x + y]
+
+
+# dbar(shape) = dbar(flipped) + c (uv)^e when the -1 in block i of a reduced
+# shape with n blocks becomes +1; (e, c) by the shape's end zeros, where a
+# leading zero reads the same row with or without a trailing one
+FLIP_TABLE = {
+    "no end zero": lambda n, i: (n - i, -1),
+    "leading zero": lambda n, i: (i - 2, (-1) ** (n + 1)),
+    "trailing zero": lambda n, i: (n - i - 1, 1),
+}
+
+
+def flip_correction(blocks, i) -> tuple:
+    if blocks[0] == 0:
+        row = "leading zero"
+    elif blocks[-1] == 0:
+        row = "trailing zero"
+    else:
+        row = "no end zero"
+    return FLIP_TABLE[row](len(blocks), i)
+
+
+def is_reduced(blocks) -> bool:
+    return all(abs(b) <= 1 for b in blocks) and all(blocks[1:-1])
+
+
+def reference_dbar(spec: TwistSpec):
+    """dbar by the paper's recursion in LaurentPoly arithmetic, from the
+    definitions: the parities by ``paper_parities``, the contraction by
+    ``leftmost_merge`` and the flips by ``FLIP_TABLE``.  It shares only the
+    closed forms, the clasp identities and ``mirror_invariant`` with
+    ``evaluate_recursive``.
     """
     if spec.clasp not in ("a", "ab"):
         base, mirrored = clasp_identity(spec)
         dbar = reference_dbar(base)
         return mirror_invariant(dbar) if mirrored else dbar
+    blocks = spec.blocks
     factor = ONE
-    acc = ZERO
-    current = spec
+    acc = ZERO  # dbar(spec) = factor * dbar(blocks) + acc
     for _ in range(spec.m + spec.n + 1):
-        if _is_reduced_base_shape(current.blocks):
+        if is_reduced(blocks):
             break
-        reduced, f, corr = recursion_step(current)
-        factor = factor * f
-        acc = acc + factor * corr
-        current, f2 = contract(reduced)
-        factor = factor * f2
+        s, delta, eps = paper_parities(blocks)
+        factor = factor * (-UV) ** sum(abs(b) // 2 for b in blocks)
+        if spec.clasp == "a":
+            sign = (-1) ** ((delta + s[-1]) % 2)
+            for e, b in zip(eps, blocks):
+                w = (abs(b) // 2) * sign
+                acc = acc + factor * (w if b > 0 else -w) * UV ** e
+        reduced = tuple(0 if b % 2 == 0 else (1 if b > 0 else -1) for b in blocks)
+        blocks, k = leftmost_merge(reduced)
+        factor = factor * (-UV) ** k
     else:
         raise AssertionError(f"{spec} did not reduce")
-    for i, b in enumerate(current.blocks, start=1):
+    for i, b in enumerate(blocks, start=1):
         if b == -1:
-            current, corr = negative_flip(current, i)
             if spec.clasp == "a":
-                acc = acc + factor * corr
-    base = base_delta_bar(current) if spec.clasp == "a" else vtab_delta_bar(current)
-    return factor * base + acc
+                e, c = flip_correction(blocks, i)
+                acc = acc + factor * c * UV ** e
+            blocks = blocks[: i - 1] + (1,) + blocks[i:]
+    closed_form = base_delta_bar if spec.clasp == "a" else vtab_delta_bar
+    return factor * closed_form(TwistSpec(blocks, spec.clasp)) + acc
+
+
+def dropping_zeros(step: tuple) -> tuple:
+    """``_step``'s result with zero correction coefficients dropped."""
+    reduced, k, corr = step
+    return reduced, k, {e: c for e, c in corr.items() if c}
 
 
 def first_crossing_of_block(spec: TwistSpec, i: int) -> int:
@@ -147,24 +214,10 @@ class TestParityContext:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
     def test_matches_quadratic_definition(self, blocks):
-        # the paper's sums written out term by term, O(n^2) in the block count
-        def p(x):
-            return abs(x) % 2
-
-        n = len(blocks)
-        s = [0]
-        for b in blocks:
-            s.append(s[-1] + b + 1)
-        eps = tuple(
-            p(s[i - 1]) - 1
-            + sum(p(blocks[j - 1]) * p(s[j]) for j in range(1, i))
-            + sum(p(blocks[j - 1]) * p(1 + s[j - 1]) for j in range(i, n + 1))
-            for i in range(1, n + 1)
-        )
+        s, delta, eps = paper_parities(blocks)
         ctx = parity_context(TwistSpec(tuple(blocks)))
-        assert ctx.s == tuple(s)
-        assert ctx.delta == sum(p(blocks[j - 1]) * p(s[j]) for j in range(1, n + 1))
-        assert ctx.eps == eps
+        assert (ctx.s, ctx.delta, ctx.eps) == (s, delta, eps)
+        assert ctx.half_sum == sum(abs(b) // 2 for b in blocks)
 
 
 class TestGenerator:
@@ -252,9 +305,10 @@ class TestDoubleSums:
 class TestVTabClosedForms:
     def test_guards(self):
         assert not vtab_delta_bar(TwistSpec((1,), "ab"))
-        assert vtab_closed_form(TwistSpec((0, 1), "ab")) == -UV * KNOT_FACTOR
-        assert vtab_closed_form(TwistSpec((0, 0), "ab")) == KNOT_FACTOR
-        assert twist.KNOT_FACTOR is alexander.KNOT_FACTOR
+        assert vtab_delta_bar(TwistSpec((0, 1), "ab")) == -UV
+        assert vtab_delta_bar(TwistSpec((0, 0), "ab")) == ONE
+        # the knot factor has one home, alexander
+        assert not hasattr(twist, "KNOT_FACTOR")
 
     def test_family_values(self):
         assert vtab_delta_bar(TwistSpec((1, 1), "ab")) == UV
@@ -284,6 +338,13 @@ class TestSmoothedClosedForm:
         with pytest.raises(EmptyBlock):
             smoothed_closed_form(TwistSpec((1,)), 2)
 
+    @pytest.mark.parametrize("clasp", [c for c in CLASPS if c != "a"])
+    def test_other_clasps_rejected(self, clasp):
+        # the formula reads the clasp-a layout's blocks: applied to VT[^a](1),
+        # whose diagram is VT_a(1, 0), it would give the wrong sign
+        with pytest.raises(UnsupportedClasp):
+            smoothed_closed_form(TwistSpec((1,), clasp), 1)
+
     def test_smoothed_law_on_grid(self):
         """det(smooth(generated, first crossing of block i)) equals the closed
         form, times the label-transposition sign for type-2 first crossings."""
@@ -309,80 +370,55 @@ class TestSmoothedClosedForm:
 
 class TestRecursionStep:
     def test_positive_worked_example(self):
-        red, factor, corr = recursion_step(TwistSpec((7, 4, 3, 5, 9)))
-        assert red.blocks == (1, 0, 1, 1, 1)
-        assert factor == monomial_pow(-1, 1, 1, 12)
-        assert corr == parse_poly("4 + 2*u^-1*v^-1 + 2*u*v + 4*u^2*v^2")
+        assert dropping_zeros(_step((7, 4, 3, 5, 9), "a")) == (
+            (1, 0, 1, 1, 1), 12, {-1: 2, 0: 4, 1: 2, 2: 4})
 
     def test_negative_worked_example(self):
-        red, factor, corr = recursion_step(TwistSpec((-7, 3, -5, -2, 3)))
-        assert red.blocks == (-1, 1, -1, 0, 1)
-        assert factor == monomial_pow(-1, 1, 1, 8)
-        assert corr == parse_poly(
-            "-3*u^2*v^2 + u*v - 2 - u^-1*v^-1 + 1"
-        )
+        assert dropping_zeros(_step((-7, 3, -5, -2, 3), "a")) == (
+            (-1, 1, -1, 0, 1), 8, {-1: -1, 0: -1, 1: 1, 2: -3})
 
     def test_trivial(self):
-        red, factor, corr = recursion_step(TwistSpec((1, 1)))
-        assert red.blocks == (1, 1) and factor == ONE and not corr
+        assert _step((1, 1), "a") == ((1, 1), 0, {})
+
+    def test_vtab_has_no_correction(self):
+        assert dropping_zeros(_step((7, 4, 3, 5, 9), "ab")) == ((1, 0, 1, 1, 1), 12, {})
 
 
 class TestContract:
     def test_merge_without_cancellation(self):
-        spec, factor = contract(TwistSpec((1, 0, 1, 1, 1)))
-        assert spec.blocks == (2, 1, 1) and factor == ONE
+        assert _contract((1, 0, 1, 1, 1)) == ((2, 1, 1), 0)
 
     def test_merge_with_cancellation(self):
-        spec, factor = contract(TwistSpec((-1, 1, -1, 0, 1)))
-        assert spec.blocks == (-1, 1, 0)
-        assert factor == monomial_pow(-1, 1, 1, 1)
+        assert _contract((-1, 1, -1, 0, 1)) == ((-1, 1, 0), 1)
 
     def test_nothing_to_do(self):
-        spec, factor = contract(TwistSpec((1, 1)))
-        assert spec.blocks == (1, 1) and factor == ONE
+        assert _contract((1, 1)) == ((1, 1), 0)
 
     def test_cascading(self):
-        spec, factor = contract(TwistSpec((1, 0, -1, 0, 1)))
-        assert spec.blocks == (1,)
-        assert factor == monomial_pow(-1, 1, 1, 1)
+        assert _contract((1, 0, -1, 0, 1)) == ((1,), 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
     def test_matches_leftmost_merge(self, blocks):
-        # merge at the leftmost interior zero until none is left
-        want = list(blocks)
-        factor = ONE
-        while True:
-            idx = next((i for i in range(1, len(want) - 1) if want[i] == 0), None)
-            if idx is None:
-                break
-            x, y = want[idx - 1], want[idx + 1]
-            if x * y < 0:
-                factor = factor * monomial_pow(-1, 1, 1, min(abs(x), abs(y)))
-            want[idx - 1:idx + 2] = [x + y]
-        spec, got = contract(TwistSpec(tuple(blocks)))
-        assert spec.blocks == tuple(want) and got == factor
+        assert _contract(tuple(blocks)) == leftmost_merge(blocks)
 
 
 class TestNegativeFlip:
     def test_trailing_zero_shape(self):
-        flipped, corr = negative_flip(TwistSpec((-1, 1, 0)), 1)
-        assert flipped.blocks == (1, 1, 0)
-        assert corr == UV
+        assert _flip_term((-1, 1, 0), 1) == (1, 1)  # + uv
 
     def test_single_negative(self):
-        flipped, corr = negative_flip(TwistSpec((-1,)), 1)
-        assert flipped.blocks == (1,)
-        assert corr == -ONE
-        assert base_delta_bar(flipped) + corr == ZERO  # dbar(VT(-1)) == 0
+        assert _flip_term((-1,), 1) == (0, -1)
+        assert base_delta_bar(TwistSpec((1,))) == ONE  # so dbar(VT(-1)) == 1 - 1 == 0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            negative_flip(TwistSpec((-2, 1)), 1)
-        with pytest.raises(ShapeMismatch):
-            negative_flip(TwistSpec((1, 1)), 1)
-        with pytest.raises(ShapeMismatch):
-            negative_flip(TwistSpec((1, 0, -1)), 3)
+    def test_matches_flip_table(self):
+        for n in range(1, 6):
+            for blocks in itertools.product((-1, 0, 1), repeat=n):
+                if not is_reduced(blocks):
+                    continue
+                for i, b in enumerate(blocks, start=1):
+                    if b == -1:
+                        assert _flip_term(blocks, i) == flip_correction(blocks, i), (blocks, i)
 
     def test_flips_match_determinant_on_grid(self):
         for n in (1, 2, 3):
