@@ -26,10 +26,12 @@ quotient is decoded only if none of its products with the divisor wrapped
 past the encoding's v-width (see ``divexact_terms``).  Packed products and
 packed quotients are read back through one slot decoder, ``_decode``.
 
-This is valex's only kernel.  The module keeps the name ``_backend`` and the
-``BACKEND`` constant because external tools key on them: the layer benchmark
-records ``valex.BACKEND`` with every run and traces the code objects of
-``_backend.mul_terms``, ``fma_terms`` and ``divexact_terms``.
+This is valex's only kernel: every product and quotient of
+``alexander.determinant``'s elimination is a call here.  The module keeps
+the name ``_backend`` and the ``BACKEND`` constant because external tools
+key on them: the layer benchmark records ``valex.BACKEND`` with every run
+and traces the code objects of ``_backend.mul_terms``, ``fma_terms`` and
+``divexact_terms``.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def mul_terms(a: dict, b: dict) -> dict:
         if out is not None:
             return out
     out = {}
-    items = list(b.items())
+    items = b.items()
     for (i, j), c in a.items():
         for (k, l), d in items:
             key = (i + k, j + l)
@@ -154,31 +156,24 @@ def mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def fma_packs(a: dict, b: dict, c: dict, d: dict) -> bool:
-    """Whether ``fma_terms(a, b, c, d)`` with nonempty c and d tries packing.
-
-    It does from ``_PACK_MIN`` term products on; below that it sums
-    schoolbook.
-    """
-    return len(c) * len(d) + len(a) * len(b) >= _PACK_MIN
-
-
 def fma_terms(a: dict, b: dict, c: dict, d: dict) -> dict:
     """a*b - c*d in one accumulation (the Bareiss update numerator).
 
-    On the schoolbook path an a of 1 copies b instead of multiplying; the
+    Packed from ``_PACK_MIN`` term products of a*b and c*d together on,
+    schoolbook below.  On the schoolbook path an a of 1 (the pivot of every
+    unit step in ``determinant``) copies b instead of multiplying; the
     packed path packs and multiplies it like any other factor.
     """
     if not c or not d:
         return mul_terms(a, b)
     if len(c) > len(d):
         c, d = d, c
-    if fma_packs(a, b, c, d):
+    if len(c) * len(d) + len(a) * len(b) >= _PACK_MIN:
         out = _packed(a, b, c, d)
         if out is not None:
             return out
     out = dict(b) if a == _ONE else mul_terms(a, b)
-    items = list(d.items())
+    items = d.items()
     for (i, j), x in c.items():
         for (k, l), y in items:
             key = (i + k, j + l)

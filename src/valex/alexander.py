@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._backend import _ONE, divexact_terms, fma_packs, fma_terms, mul_terms
+from ._backend import _ONE, divexact_terms, fma_terms, mul_terms
 from .diagram import Diagram, _component_arcs, _perm_sign, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
@@ -165,6 +165,21 @@ def _exact(num: dict, prev: dict) -> dict:
     return q
 
 
+def _cheapest_unit(active: dict, cols: dict) -> tuple | None:
+    """The active unit of least cost, the first one found on ties; None if there is none."""
+    best, found = len(cols) ** 2, None  # above every cost
+    for i, sparse in active.items():
+        r = len(sparse) - 1
+        for j, terms in sparse.items():
+            if len(terms) == 1:
+                cost = r * (len(cols[j]) - 1)
+                if cost < best:
+                    (c,) = terms.values()
+                    if c == 1 or c == -1:
+                        best, found = cost, (i, j)
+    return found
+
+
 def _cheapest(active: dict, cols: dict) -> tuple:
     """The active (row, column) of least (cost, terms), the first one found on ties."""
     best_cost, best_terms, found = len(cols) ** 2, 0, None  # above every cost
@@ -179,7 +194,7 @@ def _cheapest(active: dict, cols: dict) -> tuple:
 
 
 def determinant(m: list) -> LaurentPoly:
-    """Exact determinant: Gaussian steps on unit pivots, then sparse Bareiss.
+    """Exact determinant by sparse fraction-free (Bareiss 1968) elimination.
 
     ``m`` is the list of the n rows, each a ``{column: terms}`` dict of its
     nonzero entries, as in ``AlexMatrix.rows``.  An entry stored as ``{}`` is
@@ -189,48 +204,44 @@ def determinant(m: list) -> LaurentPoly:
     Each column keeps the set of active rows that have an entry in it, so the
     elimination never visits a zero position.
 
-    Phase 1 pivots only on units e * u^a v^b, e = +-1.  For as long as a unit
-    is active, it takes the one of least Markowitz (1957) cost (r - 1)(c - 1),
-    r and c being the entry counts of its row and column, even where a
-    non-unit costs less, ties going to the first one found in row-then-column
-    order.  The pivot order changes the work, never the result.  The unit's
-    inverse is the monomial e * u^-a v^-b, so dividing an entry of the pivot
-    row by it only shifts each exponent pair by (-a, -b) and multiplies each
-    coefficient by e; each quotient a_pj / pivot is taken once per pivot, not
-    once per updated row.  A row with an entry ``lead`` in the pivot column
-    becomes a_ij - lead * (a_pj / pivot) over the pivot row's columns, and
-    every other row stays as it is.  The active matrix is then the Schur
-    complement of the pivots taken so far, whose determinant times the
-    product of those pivots is the determinant; that product is carried as
-    a sign and an exponent pair.  Most Alexander-matrix entries are units, so
-    this phase leaves a small core.
+    Pivot rule: while an active entry is a unit e * u^a v^b, e = +-1, each
+    step takes the unit of least Markowitz (1957) cost (r - 1)(c - 1), r and
+    c being the entry counts of its row and column, even where a non-unit
+    costs less; otherwise it takes the entry of least cost, ties going to
+    the entry with fewer terms.  Either way ties then go to the first one
+    found in row-then-column order.  The pivot order changes the work, never
+    the result.  Most Alexander-matrix entries are units.
 
-    Phase 2 runs fraction-free (Bareiss 1968) elimination on that core,
-    each step on the entry of least cost, ties going to the entry with fewer
-    terms.  With ``prev`` the previous phase-2 pivot, a row with an entry
-    ``lead`` in the pivot column becomes (pivot * a_ij - lead * a_pj) / prev
-    over the union of its columns and the pivot row's, and a row without one
-    is scaled entry by entry to pivot * a_ij / prev.  Both divisions are
-    exact by Sylvester's identity, which holds because every active entry is
-    a minor of the core.  ``prev`` starts at 1 because those are minors of
-    the core alone: phase 1 scaled no row and divided only by its own unit
-    pivots, so they enter the result only through the unit product.  In
-    either phase only a row with an entry in the pivot column, or a column of
-    the pivot row, can lose its last entry; if one does, the matrix is
-    singular and the result is 0.
+    A unit pivot's row is first divided by the unit, whose inverse is the
+    monomial e * u^-a v^-b, which leaves a pivot of 1; the units' product is
+    carried as a sign and an exponent pair.  Then every step is the same
+    Bareiss update: with ``prev`` the previous pivot (1 before the first
+    step), a row with an entry ``lead`` in the pivot column becomes
+    (pivot * a_ij - lead * a_pj) / prev over the union of its columns and
+    the pivot row's, and a row without one is scaled entry by entry to
+    pivot * a_ij / prev.  When pivot equals prev, as on a unit step while
+    prev is 1, both leave every entry off the pivot row's columns as it is,
+    so only the pivot row's columns of the rows with an entry in the pivot
+    column are visited.
 
-    Sign rule: the unit product times the last phase-2 pivot (1 on an empty
-    core) is the determinant of the matrix with rows and columns taken in
-    pivot order, so it is multiplied by the parity of the row permutation
-    and by that of the column permutation, whose product is the parity of
-    the permutation that takes each pivot's row to its column.
+    Every division by ``prev`` is exact.  Each active entry of row i is a
+    minor whose last row is input row i, so dividing the pivot row by a
+    unit is the same as dividing that input row by it first: every active
+    entry stays a minor of the row-scaled input, and Sylvester's identity
+    covers each division, a unit taken after a Bareiss step included.  Only
+    a row with an entry in the pivot column, or a column of the pivot row,
+    can lose its last entry; if one does, the matrix is singular and the
+    result is 0.
 
-    Phase 1 takes its quotients a_pj / pivot with ``_backend``'s
-    ``divexact_terms``, keeps the unit product in ints, and sums each update
-    itself, into a copy of the entry, unless ``fma_packs`` says that
-    ``fma_terms`` would pack it; those updates go to ``fma_terms``.  Every
-    product and quotient of phase 2 goes through the kernel (``fma_terms``,
-    ``mul_terms``, ``divexact_terms``).
+    Sign rule: the units' product times the last pivot is the determinant of
+    the matrix with rows and columns taken in pivot order, so it is
+    multiplied by the parity of the row permutation and by that of the
+    column permutation, whose product is the parity of the permutation that
+    takes each pivot's row to its column.
+
+    Every product and quotient goes through ``_backend``'s kernel
+    (``fma_terms``, ``mul_terms``, ``divexact_terms``); the units' product
+    is kept in ints.
     """
     n = len(m)
     cols: dict = {j: set() for j in range(n)}
@@ -248,86 +259,34 @@ def determinant(m: list) -> LaurentPoly:
     if not all(active.values()) or not all(cols.values()):
         return ZERO
     match = list(range(n))  # match[p] = q for each pivot (p, q)
-    sign, ue, ve = 1, 0, 0  # the unit pivots' product is sign * u^ue v^ve
-
-    while True:
-        best, found = n * n, None  # above every cost
-        for i, sparse in active.items():
-            r = len(sparse) - 1
-            for j, terms in sparse.items():
-                if len(terms) == 1:
-                    cost = r * (len(cols[j]) - 1)
-                    if cost < best:
-                        (c,) = terms.values()
-                        if c == 1 or c == -1:
-                            best, found = cost, (i, j)
-        if found is None:
-            break
-        p, q = found
-        pivot_row = active.pop(p)
-        unit = pivot_row.pop(q)
-        (((a, b), e),) = unit.items()
-        sign *= e
-        ue += a
-        ve += b
-        leading = cols.pop(q)
-        leading.discard(p)
-        match[p] = q
-        quotient = []  # (column, its active rows, a_pj / pivot) over the pivot row
-        for j, terms in pivot_row.items():
-            col = cols[j]
-            col.discard(p)
-            quotient.append((j, col, divexact_terms(terms, unit)))
-        for i in leading:
-            sparse = active[i]
-            lead = sparse.pop(q)
-            lead_terms = lead.items()
-            for j, col, qt in quotient:
-                a_ij = sparse.get(j, {})
-                if fma_packs(_ONE, a_ij, lead, qt):
-                    t = fma_terms(_ONE, a_ij, lead, qt)
-                else:
-                    t = dict(a_ij)  # the entry may be the caller's
-                    qt_terms = qt.items()
-                    for (x, y), k in lead_terms:
-                        for (z, w), l in qt_terms:
-                            key = (x + z, y + w)
-                            s = t.get(key, 0) - k * l
-                            if s:
-                                t[key] = s
-                            else:  # it cancels a term of a_ij
-                                del t[key]
-                if t:
-                    if j not in sparse:
-                        col.add(i)
-                    sparse[j] = t
-                else:
-                    del sparse[j]
-                    col.discard(i)
-            if not sparse:
-                return ZERO
-        for _, col, _ in quotient:
-            if not col:
-                return ZERO
-
+    sign, ue, ve = 1, 0, 0  # the units' product is sign * u^ue v^ve
     prev = pivot = _ONE
     while active:
-        p, q = _cheapest(active, cols)
+        found = _cheapest_unit(active, cols)
+        p, q = found or _cheapest(active, cols)
         pivot_row = active.pop(p)
         pivot = pivot_row.pop(q)
+        if found:
+            (((a, b), e),) = pivot.items()
+            sign *= e
+            ue += a
+            ve += b
+            pivot_row = {j: divexact_terms(t, pivot) for j, t in pivot_row.items()}
+            pivot = _ONE
         for j in pivot_row:
             cols[j].discard(p)
         leading = cols.pop(q)
         leading.discard(p)
         match[p] = q
-        for i, sparse in active.items():
+        same = pivot == prev
+        for i in leading if same else active:
+            sparse = active[i]
             if i not in leading:
-                if pivot != prev:
-                    for j, a in sparse.items():
-                        sparse[j] = _exact(mul_terms(pivot, a), prev)
+                for j, t in sparse.items():
+                    sparse[j] = _exact(mul_terms(pivot, t), prev)
                 continue
             lead = sparse.pop(q)
-            for j in sparse.keys() | pivot_row.keys():
+            for j in pivot_row if same else sparse.keys() | pivot_row.keys():
                 t = _exact(fma_terms(pivot, sparse.get(j, {}), lead, pivot_row.get(j, {})), prev)
                 if t:
                     if j not in sparse:

@@ -83,8 +83,10 @@ class Diagram:
         for comp in comps:
             if not comp:
                 raise EmptyComponent("crossing-free components are not allowed")
-            for p in comp:
-                seen.setdefault(p.crossing, []).append(p.over)
+            for cid, over in comp:
+                if type(cid) is not int or cid < 1:
+                    raise InvalidArgument(f"crossing id {cid!r} is not an int >= 1")
+                seen.setdefault(cid, []).append(over)
         for cid, flags in seen.items():
             if len(flags) != 2 or flags[0] == flags[1]:
                 raise PairingError(
@@ -92,16 +94,18 @@ class Diagram:
                 )
         signs = dict(signs)
         for cid in seen:
-            if signs.get(cid) not in (1, -1):
-                raise SignMismatch(f"crossing {cid} lacks a sign")
+            s = signs.get(cid)
+            if type(s) is not int or s not in (1, -1):
+                raise SignMismatch(f"crossing {cid} needs the int sign 1 or -1, not {s!r}")
         extra = set(signs) - set(seen)
         if extra:
             raise PairingError(f"signs given for absent crossings: {sorted(extra)}")
         n2 = 2 * len(seen)
         if arc_labels is not None:
             arc_labels = tuple(arc_labels)
-            if sorted(arc_labels) != list(range(1, n2 + 1)):
-                raise InvalidArgument("arc_labels must be a permutation of 1..2n")
+            if (sorted(arc_labels) != list(range(1, n2 + 1))
+                    or set(map(type, arc_labels)) != {int}):
+                raise InvalidArgument("arc_labels must be a permutation of the ints 1..2n")
             if arc_labels == tuple(range(1, n2 + 1)):
                 arc_labels = None
         object.__setattr__(self, "components", comps)

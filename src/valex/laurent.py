@@ -62,6 +62,8 @@ class LaurentPoly:
             for (i, j), c in dict(terms).items():
                 if not isinstance(c, int):
                     raise TypeError(f"coefficient {c!r} is not an int")
+                if not (isinstance(i, int) and isinstance(j, int)):
+                    raise TypeError(f"exponent pair {(i, j)!r} is not a pair of ints")
                 if c:
                     clean[(int(i), int(j))] = c
         self._terms = clean

@@ -124,7 +124,7 @@ def unit_heavy_rows(draw):
     """Sparse rows of order 1..7, mostly units +-u^i v^j.
 
     Zero entries are left out or stored as {}.  A row or a column may be a
-    unit times another, so that it empties during phase 1 and the result is 0.
+    unit times another, so that it empties during a unit step and the result is 0.
     """
     n = draw(st.integers(1, 7))
     entries = [_entry(*e) for e in draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))]
@@ -170,7 +170,7 @@ class TestDeterminant:
     def test_two_unit_rows_closing_a_cycle(self, code):
         # the all-over component's B rows -x_in + v*x_out form a cycle over
         # its arcs; after the others are pivoted on, the last one is
-        # +-(v^k - 1) up to a unit, not a unit, so it is no phase-1 pivot
+        # +-(v^k - 1) up to a unit, not a unit, so it is a Bareiss pivot
         m = rows_of(parse_gauss(code)).rows
         # every crossing is over on the first component, so every B row is one
         assert all(len(row) == 2 and all(len(t) == 1 for t in row.values())
@@ -286,7 +286,7 @@ class TestDeterminant:
         assert nonzero >= 20
 
     def test_no_unit_entry(self, rng):
-        # coefficients other than +-1 or two terms: phase 1 finds no pivot
+        # coefficients other than +-1 or two terms: no first pivot is a unit
         def entry():
             if rng.random() < 0.3:
                 return ZERO
@@ -299,6 +299,17 @@ class TestDeterminant:
             for _ in range(6):
                 m = sparse_rows([[entry() for _ in range(order)] for _ in range(order)])
                 assert determinant(m) == determinant_cofactor(m)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_constant_entries_without_units(self, rng, order):
+        # no entry is +-1, so the first steps are Bareiss steps; they make
+        # +-1 entries, which are then unit steps whose previous pivot is
+        # not 1, so every row they update or leave alone is divided by it
+        values = [0, 2, -2, 3, -3, 4, 5]
+        for _ in range(300):
+            m = [{j: {(0, 0): c} for j, c in enumerate(rng.choices(values, k=order)) if c}
+                 for _ in range(order)]
+            assert determinant(m) == determinant_cofactor(m)
 
     def test_all_units_leave_an_empty_core(self, rng):
         # no row or column has a single entry, so the first pivot, a_00,
@@ -324,14 +335,14 @@ class TestDeterminant:
 
     def test_unit_pivot_costlier_than_a_non_unit(self):
         # 1 + u sits alone in its row (cost 0), every unit costs 2 or more;
-        # phase 1 still takes the units first and leaves 1 + u to phase 2
+        # the unit is still taken first, and 1 + u's entry is the last pivot
         m = sparse_rows([[ONE + U, ZERO, ZERO], [V, -U, ONE], [-ONE, U * V, V]])
         want = parse_poly("-2*u*v - 2*u^2*v")
         assert determinant(m) == want == determinant_cofactor(m)
 
     def test_empty_entry_is_zero(self):
-        # a stored {} is a zero entry; the phase-2 search once took it as
-        # the pivot of fewest terms and returned 0
+        # a stored {} is a zero entry; the search for the entry of fewest
+        # terms once took it as the pivot and returned 0
         m = [{0: {}, 1: {(0, 0): 2}, 2: {(0, 0): 3}},
              {0: {(0, 0): 2}, 1: {(0, 0): 2}, 2: {(0, 0): 5}},
              {0: {(0, 0): 3}, 1: {(0, 0): 7}, 2: {(0, 0): 2}}]
@@ -340,7 +351,7 @@ class TestDeterminant:
     def test_unit_pivots_with_large_updates(self, rng, monkeypatch):
         # units on the diagonal and 13- to 15-term entries elsewhere, so a
         # unit step's update multiplies two entries of 13 or more terms: 169
-        # or more term products, which phase 1 sends to fma_terms
+        # or more term products, which fma_terms packs
         def big():
             terms, size = {}, rng.randint(13, 15)
             while len(terms) < size:

@@ -6,6 +6,7 @@ from tests.conftest import make_random_diagram
 from valex.diagram import (
     Diagram,
     KINK_KINDS,
+    Passage,
     add_kink,
     add_r2,
     derive_incidence,
@@ -19,6 +20,7 @@ from valex.diagram import (
 )
 from valex.errors import (
     EmptyComponent,
+    InvalidArgument,
     NotAKnot,
     PairingError,
     ParseError,
@@ -111,6 +113,30 @@ class TestParse:
         for n, n_comp in ((1, 3), (2, 5), (3, 0)):
             with pytest.raises(ValueError, match=r"n_comp must be in 1\.\."):
                 make_random_diagram(rng, n, n_comp)
+
+
+class TestConstructor:
+    """Diagram(...) takes only what a Gauss code can spell."""
+
+    @pytest.mark.parametrize("cid", [0, -2, True, 1.0])
+    def test_crossing_ids_are_ints_from_1(self, cid):
+        # as parse_gauss does: O0+U0+ is no Gauss code
+        with pytest.raises(InvalidArgument, match="crossing id"):
+            Diagram([[Passage(cid, True), Passage(cid, False)]], {cid: 1})
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, True, 2, None])
+    def test_signs_are_int_1_or_minus_1(self, sign):
+        # 1.0 == 1 and True == 1; a float sign would fail later, in evaluate
+        with pytest.raises(SignMismatch):
+            Diagram([[Passage(1, True), Passage(1, False)]], {1: sign})
+
+    @pytest.mark.parametrize("labels", [(2.0, 1.0, 4.0, 3.0), (True, 2, 4, 3), (2, 1, 4, 3.0)])
+    def test_arc_labels_are_ints(self, labels):
+        # the labels index lists; 2.0 == 2 would pass a permutation check
+        d = parse_gauss(VTREFOIL)
+        with pytest.raises(InvalidArgument, match="arc_labels"):
+            Diagram(d.components, d.signs, labels)
+        assert Diagram(d.components, d.signs, (2, 1, 4, 3)).arc_labels == (2, 1, 4, 3)
 
 
 class TestIncidence:

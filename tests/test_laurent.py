@@ -400,6 +400,14 @@ class TestAddMul:
         assert {0: "z"}.get(ZERO) == "z"
         assert len({1: "a", ONE: "b"}) == 1
 
+    @pytest.mark.parametrize("terms", [{(0.5, 0): 1, (0, 0): 2}, {("1", "2"): 5},
+                                       {(0, 1.0): 1}, {(0, 0): 1.0}])
+    def test_constructor_takes_only_int_exponents_and_coefficients(self, terms):
+        # converting with int() would truncate (0.5, 0) onto (0, 0), where
+        # the later term overwrites it, and read ("1", "2") as u*v^2
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
     def test_bool_and_repr(self):
         assert not bool(U - U) and bool(U)
         assert repr(U + V) == "LaurentPoly('v + u')"
