@@ -105,7 +105,9 @@ def _relations(sign, in_over, out_over, in_under, out_under) -> tuple:
     """The crossing's A and B rows as (column, terms) pieces, one per arc.
 
     Each arc is given by its place (column, k): its term goes to that column
-    times v^k.
+    times v^k.  ``build_matrix`` and ``delta0_diagram`` both take their rows
+    from it; in the over-arc matrix ``_sparse_row`` merges the over
+    passage's two arcs, which share a column.
     """
     (j1, k1), (j2, k2), (j3, k3), (j4, k4) = in_under, in_over, out_under, out_over
     if sign > 0:
@@ -306,19 +308,6 @@ def determinant(m: list) -> LaurentPoly:
     return LaurentPoly._raw({(i + ue, j + ve): sign * c for (i, j), c in pivot.items()})
 
 
-def _over_arc_pieces(sign, in_over, out_over, in_under, out_under) -> tuple:
-    """A crossing's A row in the over-arc matrix as ``_sparse_row`` pieces.
-
-    The arcs are given by their places (column, k), as in ``_relations``.
-    The over passage's two arcs share a column, so they make one piece and
-    the row has at most three entries.
-    """
-    (j1, k1), (j2, k2), k4, j3 = in_under, in_over, out_over[1], out_under[0]
-    if sign > 0:
-        return ((j1, {(0, k1): 1}), (j2, {(1, k2): 1, (0, k4): -1}), (j3, {(1, 0): -1}))
-    return ((j2, {(0, k2): 1, (1, k4): -1}), (j1, {(1, k1): 1}), (j3, {(0, 0): -1}))
-
-
 def delta0_diagram(d: Diagram) -> LaurentPoly:
     """Delta_0 of the diagram under its arc labeling, from the over-arc matrix.
 
@@ -352,11 +341,11 @@ def delta0_diagram(d: Diagram) -> LaurentPoly:
     sign, v_exp = 1, 0
     for t, c in enumerate(sorted(signs)):
         (i_o, o_o), (i_u, o_u) = over[c], under[c]
-        roles = signs[c], place[i_o], place[o_o], place[i_u], place[o_u]
-        rows.append(_sparse_row(_over_arc_pieces(*roles)))
+        a_row, b_row = _relations(signs[c], place[i_o], place[o_o], place[i_u], place[o_u])
+        rows.append(_sparse_row(a_row))
         kept.append(2 * t)
         if o_o in col:  # the out-over arc of an over-only cycle: the B row stays
-            rows.append(_sparse_row(_relations(*roles)[1]))
+            rows.append(_sparse_row(b_row))
             kept.append(2 * t + 1)
             continue
         eliminated.append(2 * t + 1)

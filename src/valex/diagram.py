@@ -93,6 +93,8 @@ class Diagram:
                     f"crossing {cid} must be visited exactly once over and once under"
                 )
         signs = dict(signs)
+        if set(map(type, signs)) != {int}:
+            raise InvalidArgument(f"crossing ids in signs must be ints: {list(signs)!r}")
         for cid in seen:
             s = signs.get(cid)
             if type(s) is not int or s not in (1, -1):
@@ -284,12 +286,6 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _extract_sign(count, front) -> int:
-    """Sign of the permutation from 1..count to (front, rest ascending)."""
-    skip = set(front)
-    return _perm_sign([x - 1 for x in front] + [r for r in range(count) if r + 1 not in skip])
-
-
 # -- transforms ------------------------------------------------------------------
 
 def switch_crossing(d: Diagram, cid: int) -> Diagram:
@@ -398,36 +394,33 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     by one and the arcs merge pairwise: (in_under, out_over) and
     (in_over, out_under), in positive-crossing terms.
 
-    Labels: merged arcs inherit ranks by smallest old label, then compressed
-    to 1..2n-2 -- except that the two merged labels are transposed whenever
-    the column-permutation parity would break the exact skein identity
-    det(L+) - det(L-) = (uv-1) det(L0).  This makes the identity hold on the
-    nose for every legal smoothing, independent of where the crossing sits.
+    Labels: x and y are the arcs leaving the passages that are over and
+    under in the crossing's positive form.  Every surviving passage keeps
+    its out-arc; x and y are dropped, the rest are renumbered 1..2n-2 in
+    ascending order, and labels 1 and 2 trade places when x + y is even and
+    x < y, or odd and x > y.  This makes the skein identity
+    det(L+) - det(L-) = (uv-1) det(L0) exact.  L+ and L- differ only in the
+    crossing's B row.  Add columns x and y to the columns of the arcs they
+    merge into: the A row, in_under + u*in_over - u*y - x, and B+ - B-,
+    -in_over + v*x - v*in_under + y, then lie in columns x and y alone, as
+    [[-1, -u], [v, 1]] of determinant uv - 1 (uv - 1 also in the role
+    coincidences in_under = out_under and in_over = out_over), and deleting
+    those rows and columns leaves L0's matrix.  Laplace expansion along the
+    two adjacent rows gives det(L+) - det(L-) = -(-1)^(x+y) * (+-1) *
+    (uv-1) * det(L0), with +1 if x < y and -1 otherwise; trading labels 1
+    and 2 negates det(L0).
     """
     if cid not in d.signs:
         raise UnknownCrossing(f"no crossing {cid}")
-    # passages are unique keys: one over and one under per crossing id
-    old_pos = {p: (ci, pi)
-               for ci, comp in enumerate(d.components) for pi, p in enumerate(comp)}
-    oci, opi = old_pos[Passage(cid, True)]
-    uci, upi = old_pos[Passage(cid, False)]
-    _, incidences = derive_incidence(d)
-    inc = next(i for i in incidences if i.crossing == cid)
-    if d.signs[cid] > 0:
-        quad = (inc.in_under, inc.out_over, inc.out_under, inc.in_over)
-    else:
-        # roles of the switched-to-positive form of the crossing
-        quad = (inc.in_over, inc.out_under, inc.out_over, inc.in_under)
-    a1, a2, a3, a4 = quad
-
-    # the pairwise merge: {a1, a2} and {a3, a4}, one class when they share a
-    # label; a class is named by its least label, every other label by itself
-    pairs = [{a1, a2}, {a3, a4}]
-    if pairs[0] & pairs[1]:
-        pairs = [pairs[0] | pairs[1]]
-    n2 = 2 * d.n_crossings
-    root = {x: x for x in range(1, n2 + 1)}
-    root.update((x, min(pair)) for pair in pairs for x in pair)
+    out_of, at = {}, {}  # passage -> its out-arc; over? -> (component, position)
+    for ci, (comp, _, outs) in enumerate(_component_arcs(d)):
+        for pi, p in enumerate(comp):
+            out_of[p] = outs[pi]
+            if p.crossing == cid:
+                at[p.over] = ci, pi
+    (oci, opi), (uci, upi) = at[True], at[False]
+    positive = d.signs[cid] > 0
+    x, y = out_of.pop(Passage(cid, positive)), out_of.pop(Passage(cid, not positive))
 
     # new passage structure
     comps = [list(comp) for comp in d.components]
@@ -453,36 +446,11 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
         new_comps = comps[:lo] + [merged] + comps[lo + 1: hi] + comps[hi + 1:]
 
     signs = {c: s for c, s in d.signs.items() if c != cid}
-
-    # labels: classes ranked by smallest member, then the skein parity fix.
-    # The only possible role coincidences are a1 == a3 (under passage alone in
-    # its component) and a2 == a4 (over passage alone); adjacency coincidences
-    # were rejected above.  The canonical-order skein relation picks up an
-    # extra -1 in the first chain case (first-occurrence column collapse).
-    classes = sorted(set(root.values()))
-    class_label = {c: rank + 1 for rank, c in enumerate(classes)}
-    r1, r4 = root[a1], root[a4]
-    if len({a1, a2, a3, a4}) == 4:
-        front_old, rel, front_roots = [a1, a2, a3, a4], 1, [r1, r4]
-    elif a1 == a3:
-        front_old, rel, front_roots = [a1, a2, a4], -1, [r1]
-    else:  # a2 == a4
-        front_old, rel, front_roots = [a1, a2, a3], 1, [r1]
-    sigma_old = _extract_sign(n2, front_old)
-    sigma_new = _extract_sign(len(classes), [class_label[r] for r in front_roots])
-    if sigma_old * rel * sigma_new < 0:
-        if len(front_roots) == 2:
-            class_label[r1], class_label[r4] = class_label[r4], class_label[r1]
-        else:
-            other = next(c for c in classes if c != front_roots[0])
-            class_label[front_roots[0]], class_label[other] = (
-                class_label[other],
-                class_label[front_roots[0]],
-            )
-
-    out_of = dict(zip((p for comp in d.components for p in comp), _out_labels(d)))
-    new_labels = [class_label[root[out_of[p]]] for comp in new_comps for p in comp]
-    return Diagram(new_comps, signs, new_labels)
+    keep = sorted(out_of.values())  # every arc but x and y
+    if (x + y) % 2 == (x > y):
+        keep[0], keep[1] = keep[1], keep[0]
+    rank = {a: r for r, a in enumerate(keep, 1)}
+    return Diagram(new_comps, signs, [rank[out_of[p]] for comp in new_comps for p in comp])
 
 
 def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:

@@ -130,6 +130,14 @@ class TestConstructor:
         with pytest.raises(SignMismatch):
             Diagram([[Passage(1, True), Passage(1, False)]], {1: sign})
 
+    @pytest.mark.parametrize("signs", [{1: 1, 2.0: 1}, {True: 1, 2: 1}])
+    def test_sign_keys_are_ints(self, signs):
+        # 2.0 == 2 finds crossing 2's sign, and crossings read [1, 2.0]
+        d = parse_gauss(VTREFOIL)
+        with pytest.raises(InvalidArgument, match="crossing ids in signs"):
+            Diagram(d.components, signs)
+        assert list(Diagram(d.components, {2: -1, 1: 1}).signs) == [2, 1]  # order kept
+
     @pytest.mark.parametrize("labels", [(2.0, 1.0, 4.0, 3.0), (True, 2, 4, 3), (2, 1, 4, 3.0)])
     def test_arc_labels_are_ints(self, labels):
         # the labels index lists; 2.0 == 2 would pass a permutation check

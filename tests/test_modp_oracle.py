@@ -1,25 +1,71 @@
-"""Schwartz-Zippel check of Delta_0 at sizes the cofactor oracle cannot reach.
+"""Schwartz-Zippel check of Delta_0, up to sizes the cofactor oracle cannot reach.
 
-The Alexander matrix entries are evaluated at a random point (u, v) modulo
-the prime 2^61 - 1 and the determinant is taken by plain Gaussian
-elimination mod p; it must equal Delta_0(u, v) mod p.  A wrong Delta_0 of
-total degree d passes with probability at most d / p.  The check shares no
-code with the Laurent kernel or the elimination it checks.
+The 2n x 2n relation matrix is built here, at a random point (u, v) modulo
+the prime 2^61 - 1, from the Gauss-code text and the row templates written
+in ``valex.alexander``'s docstring, and its determinant is taken by plain
+Gaussian elimination mod p; it must equal Delta_0(u, v) mod p.  A wrong
+Delta_0 of total degree d passes with probability at most d / p.  The check
+shares no code with valex's row template, matrix builders, Laurent kernel or
+elimination, so an error in ``_relations``, which both ``build_matrix`` and
+``delta0_diagram`` use, cannot make the two sides agree.
 """
 
 import random
+import re
 
 import pytest
 
-from tests.conftest import make_over_only_link, make_random_diagram
-from valex.alexander import build_matrix, invariant_report
-from valex.diagram import derive_incidence
+from tests.conftest import all_diagrams, make_over_only_link, make_random_diagram
+from valex.alexander import build_matrix, delta0_diagram, delta_bar
+from valex.diagram import derive_incidence, format_gauss
 
 P = (1 << 61) - 1
+TOKEN = re.compile(r"([OU])(\d+)([+-])")
 
 
 def at_point(poly, u, v):
     return sum(c * pow(u, i, P) * pow(v, j, P) for (i, j), c in poly.items()) % P
+
+
+def relation_matrix(code, u, v):
+    """The 2n x 2n relation matrix at (u, v) mod P, read from a Gauss code.
+
+    Arc t is the gap after the t-th passage, components in order, and a
+    passage enters on the arc that leaves the passage before it in its
+    component.  Rows: crossings by id, row A then row B, from the templates
+
+        positive:  A:  +1*in_under  +u*in_over  -u*out_under  -1*out_over
+                   B:  -1*in_over   +v*out_over
+        negative:  A:  +1*in_over   +u*in_under -u*out_over   -1*out_under
+                   B:  +v*in_over   -1*out_over
+
+    with coincident roles adding up; columns: arcs ascending.
+    """
+    roles, t = {}, 0
+    for comp in code.split(";"):
+        tokens = TOKEN.findall(comp)
+        first = t
+        for side, cid, sign in tokens:
+            arc_in = t if t > first else first + len(tokens)
+            roles.setdefault(int(cid), {"sign": sign})[side] = arc_in, t + 1
+            t += 1
+    n2 = 2 * len(roles)
+    rows = []
+    for cid in sorted(roles):
+        r = roles[cid]
+        (in_over, out_over), (in_under, out_under) = r["O"], r["U"]
+        if r["sign"] == "+":
+            a = ((in_under, 1), (in_over, u), (out_under, -u), (out_over, -1))
+            b = ((in_over, -1), (out_over, v))
+        else:
+            a = ((in_over, 1), (in_under, u), (out_over, -u), (out_under, -1))
+            b = ((in_over, v), (out_over, -1))
+        for terms in (a, b):
+            row = [0] * n2
+            for arc, c in terms:
+                row[arc - 1] = (row[arc - 1] + c) % P
+            rows.append(row)
+    return rows
 
 
 def det_mod_p(a):
@@ -41,12 +87,23 @@ def det_mod_p(a):
     return det % P
 
 
-def check_mod_p(d, rng):
+def check_mod_p(d, rng, nonzero=True):
     u, v = rng.randrange(2, P - 1), rng.randrange(2, P - 1)
-    rows = build_matrix(derive_incidence(d)[1]).entries
-    delta0 = invariant_report(d).delta0
-    assert delta0
-    assert at_point(delta0, u, v) == det_mod_p([[at_point(e, u, v) for e in row] for row in rows])
+    matrix = relation_matrix(format_gauss(d), u, v)
+    delta0 = delta0_diagram(d)
+    assert at_point(delta0, u, v) == det_mod_p(list(matrix))
+    assert delta0 or not nonzero
+    # build_matrix, the definition valex exports, is the same matrix
+    assert [[at_point(e, u, v) for e in row]
+            for row in build_matrix(derive_incidence(d)[1]).entries] == matrix
+    delta_bar(delta0, d.is_knot)  # raises NotDivisible unless the factor divides
+
+
+def test_relation_matrix_of_the_virtual_trefoil():
+    # O1+U2+U1+O2+: crossing 1 is over from arc 4 to 1 and under from 2 to 3,
+    # crossing 2 over from 3 to 4 and under from 1 to 2
+    assert relation_matrix("O1+U2+U1+O2+", 5, 7) == [
+        [P - 1, 1, P - 5, 5], [7, 0, 0, P - 1], [1, P - 5, 5, P - 1], [0, 0, P - 1, 7]]
 
 
 @pytest.mark.parametrize("n", [40, 50, 64])
@@ -60,3 +117,11 @@ def test_link_with_over_only_component_mod_p():
     # them as a row of the over-arc matrix
     rng = random.Random(40)
     check_mod_p(make_over_only_link(rng, 40, 15), rng)
+
+
+@pytest.mark.parametrize("n, n_comp", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (2, 3)])
+def test_every_small_diagram_mod_p(n, n_comp):
+    # kinks and one-passage components: the roles that coincide
+    rng = random.Random(n * 10 + n_comp)
+    for d in all_diagrams(n, n_comp):
+        check_mod_p(d, rng, nonzero=False)

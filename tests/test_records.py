@@ -1,6 +1,7 @@
 """valex's records: named tuples, two assignable slots classes, a lean import,
-and exports that resolve."""
+exports that resolve and no unused private names."""
 
+import ast
 import importlib
 import pickle
 import pkgutil
@@ -37,6 +38,37 @@ def _exports() -> list:
 @pytest.mark.parametrize("module, name", _exports())
 def test_every_export_resolves(module, name):
     getattr(importlib.import_module(module), name)
+
+
+def test_every_private_name_is_used():
+    # a module-level _name that no other statement in valex reads is dead code
+    statements = []  # (module, index, names it defines, names it reads)
+    for path in sorted(Path(valex.__file__).resolve().parent.glob("*.py")):
+        for index, node in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defines = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defines = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                defines = set()
+            reads = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    reads.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    reads.add(n.attr)
+                elif isinstance(n, ast.ImportFrom):
+                    reads.update(a.name for a in n.names)
+            statements.append((path.name, index, defines, reads))
+    unused = []
+    for module, index, defines, _ in statements:
+        for name in sorted(defines):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in reads for m, i, _, reads in statements
+                                   if (m, i) != (module, index)):
+                unused.append(f"{module}:{name}")
+    assert unused == []
 
 
 class TestTwistSpec:

@@ -6,7 +6,9 @@ import pytest
 
 from tests.conftest import all_diagrams, determinant_cofactor
 from valex.alexander import build_matrix, delta0_diagram, invariant_report
-from valex.diagram import KINK_KINDS, Diagram, add_kink, add_r2, derive_incidence
+from valex.diagram import (KINK_KINDS, Diagram, add_kink, add_r2, derive_incidence,
+                           smooth_crossing, switch_crossing)
+from valex.errors import EmptyComponent
 from valex.laurent import ONE, U, V
 
 KINK_FACTORS = {"Ia": U * V, "Ib": U * V, "Ic": -ONE, "Id": -ONE}
@@ -57,3 +59,28 @@ def test_r2_factor(n):
         want = -(U * V) * delta0_diagram(d)
         for over, under in pairs:
             assert delta0_diagram(add_r2(d, over, under)) == want, (d, over, under)
+
+
+def test_exact_skein_identity_at_every_crossing():
+    # Delta_0(L+) - Delta_0(L-) = (uv-1) Delta_0(L0) term by term, under
+    # smooth_crossing's labels, at every crossing of every knot with n <= 3
+    # and every two-component link with n <= 2, smoothed from either sign
+    ds = itertools.chain(*(all_diagrams(n) for n in (1, 2, 3)),
+                         *(all_diagrams(n, 2) for n in (1, 2)))
+    count, alone = 0, set()
+    for d in ds:
+        for cid in d.crossings:
+            try:
+                zero = smooth_crossing(d, cid)
+            except EmptyComponent:  # a crossing-free loop
+                continue
+            plus = d if d.signs[cid] > 0 else switch_crossing(d, cid)
+            minus = switch_crossing(plus, cid)
+            assert (delta0_diagram(plus) - delta0_diagram(minus)
+                    == (U * V - ONE) * delta0_diagram(zero)), (d, cid)
+            count += 1
+            # a passage alone in its component: in_over = out_over or in_under = out_under
+            alone.update(p.over for comp in d.components if len(comp) == 1
+                         for p in comp if p.crossing == cid)
+    assert count == 1920
+    assert alone == {True, False}
