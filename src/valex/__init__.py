@@ -46,7 +46,6 @@ from .laurent import (
 )
 from .twist import (
     TwistSpec,
-    base_closed_form,
     base_delta_bar,
     clasp_identity,
     evaluate_recursive,
@@ -55,7 +54,6 @@ from .twist import (
     ow_closed_form,
     parity_context,
     parse_spec,
-    smoothed_closed_form,
     spec_report,
     vtab_delta_bar,
 )
@@ -83,8 +81,8 @@ __all__ = [
     "invariant_report",
     # twist
     "TwistSpec", "parse_spec", "format_spec", "parity_context",
-    "generate_twist", "base_closed_form", "base_delta_bar",
-    "vtab_delta_bar", "smoothed_closed_form", "evaluate_recursive",
+    "generate_twist", "base_delta_bar", "vtab_delta_bar",
+    "evaluate_recursive",
     "clasp_identity", "ow_closed_form", "spec_report",
     # verify
     "run_grid", "run_law_suite", "batch_check",

@@ -247,17 +247,18 @@ def normalize(a: LaurentPoly) -> Normalized:
     ``shift`` is the lowest u-power of the input; after multiplying by
     (uv)^-shift, the term of lowest total degree (ties broken by lowest
     u-degree) is made positive.  The zero polynomial normalizes to itself
-    with unit (0, +1).
+    with unit (0, +1).  The shift keeps the order of the terms by (total
+    degree, u-degree), so that term's sign is read on the input and the
+    shift and sign are applied in one pass.
     """
-    if not a:
+    terms = a._terms
+    if not terms:
         return Normalized(ZERO, 0, 1)
-    s = min(i for i, _ in a._terms)
-    shifted = {(i - s, j - s): c for (i, j), c in a._terms.items()}
-    pivot_key = min(shifted, key=lambda k: (k[0] + k[1], k[0]))
-    sign = 1 if shifted[pivot_key] > 0 else -1
-    if sign < 0:
-        shifted = {k: -c for k, c in shifted.items()}
-    return Normalized(LaurentPoly._raw(shifted), s, sign)
+    s = min(terms)[0]  # exponent pairs compare as tuples, u-power first
+    # the pairs (i + j, (i, j)) order the terms by total degree, then u-degree
+    sign = 1 if terms[min(zip(map(sum, terms), terms))[1]] > 0 else -1
+    return Normalized(
+        LaurentPoly._raw({(i - s, j - s): sign * c for (i, j), c in terms.items()}), s, sign)
 
 
 # -- textual form ------------------------------------------------------------

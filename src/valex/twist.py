@@ -34,27 +34,26 @@ from typing import NamedTuple
 from .alexander import InvariantReport
 from .diagram import Diagram, Passage, mirror_all
 from .errors import (
-    EmptyBlock,
     InfiniteReduction,
     InvalidArgument,
     NotABaseCase,
     ParseError,
     UnsupportedClasp,
 )
-from .laurent import LaurentPoly, ONE, U, V, monomial_pow
+from .laurent import LaurentPoly
 
 __all__ = [
     "CLASPS",
+    "MAX_SPEC_BLOCKS",
+    "MAX_SPEC_CROSSINGS",
     "TwistSpec",
     "parse_spec",
     "format_spec",
     "ParityContext",
     "parity_context",
     "generate_twist",
-    "base_closed_form",
     "base_delta_bar",
     "vtab_delta_bar",
-    "smoothed_closed_form",
     "evaluate_recursive",
     "clasp_identity",
     "mirror_invariant",
@@ -63,6 +62,13 @@ __all__ = [
 ]
 
 CLASPS = ("a", "^a", "b", "^b", "ab", "ba")
+
+# parse_spec's caps.  With n blocks dbar can have about n^2 terms, and
+# `valex twist` builds one diagram crossing per twist crossing; at the caps
+# `valex compute --spec` and `valex twist` each take about a second
+# (README, "Twist specs").
+MAX_SPEC_BLOCKS = 400
+MAX_SPEC_CROSSINGS = 100_000
 
 
 def _p(x: int) -> int:
@@ -81,7 +87,11 @@ class _TwistFields(NamedTuple):
 
 
 class TwistSpec(_TwistFields):
-    """Block lengths with signs plus a clasp tag."""
+    """Block lengths with signs plus a clasp tag.
+
+    ``TwistSpec(blocks, clasp)`` checks its input; a spec derived from a
+    checked one is built with ``TwistSpec._make``, which skips the checks.
+    """
 
     __slots__ = ()
 
@@ -103,7 +113,7 @@ class TwistSpec(_TwistFields):
     @property
     def m(self) -> int:
         """Total number of classical twist crossings."""
-        return sum(abs(b) for b in self.blocks)
+        return sum(map(abs, self.blocks))
 
     def __str__(self):
         return format_spec(self)
@@ -113,7 +123,12 @@ _SPEC_RE = re.compile(r"\s*VT(?:\[(\^?[ab]{1,2})\])?\s*\(([^)]*)\)\s*$", re.IGNO
 
 
 def parse_spec(text: str) -> TwistSpec:
-    """Parse ``VT[a](7,4,3,5,9)``; the clasp tag defaults to ``a``."""
+    """Parse ``VT[a](7,4,3,5,9)``; the clasp tag defaults to ``a``.
+
+    A spec with more than ``MAX_SPEC_BLOCKS`` blocks or more than
+    ``MAX_SPEC_CROSSINGS`` twist crossings raises ParseError.  These checks
+    cover the constructor's, so the result is built without repeating them.
+    """
     m = _SPEC_RE.match(text)
     if not m:
         raise ParseError(f"not a twist spec: {text!r}", 0)
@@ -124,10 +139,17 @@ def parse_spec(text: str) -> TwistSpec:
     if not body:
         raise ParseError("twist spec needs at least one block", text.index("("))
     try:
-        blocks = tuple(int(tok.strip()) for tok in body.split(","))
+        blocks = tuple(map(int, body.split(",")))  # int() strips the blanks
     except ValueError:
         raise ParseError(f"bad block list {body!r}", text.index("(")) from None
-    return TwistSpec(blocks, clasp)
+    if len(blocks) > MAX_SPEC_BLOCKS:
+        raise ParseError(f"{len(blocks)} blocks exceed the cap of {MAX_SPEC_BLOCKS}",
+                         text.index("("))
+    crossings = sum(map(abs, blocks))
+    if crossings > MAX_SPEC_CROSSINGS:
+        raise ParseError(f"{crossings} twist crossings exceed the cap of {MAX_SPEC_CROSSINGS}",
+                         text.index("("))
+    return TwistSpec._make((blocks, clasp))
 
 
 def format_spec(spec: TwistSpec) -> str:
@@ -233,28 +255,27 @@ def generate_twist(spec: TwistSpec) -> Diagram:
 
 # -- closed-form base families -----------------------------------------------------
 
-def _triangle(m: int, u_outer: bool, c: int = 1, du: int = 0, dv: int = 0) -> LaurentPoly:
-    """c u^du v^dv sum_{i=0}^{m-1} sum_{j=i}^{m-1} outer^i inner^j.
+def _triangle(m: int, u_outer: bool, c: int = 1, du: int = 0, dv: int = 0) -> dict:
+    """c u^du v^dv sum_{i=0}^{m-1} sum_{j=i}^{m-1} outer^i inner^j, as a term dict.
 
     (outer, inner) is (u, v) when ``u_outer`` and (v, u) otherwise, so the
     exponent pairs (i, j) run over i <= j < m or j <= i < m.
     """
-    return LaurentPoly._raw({(i + du, j + dv): c for i in range(m)
-                             for j in (range(i, m) if u_outer else range(i + 1))})
+    return {(i + du, j + dv): c for i in range(m)
+            for j in (range(i, m) if u_outer else range(i + 1))}
 
 
-def _square(t: int, c: int = 1, d: int = 0) -> LaurentPoly:
-    """c (uv)^d sum_{i=0}^{t} sum_{j=0}^{t} u^i v^j."""
-    return LaurentPoly._raw({(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)})
+def _square(t: int, c: int = 1, d: int = 0) -> dict:
+    """c (uv)^d sum_{i=0}^{t} sum_{j=0}^{t} u^i v^j, as a term dict."""
+    return {(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)}
 
 
 def _classify_base(blocks) -> tuple:
     """(family, m) for the four base shapes; NotABaseCase otherwise."""
     n = len(blocks)
-    inner = blocks[1:-1] if n >= 2 else ()
-    if any(b == 0 for b in inner):
+    if 0 in blocks[1:-1]:
         raise NotABaseCase(f"interior empty block in {blocks}")
-    if any(b != 1 for b in blocks if b != 0):
+    if not set(blocks) <= {0, 1}:
         raise NotABaseCase(f"{blocks} has blocks outside {{0, 1}}")
     lead = blocks[0] == 0
     trail = blocks[-1] == 0
@@ -270,77 +291,42 @@ def _classify_base(blocks) -> tuple:
     return (1, m)
 
 
-def base_closed_form(spec: TwistSpec) -> LaurentPoly:
-    """Diagram-level Delta_0 for the four clasp-a base families (not normalized)."""
-    if spec.clasp != "a":
-        raise NotABaseCase(f"base families are clasp-a specs, got {spec.clasp!r}")
-    fam, m = _classify_base(spec.blocks)
-    u, v = U, V
+def _closed_form(blocks: tuple, clasp: str, k: int) -> dict:
+    """(-uv)^k dbar of a base shape of clasp ``a`` or ``ab``, as a fresh term dict.
+
+    dbar is a double sum for clasp ``a`` and a square for ``ab``, picked by
+    the base family; families 2 and 4 carry the sign (-1)^m.  The unit
+    (-uv)^k adds k to both exponents and (-1)^k to the coefficient.
+    """
+    fam, m = _classify_base(blocks)
+    minus = k + m if fam in (2, 4) else k  # the coefficient is (-1)^minus
+    c = -1 if minus % 2 else 1
+    if clasp == "a":
+        if fam == 1:
+            return _triangle(m, False, c, k, k)
+        if fam == 2:
+            return _triangle(m - 1, True, c, k, k + 1)
+        if fam == 3:
+            return _triangle(m - 1, False, c, k + 1, k)
+        return _triangle(m, True, c, k, k)
     if fam == 1:
-        return -ONE + u ** m + v - u ** (m + 1) * v - u ** m * v ** (m + 1) \
-            + u ** (m + 1) * v ** (m + 1)
-    if fam == 2:
-        body = v - u * v - v ** m + u ** m * v ** m + u * v ** (m + 1) \
-            - u ** m * v ** (m + 1)
-        return -body if m % 2 == 0 else body
-    if fam == 3:
-        return -u + u ** m + u * v - u ** (m + 1) * v - u ** m * v ** m \
-            + u ** (m + 1) * v ** m
-    body = ONE - u - v ** m + u ** (m + 1) * v ** m + u * v ** (m + 1) \
-        - u ** (m + 1) * v ** (m + 1)
-    return -body if m % 2 == 0 else body
+        return _square(m - 2, c, k + 1)
+    if fam == 4:
+        return _square(m, c, k)
+    return _square(m - 1, c, k + 1)
 
 
 def base_delta_bar(spec: TwistSpec) -> LaurentPoly:
     """Delta_0 / ((u-1)(v-1)(uv-1)) for the base families, by the double sums."""
     if spec.clasp != "a":
         raise NotABaseCase(f"base families are clasp-a specs, got {spec.clasp!r}")
-    fam, m = _classify_base(spec.blocks)
-    even = 1 if m % 2 == 0 else -1
-    if fam == 1:
-        return _triangle(m, False)
-    if fam == 2:
-        return _triangle(m - 1, True, even, dv=1)
-    if fam == 3:
-        return _triangle(m - 1, False, du=1)
-    return _triangle(m, True, even)
+    return LaurentPoly._raw(_closed_form(spec.blocks, "a", 0))
 
 
 def vtab_delta_bar(spec: TwistSpec) -> LaurentPoly:
     if spec.clasp != "ab":
         raise NotABaseCase(f"expected clasp 'ab', got {spec.clasp!r}")
-    fam, m = _classify_base(spec.blocks)
-    even = 1 if m % 2 == 0 else -1
-    if fam == 1:
-        return _square(m - 2, 1, 1)
-    if fam == 2:
-        return _square(m - 1, even, 1)
-    if fam == 3:
-        return _square(m - 1, 1, 1)
-    return _square(m, even)
-
-
-def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
-    """Delta_0 of the link made by smoothing the first crossing of block i.
-
-    The formula (clasp a, figure labeling):
-        (-uv)^{sum floor(|a_j|/2)} (-1)^{-p(s(i-1)) + delta + s(n)}
-        (uv)^{eps(i)} (u-1)(v-1)
-    It is a unit times (u-1)(v-1): smoothing a knot's crossing gives a
-    2-component link, never divisible by (uv-1).  The formula reads the
-    clasp-a layout's blocks, so any other clasp raises UnsupportedClasp.
-    """
-    if spec.clasp != "a":
-        raise UnsupportedClasp(f"no smoothed closed form for clasp {spec.clasp!r}")
-    if not 1 <= i <= spec.n:
-        raise EmptyBlock(f"block index {i} out of range 1..{spec.n}")
-    if spec.blocks[i - 1] == 0:
-        raise EmptyBlock(f"block {i} of {spec} is empty")
-    ctx = parity_context(spec)
-    sign_exp = (-_p(ctx.s[i - 1]) + ctx.delta + ctx.s[spec.n]) % 2
-    out = monomial_pow(-1, 1, 1, ctx.half_sum) * monomial_pow(1, 1, 1, ctx.eps[i - 1])
-    out = out * ((U - 1) * (V - 1))
-    return -out if sign_exp else out
+    return LaurentPoly._raw(_closed_form(spec.blocks, "ab", 0))
 
 
 # -- recursion engine ---------------------------------------------------------------
@@ -409,7 +395,7 @@ def _flip_term(blocks: tuple, i: int) -> tuple:
 
 
 def _is_reduced_base_shape(blocks) -> bool:
-    return all(b in (-1, 0, 1) for b in blocks) and 0 not in blocks[1:-1]
+    return set(blocks) <= {-1, 0, 1} and 0 not in blocks[1:-1]
 
 
 def _add_uv(acc: dict, terms, k: int) -> None:
@@ -432,8 +418,9 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     strictly reduces crossing counts; the iteration cap guards convention
     bugs.  Every factor is a power of -uv and every correction a polynomial
     in uv, so the loop carries the unit (-uv)^k as the int k (its sign is
-    (-1)^k) and the corrections as one dict {e: c} for sum c (uv)^e, which
-    meet the base closed form in one pass at the end.
+    (-1)^k) and the corrections as one dict {e: c} for sum c (uv)^e.  At the
+    end ``_closed_form`` builds (-uv)^k dbar of the base shape as one fresh
+    term dict, and the corrections are merged into it.
     """
     if spec.clasp not in ("a", "ab"):
         base, mirrored = clasp_identity(spec)
@@ -457,10 +444,7 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
 
     if spec.clasp == "a":
         _add_uv(acc, (_flip_term(blocks, i) for i, b in enumerate(blocks, 1) if b == -1), k)
-    closed_form = base_delta_bar if spec.clasp == "a" else vtab_delta_bar
-    base = closed_form(TwistSpec(tuple(abs(b) for b in blocks), spec.clasp))
-    sign = -1 if k % 2 else 1
-    out = {(i + k, j + k): sign * c for (i, j), c in base.items()}
+    out = _closed_form(tuple(map(abs, blocks)), spec.clasp, k)
     for e, c in acc.items():
         c += out.get((e, e), 0)
         if c:
@@ -475,7 +459,7 @@ def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
 
     p(u, v) -> -p(v, u); like the clasp identities, it holds up to units.
     """
-    return -p.substituted_swap()
+    return LaurentPoly._raw({(j, i): -c for (i, j), c in p.items()})
 
 
 def clasp_identity(spec: TwistSpec):
@@ -490,13 +474,13 @@ def clasp_identity(spec: TwistSpec):
     if spec.clasp in ("a", "ab"):
         return spec, False
     if spec.clasp == "^a":
-        return TwistSpec(spec.blocks + (0,), "a"), False
+        return TwistSpec._make((spec.blocks + (0,), "a")), False
     if spec.clasp == "b":
-        return TwistSpec(tuple(-b for b in spec.blocks), "a"), True
+        return TwistSpec._make((tuple(-b for b in spec.blocks), "a")), True
     if spec.clasp == "^b":
-        return TwistSpec(tuple(-b for b in spec.blocks) + (0,), "a"), True
+        return TwistSpec._make((tuple(-b for b in spec.blocks) + (0,), "a")), True
     # ba: lengthen the final block by a half-twist
-    return TwistSpec(spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab"), False
+    return TwistSpec._make((spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab")), False
 
 
 def ow_closed_form(spec: TwistSpec) -> int:

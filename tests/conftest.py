@@ -4,7 +4,9 @@ import random
 import pytest
 
 from valex.diagram import Diagram, Passage
-from valex.laurent import LaurentPoly, ONE, ZERO
+from valex.errors import NotABaseCase
+from valex.laurent import LaurentPoly, ONE, U, V, ZERO
+from valex.twist import _classify_base
 
 
 def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
@@ -100,6 +102,32 @@ def determinant_cofactor(m: list) -> LaurentPoly:
     if n == 0:
         return ONE
     return rec(m, list(range(n)))
+
+
+def base_closed_form(spec) -> LaurentPoly:
+    """Diagram-level Delta_0 for the four clasp-a base families (not normalized).
+
+    The paper's closed forms, written out as polynomials; the oracle that
+    ``base_delta_bar``'s double sums and the generated diagrams are checked
+    against.
+    """
+    if spec.clasp != "a":
+        raise NotABaseCase(f"base families are clasp-a specs, got {spec.clasp!r}")
+    fam, m = _classify_base(spec.blocks)
+    u, v = U, V
+    if fam == 1:
+        return -ONE + u ** m + v - u ** (m + 1) * v - u ** m * v ** (m + 1) \
+            + u ** (m + 1) * v ** (m + 1)
+    if fam == 2:
+        body = v - u * v - v ** m + u ** m * v ** m + u * v ** (m + 1) \
+            - u ** m * v ** (m + 1)
+        return -body if m % 2 == 0 else body
+    if fam == 3:
+        return -u + u ** m + u * v - u ** (m + 1) * v - u ** m * v ** m \
+            + u ** (m + 1) * v ** m
+    body = ONE - u - v ** m + u ** (m + 1) * v ** m + u * v ** (m + 1) \
+        - u ** (m + 1) * v ** (m + 1)
+    return -body if m % 2 == 0 else body
 
 
 @pytest.fixture

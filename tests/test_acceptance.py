@@ -6,6 +6,7 @@ equality is exact: term equality on polynomials, integer equality on counts.
 
 import time
 
+from tests.conftest import base_closed_form
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
 from valex.cli import main
 from valex.diagram import (
@@ -28,7 +29,6 @@ from valex.laurent import (
 )
 from valex.twist import (
     TwistSpec,
-    base_closed_form,
     evaluate_recursive,
     generate_twist,
     ow_closed_form,

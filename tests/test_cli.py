@@ -6,7 +6,13 @@ import pytest
 from valex.cli import main
 from valex.diagram import odd_writhe
 from valex.laurent import LaurentPoly, parse_poly
-from valex.twist import TwistSpec, format_spec, generate_twist
+from valex.twist import (
+    MAX_SPEC_BLOCKS,
+    MAX_SPEC_CROSSINGS,
+    TwistSpec,
+    format_spec,
+    generate_twist,
+)
 from valex.verify import run_law_suite
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -133,6 +139,15 @@ class TestTwist:
     def test_unsupported(self, capsys):
         code, _, err = run(capsys, "twist", "VT[ab](1,1)")
         assert code == 1 and "clasp" in err
+
+    @pytest.mark.parametrize("spec", [
+        "VT[a](" + ",".join(["1"] * (MAX_SPEC_BLOCKS + 1)) + ")",
+        f"VT[^b]({MAX_SPEC_CROSSINGS + 1})",
+    ], ids=["blocks", "crossings"])
+    def test_spec_over_a_cap_exits_1(self, capsys, spec):
+        for argv in (("twist", spec), ("compute", "--spec", spec)):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error: ") and "cap" in err
 
     def test_spec_report_odd_writhe_matches_generated_diagram(self, capsys):
         small = [b for k in (1, 2, 3) for b in itertools.product(range(-2, 3), repeat=k)]

@@ -17,6 +17,7 @@ from valex.errors import (
 )
 from valex.laurent import (
     LaurentPoly,
+    Normalized,
     ONE,
     U,
     V,
@@ -612,6 +613,36 @@ def test_normalize_reconstruction_and_idempotence(a):
     again = normalize(res.poly)
     assert again.poly == res.poly
     assert (again.shift, again.sign) == (0, 1)
+
+
+def normalize_two_pass(a: LaurentPoly) -> Normalized:
+    """The reference: shift by (uv)^-s, then find the term of least
+    (i + j, i) on the shifted terms and negate them all in a second pass
+    when it is negative."""
+    if not a:
+        return Normalized(ZERO, 0, 1)
+    terms = dict(a.items())
+    s = min(i for i, _ in terms)
+    shifted = {(i - s, j - s): c for (i, j), c in terms.items()}
+    pivot_key = min(shifted, key=lambda k: (k[0] + k[1], k[0]))
+    sign = 1 if shifted[pivot_key] > 0 else -1
+    if sign < 0:
+        shifted = {k: -c for k, c in shifted.items()}
+    return Normalized(LaurentPoly(shifted), s, sign)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys, st.integers(-3, 3),
+       st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=3))
+def test_normalize_matches_two_pass_reference(a, i, cs):
+    # terms of total degree -7, below every term of ``a``, tie with each
+    # other; the first, of least u-degree, is the pivot, of either sign
+    tied = a + LaurentPoly({(i + k, -7 - i - k): c for k, c in enumerate(cs)})
+    for p in (a, tied):
+        got, want = normalize(p), normalize_two_pass(p)
+        assert got == want
+        assert dict(got.poly.items()) == dict(want.poly.items())
+    assert normalize(tied).sign == (1 if cs[0] > 0 else -1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import base_closed_form
 from valex import twist
 from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
 from valex.diagram import format_gauss, odd_writhe, parse_gauss, smooth_crossing
@@ -15,16 +16,27 @@ from valex.errors import (
     UnsupportedClasp,
     ValexError,
 )
-from valex.laurent import ONE, U, V, ZERO, format_poly, monomial_pow, normalize, parse_poly
+from valex.laurent import (
+    LaurentPoly,
+    ONE,
+    U,
+    V,
+    ZERO,
+    format_poly,
+    monomial_pow,
+    normalize,
+    parse_poly,
+)
 from valex.twist import (
     CLASPS,
+    MAX_SPEC_BLOCKS,
+    MAX_SPEC_CROSSINGS,
     TwistSpec,
     _contract,
     _flip_term,
     _square,
     _step,
     _triangle,
-    base_closed_form,
     base_delta_bar,
     clasp_identity,
     evaluate_recursive,
@@ -34,7 +46,6 @@ from valex.twist import (
     ow_closed_form,
     parity_context,
     parse_spec,
-    smoothed_closed_form,
     spec_report,
     vtab_delta_bar,
 )
@@ -100,26 +111,38 @@ def is_reduced(blocks) -> bool:
     return all(abs(b) <= 1 for b in blocks) and all(blocks[1:-1])
 
 
+# the clasp identities onto clasps a and ab: blocks -> (blocks, clasp, mirrored)
+CLASP_REWRITES = {
+    "a": lambda a: (a, "a", False),
+    "ab": lambda a: (a, "ab", False),
+    "^a": lambda a: (a + (0,), "a", False),
+    "b": lambda a: (tuple(-b for b in a), "a", True),
+    "^b": lambda a: (tuple(-b for b in a) + (0,), "a", True),
+    "ba": lambda a: (a[:-1] + (a[-1] + 1,), "ab", False),
+}
+
+
+def mirrored(p: LaurentPoly) -> LaurentPoly:
+    """p(u, v) -> -p(v, u), the invariant of the mirror image."""
+    return -LaurentPoly({(j, i): c for (i, j), c in p.items()})
+
+
 def reference_dbar(spec: TwistSpec):
     """dbar by the paper's recursion in LaurentPoly arithmetic, from the
-    definitions: the parities by ``paper_parities``, the contraction by
-    ``leftmost_merge`` and the flips by ``FLIP_TABLE``.  It shares only the
-    closed forms, the clasp identities and ``mirror_invariant`` with
+    definitions: the clasp identities by ``CLASP_REWRITES`` and ``mirrored``,
+    the parities by ``paper_parities``, the contraction by ``leftmost_merge``
+    and the flips by ``FLIP_TABLE``.  It shares only the closed forms with
     ``evaluate_recursive``.
     """
-    if spec.clasp not in ("a", "ab"):
-        base, mirrored = clasp_identity(spec)
-        dbar = reference_dbar(base)
-        return mirror_invariant(dbar) if mirrored else dbar
-    blocks = spec.blocks
+    blocks, clasp, mirror = CLASP_REWRITES[spec.clasp](spec.blocks)
     factor = ONE
     acc = ZERO  # dbar(spec) = factor * dbar(blocks) + acc
-    for _ in range(spec.m + spec.n + 1):
+    for _ in range(sum(abs(b) for b in blocks) + len(blocks) + 1):
         if is_reduced(blocks):
             break
         s, delta, eps = paper_parities(blocks)
         factor = factor * (-UV) ** sum(abs(b) // 2 for b in blocks)
-        if spec.clasp == "a":
+        if clasp == "a":
             sign = (-1) ** ((delta + s[-1]) % 2)
             for e, b in zip(eps, blocks):
                 w = (abs(b) // 2) * sign
@@ -131,12 +154,36 @@ def reference_dbar(spec: TwistSpec):
         raise AssertionError(f"{spec} did not reduce")
     for i, b in enumerate(blocks, start=1):
         if b == -1:
-            if spec.clasp == "a":
+            if clasp == "a":
                 e, c = flip_correction(blocks, i)
                 acc = acc + factor * c * UV ** e
             blocks = blocks[: i - 1] + (1,) + blocks[i:]
-    closed_form = base_delta_bar if spec.clasp == "a" else vtab_delta_bar
-    return factor * closed_form(TwistSpec(blocks, spec.clasp)) + acc
+    closed_form = base_delta_bar if clasp == "a" else vtab_delta_bar
+    dbar = factor * closed_form(TwistSpec(blocks, clasp)) + acc
+    return mirrored(dbar) if mirror else dbar
+
+
+def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
+    """Delta_0 of the link made by smoothing the first crossing of block i.
+
+    The paper's formula (clasp a, figure labeling):
+        (-uv)^{sum floor(|a_j|/2)} (-1)^{-p(s(i-1)) + delta + s(n)}
+        (uv)^{eps(i)} (u-1)(v-1)
+    It is a unit times (u-1)(v-1): smoothing a knot's crossing gives a
+    2-component link, never divisible by (uv-1).  The formula reads the
+    clasp-a layout's blocks, so any other clasp raises UnsupportedClasp.
+    """
+    if spec.clasp != "a":
+        raise UnsupportedClasp(f"no smoothed closed form for clasp {spec.clasp!r}")
+    if not 1 <= i <= spec.n:
+        raise EmptyBlock(f"block index {i} out of range 1..{spec.n}")
+    if spec.blocks[i - 1] == 0:
+        raise EmptyBlock(f"block {i} of {spec} is empty")
+    ctx = parity_context(spec)
+    sign_exp = (-ctx.s[i - 1] + ctx.delta + ctx.s[spec.n]) % 2
+    out = monomial_pow(-1, 1, 1, ctx.half_sum) * monomial_pow(1, 1, 1, ctx.eps[i - 1])
+    out = out * ((U - 1) * (V - 1))
+    return -out if sign_exp else out
 
 
 def dropping_zeros(step: tuple) -> tuple:
@@ -174,6 +221,28 @@ class TestSpecText:
                 TwistSpec(*args)
             with pytest.raises(ValexError):
                 TwistSpec(*args)
+
+    def test_parse_builds_a_checked_spec(self):
+        for text in ("VT[a](7,4,3,5,9)", "VT[ab](0,1,1)", "VT[^B]( -3 , 0 )"):
+            spec = parse_spec(text)
+            built = TwistSpec(*spec)
+            assert spec == built and hash(spec) == hash(built)
+            assert type(spec) is TwistSpec and type(spec.blocks) is tuple
+            assert all(type(b) is int for b in spec.blocks)
+
+    def test_caps(self):
+        ones = lambda n: "VT[ab](" + ",".join(["1"] * n) + ")"
+        assert parse_spec(ones(MAX_SPEC_BLOCKS)).n == MAX_SPEC_BLOCKS
+        with pytest.raises(ParseError, match=f"{MAX_SPEC_BLOCKS + 1} blocks exceed the cap"):
+            parse_spec(ones(MAX_SPEC_BLOCKS + 1))
+        half = MAX_SPEC_CROSSINGS // 2
+        assert parse_spec(f"VT[b]({half},{half - MAX_SPEC_CROSSINGS})").m == MAX_SPEC_CROSSINGS
+        with pytest.raises(ParseError, match="twist crossings exceed the cap"):
+            parse_spec(f"VT[b]({half},{half - MAX_SPEC_CROSSINGS - 1})")
+        # the largest spec the command-line checks run, and the benchmark's
+        long = parse_spec("VT[^b](" + ",".join(["3,-1"] * 150) + ")")
+        assert (long.n, long.m) == (300, 600)
+        assert parse_spec("VT[ba](" + ",".join(["-40"] * 8) + ")").m == 320
 
     def test_non_integer_blocks_rejected(self):
         for blocks in ((2.7, -1.2), (2.0,), ("3",), 3):
@@ -281,6 +350,10 @@ class TestBaseClosedForms:
         for blocks in ((2,), (1, -1), (1, 0, 1)):
             with pytest.raises(NotABaseCase):
                 base_closed_form(TwistSpec(blocks))
+            with pytest.raises(NotABaseCase):
+                base_delta_bar(TwistSpec(blocks))
+            with pytest.raises(NotABaseCase):
+                vtab_delta_bar(TwistSpec(blocks, "ab"))
 
 
 class TestDoubleSums:
@@ -292,14 +365,14 @@ class TestDoubleSums:
                 for j in range(i, m):
                     total = total + outer ** i * inner ** j
             for c, du, dv in ((1, 0, 0), (-1, 0, 1), (1, 1, 0)):
-                got = _triangle(m, u_outer, c, du, dv)
+                got = LaurentPoly(_triangle(m, u_outer, c, du, dv))
                 assert got == c * U ** du * V ** dv * total
         square = ZERO
         for i in range(m + 1):
             for j in range(m + 1):
                 square = square + U ** i * V ** j
         for c, d in ((1, 0), (-1, 1)):
-            assert _square(m, c, d) == c * UV ** d * square
+            assert LaurentPoly(_square(m, c, d)) == c * UV ** d * square
 
 
 class TestVTabClosedForms:
@@ -348,8 +421,6 @@ class TestSmoothedClosedForm:
     def test_smoothed_law_on_grid(self):
         """det(smooth(generated, first crossing of block i)) equals the closed
         form, times the label-transposition sign for type-2 first crossings."""
-        from valex.twist import _p
-
         for n in (1, 2, 3):
             rng = range(-3, 4) if n <= 2 else range(-2, 3)
             for blocks in itertools.product(rng, repeat=n):
@@ -363,7 +434,7 @@ class TestSmoothedClosedForm:
                         smooth_crossing(d, first_crossing_of_block(spec, i))
                     )
                     want = smoothed_closed_form(spec, i)
-                    if _p(ctx.s[i - 1]):
+                    if ctx.s[i - 1] % 2:
                         want = -want
                     assert got == want, (blocks, i)
 
@@ -526,6 +597,14 @@ class TestSpecReport:
 
 
 class TestClaspIdentity:
+    @pytest.mark.parametrize("clasp", CLASPS)
+    def test_derived_spec_is_a_checked_spec(self, clasp):
+        spec = TwistSpec((3, -2, 0, 5), clasp)
+        base, mirror = clasp_identity(spec)
+        built = TwistSpec(*base)
+        assert base == built and hash(base) == hash(built) and type(base) is TwistSpec
+        assert (base.blocks, base.clasp, mirror) == CLASP_REWRITES[clasp](spec.blocks)
+
     def test_rewrites(self):
         assert clasp_identity(TwistSpec((1,), "^a")) == (TwistSpec((1, 0), "a"), False)
         assert clasp_identity(TwistSpec((1,), "b")) == (TwistSpec((-1,), "a"), True)
