@@ -40,9 +40,7 @@ from .laurent import (
     ZERO,
     exact_div,
     format_poly,
-    monomial_pow,
     normalize,
-    parse_poly,
 )
 from .twist import (
     TwistSpec,
@@ -70,7 +68,7 @@ __all__ = [
     "__version__",
     # laurent
     "LaurentPoly", "ZERO", "ONE", "U", "V",
-    "monomial_pow", "exact_div", "normalize", "parse_poly", "format_poly",
+    "exact_div", "normalize", "format_poly",
     # diagram
     "Diagram", "Passage", "parse_gauss", "format_gauss", "derive_incidence",
     "switch_crossing", "smooth_crossing", "add_kink", "add_r2",

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 runtime or verification failure, 2 usage error,
 3 internal error (any other exception, printed as one line without a
 traceback).
 All output is plain text; ``--machine`` switches to ``key=value`` lines.
-Polynomials are printed in the package grammar, so they re-parse with
-``parse_poly``; ``valex twist`` prints a Gauss code that ``--gauss`` accepts.
+Polynomials are printed canonically (terms ordered by total degree, then
+u-degree) and read as a Python expression in u and v with ``^`` as ``**``;
+``valex twist`` prints a Gauss code that ``--gauss`` accepts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .alexander import invariant_report
 from .diagram import _out_labels, format_gauss, parse_gauss
-from .errors import ValexError
+from .errors import InvalidArgument, ValexError
 from .laurent import format_poly
 from .twist import (
     clasp_identity,
@@ -25,7 +26,14 @@ from .twist import (
     parse_spec,
     spec_report,
 )
-from .verify import batch_check, grid_specs, run_grid, run_law_suite, worker_count
+from .verify import (
+    MAX_GRID_SPECS,
+    batch_check,
+    grid_specs,
+    run_grid,
+    run_law_suite,
+    worker_count,
+)
 
 
 def _print_report(lines, machine: bool):
@@ -108,7 +116,14 @@ def cmd_batch(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_grid(grid_specs(args.n, *args.range))
+    lo, hi = args.range
+    n_specs = 0
+    for n in range(1, args.n + 1):  # n_specs >= n, so this stops by the cap
+        n_specs += (hi - lo + 1) ** n
+        if n_specs > MAX_GRID_SPECS:
+            raise InvalidArgument(f"--n {args.n} --range {lo}..{hi} asks for more than "
+                                  f"the cap of {MAX_GRID_SPECS} specs")
+    results = run_grid(grid_specs(args.n, lo, hi))
     failures = [r for r in results if not r.passed]
     if args.machine:
         for r in results:

@@ -46,9 +46,14 @@ __all__ = [
     "reverse_orientation",
     "odd_writhe",
     "KINK_KINDS",
+    "MAX_GAUSS_CROSSINGS",
 ]
 
 KINK_KINDS = ("Ia", "Ib", "Ic", "Id")
+
+# parse_gauss's cap.  Delta_0's cost grows steeply with the crossings; at the
+# cap a random knot code takes about a second (README, "Gauss codes").
+MAX_GAUSS_CROSSINGS = 72
 
 # kind -> (crossing sign, over strand on first passage?); fixed so that the
 # determinant factors are uv for Ia/Ib and -1 for Ic/Id
@@ -157,7 +162,10 @@ _TOKEN = re.compile(r"\s*([OU])\s*(\d+)\s*([+-])")
 
 
 def parse_gauss(text: str) -> Diagram:
-    """Parse a signed Gauss code: tokens ``O<k>+`` / ``U<k>-``, components ';'-separated."""
+    """Parse a signed Gauss code: tokens ``O<k>+`` / ``U<k>-``, components ';'-separated.
+
+    A code with more than ``MAX_GAUSS_CROSSINGS`` crossings raises ParseError.
+    """
     components = []
     signs: dict[int, int] = {}
     offset = 0
@@ -197,6 +205,8 @@ def parse_gauss(text: str) -> Diagram:
         offset += len(chunk) + 1
     if not components:
         raise ParseError("empty Gauss code", 0)
+    if len(signs) > MAX_GAUSS_CROSSINGS:
+        raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
     return Diagram(components, signs)
 
 

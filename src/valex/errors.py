@@ -11,7 +11,7 @@ class ValexError(Exception):
 
 
 class ParseError(ValexError, ValueError):
-    """Malformed textual input (polynomial, Gauss code, or twist spec)."""
+    """Malformed textual input (a Gauss code or a twist spec)."""
 
     def __init__(self, message, position=None):
         if position is not None:
@@ -68,10 +68,6 @@ class NotAKnot(ValexError):
 
 class NotABaseCase(ValexError):
     """Twist spec does not match any closed-form base family."""
-
-
-class EmptyBlock(ValexError):
-    """Operation requires a nonempty twist block."""
 
 
 class UnsupportedClasp(ValexError):

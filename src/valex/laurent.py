@@ -11,7 +11,7 @@ Conventions that matter elsewhere:
   invariants: shift so the lowest u-power is zero, then make the term of
   lowest total degree (ties broken by lowest u-degree) positive.
 * ``format_poly`` emits terms sorted by (total degree, u-degree) ascending,
-  so printed fixtures are stable and re-parseable.
+  so printed fixtures are stable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     InvalidArgument,
     NonUnitNegativePower,
     NotDivisible,
-    ParseError,
 )
 
 __all__ = [
@@ -34,10 +33,8 @@ __all__ = [
     "U",
     "V",
     "Normalized",
-    "monomial_pow",
     "exact_div",
     "normalize",
-    "parse_poly",
     "format_poly",
 ]
 
@@ -79,9 +76,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator:
         return iter(self._terms.items())
-
-    def coeff(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -162,7 +156,8 @@ class LaurentPoly:
             # only monomials with unit coefficient can be inverted
             if len(self._terms) == 1:
                 ((i, j), c), = self._terms.items()
-                return monomial_pow(c, i, j, k)
+                if c in (1, -1):
+                    return LaurentPoly._raw({(i * k, j * k): c ** (k & 1)})
             raise NonUnitNegativePower(f"cannot raise {self} to power {k}")
         result = ONE
         base = self
@@ -198,23 +193,6 @@ ZERO = LaurentPoly._raw({})
 ONE = LaurentPoly._raw({(0, 0): 1})
 U = LaurentPoly._raw({(1, 0): 1})
 V = LaurentPoly._raw({(0, 1): 1})
-
-
-def monomial_pow(c: int, i: int, j: int, k: int) -> LaurentPoly:
-    """(c * u^i * v^j) ** k; k may be negative only when c is a unit."""
-    if k < 0 and abs(c) != 1:
-        raise NonUnitNegativePower(f"({c}*u^{i}*v^{j})^{k} is not a Laurent polynomial")
-    if c == 0:
-        if k == 0:
-            return ONE
-        if k < 0:
-            raise NonUnitNegativePower("cannot invert the zero monomial")
-        return ZERO
-    if k >= 0:
-        coeff = c ** k
-    else:
-        coeff = 1 if c == 1 or k % 2 == 0 else -1
-    return LaurentPoly._raw({(i * k, j * k): coeff})
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -266,7 +244,8 @@ def normalize(a: LaurentPoly) -> Normalized:
 def format_poly(a: LaurentPoly) -> str:
     """Render with terms sorted by (total degree, u-degree) ascending.
 
-    The output is re-parseable by :func:`parse_poly` (round-trip stable).
+    The output is canonical: equal polynomials print alike.  It reads back
+    as a Python expression in u and v once ``^`` is taken as ``**``.
     """
     if not a:
         return "0"
@@ -287,96 +266,3 @@ def format_poly(a: LaurentPoly) -> str:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
 
-
-def _parse_int(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    if pos < len(text) and text[pos] in "+-":
-        pos += 1
-    digits = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == digits:
-        raise ParseError("expected an integer", start)
-    try:
-        return int(text[start:pos]), pos
-    except ValueError:  # a digit int() refuses (superscripts), or too many digits
-        raise ParseError("unreadable integer: not decimal, or too many digits", start) from None
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse the term grammar ``c*u^i*v^j`` with +/- separators.
-
-    Every part of a term is optional (coefficient, u-part, v-part) but at
-    least one must be present; '*' separators may be omitted; whitespace is
-    ignored.  Exponents may be negative, e.g. ``u^-1*v^-1``.
-    """
-    s = text
-    n = len(s)
-    pos = 0
-    terms: dict = {}
-
-    def skip_ws(p):
-        while p < n and s[p].isspace():
-            p += 1
-        return p
-
-    pos = skip_ws(pos)
-    if pos == n:
-        raise ParseError("empty polynomial", pos)
-    first = True
-    while pos < n:
-        sign = 1
-        pos = skip_ws(pos)
-        if not first or (pos < n and s[pos] in "+-"):
-            if pos >= n or s[pos] not in "+-":
-                raise ParseError("expected '+' or '-' between terms", pos)
-            sign = 1 if s[pos] == "+" else -1
-            pos = skip_ws(pos + 1)
-        first = False
-
-        coeff = None
-        iexp = 0
-        jexp = 0
-        seen_u = False
-        seen_v = False
-        while True:
-            pos = skip_ws(pos)
-            if pos < n and s[pos].isdigit():
-                if coeff is not None or seen_u or seen_v:
-                    raise ParseError("unexpected number", pos)
-                coeff, pos = _parse_int(s, pos)
-            elif pos < n and s[pos] in "uv":
-                var = s[pos]
-                if (var == "u" and seen_u) or (var == "v" and seen_v):
-                    raise ParseError(f"repeated variable '{var}'", pos)
-                if var == "v":
-                    seen_v = True
-                else:
-                    seen_u = True
-                pos += 1
-                exp = 1
-                if pos < n and s[pos] == "^":
-                    exp, pos = _parse_int(s, pos + 1)
-                if var == "u":
-                    iexp = exp
-                else:
-                    jexp = exp
-            else:
-                raise ParseError("expected a coefficient or variable", pos)
-            pos = skip_ws(pos)
-            if pos < n and s[pos] == "*":
-                pos += 1
-                continue
-            if pos < n and s[pos] in "uv":  # juxtaposition: '*' may be omitted
-                continue
-            break
-
-        c = sign * (1 if coeff is None else coeff)
-        key = (iexp, jexp)
-        v = terms.get(key, 0) + c
-        if v:
-            terms[key] = v
-        elif key in terms:
-            del terms[key]
-        pos = skip_ws(pos)
-    return LaurentPoly._raw(terms)

@@ -255,7 +255,7 @@ def generate_twist(spec: TwistSpec) -> Diagram:
 
 # -- closed-form base families -----------------------------------------------------
 
-def _triangle(m: int, u_outer: bool, c: int = 1, du: int = 0, dv: int = 0) -> dict:
+def _triangle(m: int, u_outer: bool, c: int, du: int, dv: int) -> dict:
     """c u^du v^dv sum_{i=0}^{m-1} sum_{j=i}^{m-1} outer^i inner^j, as a term dict.
 
     (outer, inner) is (u, v) when ``u_outer`` and (v, u) otherwise, so the
@@ -265,7 +265,7 @@ def _triangle(m: int, u_outer: bool, c: int = 1, du: int = 0, dv: int = 0) -> di
             for j in (range(i, m) if u_outer else range(i + 1))}
 
 
-def _square(t: int, c: int = 1, d: int = 0) -> dict:
+def _square(t: int, c: int, d: int) -> dict:
     """c (uv)^d sum_{i=0}^{t} sum_{j=0}^{t} u^i v^j, as a term dict."""
     return {(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)}
 

@@ -44,10 +44,15 @@ __all__ = [
     "BatchSummary",
     "batch_check",
     "worker_count",
+    "MAX_GRID_SPECS",
 ]
 
 # Grids of at most this many specs run in-process; a pool costs more to start.
 _SERIAL_MAX_SPECS = 32
+
+# The largest grid `valex verify` runs; at the cap it takes about 15 s and
+# 170 MB on two CPUs (README, "Command line").
+MAX_GRID_SPECS = 100_000
 
 
 class CheckResult(NamedTuple):

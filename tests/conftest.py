@@ -9,6 +9,11 @@ from valex.laurent import LaurentPoly, ONE, U, V, ZERO
 from valex.twist import _classify_base
 
 
+def read_poly(text: str) -> LaurentPoly:
+    """A polynomial from its printed form, read by Python's parser with ``^`` as ``**``."""
+    return ZERO + eval(text.replace("^", "**"), {"__builtins__": {}, "u": U, "v": V})
+
+
 def make_random_diagram(rng: random.Random, n: int, n_comp: int = 1) -> Diagram:
     """A random valid signed Gauss diagram with n crossings.
 
@@ -63,6 +68,50 @@ def all_diagrams(n: int, n_comp: int = 1):
                 comps = [seq[lo:hi] for lo, hi in bounds]
                 for signs in itertools.product((1, -1), repeat=n):
                     yield Diagram(comps, dict(enumerate(signs, 1)))
+
+
+def genus(d: Diagram) -> int:
+    """Genus of the diagram's Carter surface: 0 exactly when the code is classical.
+
+    The surface is the ribbon graph of the code (Kamada-Kamada, "Abstract
+    link diagrams and virtual knots", JKTR 2000): a vertex per crossing with
+    the counterclockwise half-edge order (out_over, out_under, in_over,
+    in_under) if positive and (out_under, out_over, in_under, in_over) if
+    negative, and an edge per arc.  With F faces and P connected pieces
+    (components joined by crossings), V - E + F = n - 2n + F = 2P - 2g.
+    """
+    turn = {}  # half-edge (crossing, over, outgoing) -> next one counterclockwise
+    for cid, sign in d.signs.items():
+        order = [(cid, True, True), (cid, False, True), (cid, True, False), (cid, False, False)]
+        if sign < 0:
+            order = [order[1], order[0], order[3], order[2]]
+        turn.update(zip(order, order[1:] + order[:1]))
+    other_end = {}
+    for comp in d.components:
+        for p, q in zip(comp, comp[1:] + comp[:1]):
+            out, into = (p.crossing, p.over, True), (q.crossing, q.over, False)
+            other_end[out], other_end[into] = into, out
+    faces, seen = 0, set()
+    for start in turn:
+        if start not in seen:
+            faces += 1
+            h = start
+            while h not in seen:
+                seen.add(h)
+                h = turn[other_end[h]]
+    root = list(range(d.n_components))  # union-find over the components
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    first_seen = {}
+    for k, comp in enumerate(d.components):
+        for p in comp:
+            root[find(first_seen.setdefault(p.crossing, k))] = find(k)
+    pieces = sum(find(k) == k for k in range(d.n_components))
+    return (2 * pieces + d.n_crossings - faces) // 2
 
 
 def make_over_only_link(rng: random.Random, n: int, n_over: int) -> Diagram:

@@ -6,7 +6,7 @@ equality is exact: term equality on polynomials, integer equality on counts.
 
 import time
 
-from tests.conftest import base_closed_form
+from tests.conftest import base_closed_form, read_poly
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
 from valex.cli import main
 from valex.diagram import (
@@ -25,7 +25,6 @@ from valex.laurent import (
     U,
     V,
     normalize,
-    parse_poly,
 )
 from valex.twist import (
     TwistSpec,
@@ -54,7 +53,7 @@ def test_worked_example_regression(capsys):
     out1 = capsys.readouterr().out.strip()
     t1 = time.time() - t0
     assert code == 0
-    assert parse_poly(out1) == parse_poly(
+    assert read_poly(out1) == read_poly(
         "2 + 5*u*v - u^2*v^3 + 2*u^2*v^2 + 4*u^3*v^3"
     )
 
@@ -63,7 +62,7 @@ def test_worked_example_regression(capsys):
     out2 = capsys.readouterr().out.strip()
     t2 = time.time() - t0
     assert code == 0
-    assert parse_poly(out2) == parse_poly(
+    assert read_poly(out2) == read_poly(
         "1 + u*v - u^2*v^2 + u^3*v^2 + 4*u^3*v^3"
     )
     assert t1 < 1.0 and t2 < 1.0

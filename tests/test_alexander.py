@@ -9,6 +9,7 @@ from tests.conftest import (
     determinant_cofactor,
     make_over_only_link,
     make_random_diagram,
+    read_poly,
     sparse_rows,
 )
 from valex import alexander
@@ -34,11 +35,11 @@ from valex.diagram import (
     switch_crossing,
 )
 from valex.errors import EmptyComponent, InvalidArgument, NotDivisible
-from valex.laurent import LaurentPoly, ONE, U, V, ZERO, normalize, parse_poly
+from valex.laurent import LaurentPoly, ONE, U, V, ZERO, normalize
 from valex.twist import TwistSpec, generate_twist
 from valex.verify import acceptance_grid
 
-VT1_VALUE = parse_poly("-1 + u + v - u^2*v - u*v^2 + u^2*v^2")
+VT1_VALUE = read_poly("-1 + u + v - u^2*v - u*v^2 + u^2*v^2")
 
 
 def rows_of(d):
@@ -256,7 +257,7 @@ class TestDeterminant:
             [U, 2 * ONE, ONE],
             [ZERO, U * V, 3 * ONE],
         ])
-        assert determinant(m) == parse_poly("6 - 4*u*v") == determinant_cofactor(m)
+        assert determinant(m) == read_poly("6 - 4*u*v") == determinant_cofactor(m)
 
     def test_order_one(self):
         assert determinant(sparse_rows([[U - V]])) == U - V
@@ -337,7 +338,7 @@ class TestDeterminant:
         # 1 + u sits alone in its row (cost 0), every unit costs 2 or more;
         # the unit is still taken first, and 1 + u's entry is the last pivot
         m = sparse_rows([[ONE + U, ZERO, ZERO], [V, -U, ONE], [-ONE, U * V, V]])
-        want = parse_poly("-2*u*v - 2*u^2*v")
+        want = read_poly("-2*u*v - 2*u^2*v")
         assert determinant(m) == want == determinant_cofactor(m)
 
     def test_empty_entry_is_zero(self):
@@ -489,7 +490,7 @@ class TestDeltaBar:
 
     def test_vt11_factored_value(self):
         p = delta0_diagram(generate_twist(TwistSpec((1, 1))))
-        assert p == KNOT_FACTOR * parse_poly("1 + u + u*v")
+        assert p == KNOT_FACTOR * read_poly("1 + u + u*v")
 
 
 class TestLemmaLaws:
@@ -557,7 +558,7 @@ class TestLemmaLaws:
 class TestInvariantReport:
     def test_worked_example(self):
         rep = invariant_report(generate_twist(TwistSpec((7, 4, 3, 5, 9))))
-        assert rep.dbar_normalized == parse_poly(
+        assert rep.dbar_normalized == read_poly(
             "2 + 5*u*v - u^2*v^3 + 2*u^2*v^2 + 4*u^3*v^3"
         )
         assert rep.odd_writhe == 28
@@ -567,7 +568,7 @@ class TestInvariantReport:
 
     def test_negative_example(self):
         rep = invariant_report(generate_twist(TwistSpec((-7, 3, -5, -2, 3))))
-        assert rep.dbar_normalized == parse_poly(
+        assert rep.dbar_normalized == read_poly(
             "1 + u*v - u^2*v^2 + u^3*v^2 + 4*u^3*v^3"
         )
         assert rep.conjecture_holds

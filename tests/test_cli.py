@@ -1,11 +1,14 @@
 import itertools
 import re
 
+import time
+
 import pytest
 
+from tests.conftest import read_poly
 from valex.cli import main
-from valex.diagram import odd_writhe
-from valex.laurent import LaurentPoly, parse_poly
+from valex.diagram import MAX_GAUSS_CROSSINGS, odd_writhe
+from valex.laurent import LaurentPoly
 from valex.twist import (
     MAX_SPEC_BLOCKS,
     MAX_SPEC_CROSSINGS,
@@ -17,6 +20,8 @@ from valex.verify import run_law_suite
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
+# a chain of classical kinks one crossing over parse_gauss's cap
+OVER_CAP_CODE = "".join(f"O{c}+U{c}+" for c in range(1, MAX_GAUSS_CROSSINGS + 2))
 
 
 def run(capsys, *argv):
@@ -29,7 +34,7 @@ class TestCompute:
     def test_quiet_worked_example(self, capsys):
         code, out, _ = run(capsys, "compute", "--spec", "VT[a](7,4,3,5,9)", "--quiet")
         assert code == 0
-        assert parse_poly(out.strip()) == parse_poly(
+        assert read_poly(out.strip()) == read_poly(
             "2 + 5*u*v - u^2*v^3 + 2*u^2*v^2 + 4*u^3*v^3"
         )
 
@@ -42,7 +47,7 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--gauss", VTREFOIL, "--machine")
         assert code == 0
         fields = dict(line.split("=", 1) for line in out.strip().splitlines())
-        assert parse_poly(fields["dbar_norm"]) == parse_poly("1")
+        assert read_poly(fields["dbar_norm"]) == read_poly("1")
         assert fields["ow"] == "2"
         assert fields["holds"] == "true"
 
@@ -63,7 +68,7 @@ class TestCompute:
                            "--machine")
         assert code == 0
         fields = dict(line.split("=", 1) for line in out.strip().splitlines())
-        assert parse_poly(fields["dbar_norm"]) == parse_poly(
+        assert read_poly(fields["dbar_norm"]) == read_poly(
             "1 + u*v - u^2*v^2 + u^3*v^2 + 4*u^3*v^3"
         )
         assert fields["ow"] == "-8"
@@ -77,7 +82,7 @@ class TestCompute:
         fields = dict(line.split("=", 1) for line in out.strip().splitlines())
         sign, shift = fields["unit"][0], int(fields["unit"].split("^", 1)[1])
         unit = LaurentPoly({(shift, shift): 1 if sign == "+" else -1})
-        assert parse_poly(fields["delta0(D)"]) == unit * parse_poly(fields["delta0_norm"])
+        assert read_poly(fields["delta0(D)"]) == unit * read_poly(fields["delta0_norm"])
 
     def test_bad_gauss_exits_1(self, capsys):
         code, _, err = run(capsys, "compute", "--gauss", "O1+O1+")
@@ -86,6 +91,12 @@ class TestCompute:
     def test_overlong_crossing_id_exits_1(self, capsys):
         code, _, err = run(capsys, "compute", "--gauss", f"O{'9' * 5000}+U{'9' * 5000}+")
         assert code == 1 and err.startswith("error: crossing id of 5000 digits")
+
+    def test_gauss_over_cap_exits_1(self, capsys):
+        code, out, err = run(capsys, "compute", "--gauss", OVER_CAP_CODE)
+        assert code == 1 and out == ""
+        assert err == (f"error: {MAX_GAUSS_CROSSINGS + 1} crossings exceed the cap of "
+                       f"{MAX_GAUSS_CROSSINGS} (at position 0)\n")
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def fail(d):
@@ -131,7 +142,7 @@ class TestTwist:
             code_line = out.strip().splitlines()[-1]
             _, out, _ = run(capsys, "compute", "--gauss", code_line, "--machine")
             via_gauss = dict(line.split("=", 1) for line in out.strip().splitlines())
-            assert parse_poly(via_spec["dbar_norm"]) == parse_poly(
+            assert read_poly(via_spec["dbar_norm"]) == read_poly(
                 via_gauss["dbar_norm"]
             ), spec
             assert via_spec["ow"] == via_gauss["ow"], spec
@@ -204,6 +215,14 @@ class TestVerify:
         assert err.startswith("line 1: ERROR ParseError")
         assert "checked=1 held=1 errors=1" in out
 
+    def test_gauss_over_cap_reports_line_and_goes_on(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"{VTREFOIL}\n{OVER_CAP_CODE}\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1
+        assert err.startswith("line 2: ERROR ParseError")
+        assert "checked=1 held=1 errors=1" in out
+
     @pytest.mark.parametrize("argv", [("batch",), ("batch", "--machine")])
     def test_file_without_codes_exits_1(self, capsys, tmp_path, argv):
         path = tmp_path / "comments.txt"
@@ -228,6 +247,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..3")
         assert code == 0
         assert "4 specs checked" in out and "workers=1)" in out
+
+    def test_grid_over_cap_exits_1_at_once(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid_specs called past the cap")
+
+        monkeypatch.setattr("valex.cli.grid_specs", refuse)
+        # about 1.6e10 specs; then 10**9 one-spec levels, which the count
+        # passes after 100,001 of them
+        for argv in (("--n", "12", "--range", "-3..3"),
+                     ("--n", str(10 ** 9), "--range", "0..0")):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "verify", *argv)
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "cap of 100000 specs" in err
+
+    def test_grid_at_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr("valex.cli.MAX_GRID_SPECS", 4)
+        code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..3")
+        assert code == 0 and "all 4 specs checked" in out
+        code, out, err = run(capsys, "verify", "--n", "1", "--range", "0..4")
+        assert code == 1 and out == "" and "cap of 4 specs" in err
 
     # batch files go through `valex batch` only, so `verify --file` is refused too
     @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "x"), ("--range", "3"),

@@ -6,6 +6,7 @@ from tests.conftest import make_random_diagram
 from valex.diagram import (
     Diagram,
     KINK_KINDS,
+    MAX_GAUSS_CROSSINGS,
     Passage,
     add_kink,
     add_r2,
@@ -70,6 +71,13 @@ class TestParse:
             parse_gauss(f"O{'9' * 5000}+U{'9' * 5000}+")
         with pytest.raises(ParseError):
             parse_gauss("O0+U0+")
+
+    def test_crossing_cap(self):
+        # links count too: the cap is on the crossings of the whole code
+        at_cap = ";".join(f"O{c}+U{c}+" for c in range(1, MAX_GAUSS_CROSSINGS + 1))
+        assert parse_gauss(at_cap).n_crossings == MAX_GAUSS_CROSSINGS
+        with pytest.raises(ParseError, match=f"{MAX_GAUSS_CROSSINGS + 1} crossings exceed"):
+            parse_gauss(at_cap + f";O{MAX_GAUSS_CROSSINGS + 1}-U{MAX_GAUSS_CROSSINGS + 1}-")
 
     def test_trailing_whitespace(self):
         assert parse_gauss("O1+U1+ ") == parse_gauss("O1+U1+")

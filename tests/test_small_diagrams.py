@@ -4,14 +4,18 @@ import itertools
 
 import pytest
 
-from tests.conftest import all_diagrams, determinant_cofactor
+from tests.conftest import all_diagrams, determinant_cofactor, genus
 from valex.alexander import build_matrix, delta0_diagram, invariant_report
 from valex.diagram import (KINK_KINDS, Diagram, add_kink, add_r2, derive_incidence,
-                           smooth_crossing, switch_crossing)
+                           parse_gauss, smooth_crossing, switch_crossing)
 from valex.errors import EmptyComponent
 from valex.laurent import ONE, U, V
 
 KINK_FACTORS = {"Ia": U * V, "Ib": U * V, "Ic": -ONE, "Id": -ONE}
+
+# (n, components) -> codes of genus 0 among all_diagrams(n, components);
+# Delta_0 vanishes on each, as on every classical link
+CLASSICAL_COUNTS = {(1, 1): 4, (2, 1): 32, (3, 1): 336, (1, 2): 0, (2, 2): 32, (3, 2): 768}
 
 
 @pytest.mark.parametrize("n, n_comp, count", [(1, 1, 4), (2, 1, 48), (3, 1, 960),
@@ -22,23 +26,40 @@ def test_generator_yields_each_diagram_once(n, n_comp, count):
     assert all(d.n_crossings == n and d.n_components == n_comp for d in ds)
 
 
+def test_genus_oracle_fixtures():
+    assert genus(parse_gauss("O1+U2+O3+U1+O2+U3+")) == 0  # the classical trefoil
+    assert genus(parse_gauss("O1+U2-O4-U1+O3+U4-O2-U3+")) == 0  # the figure-eight
+    assert genus(parse_gauss("O1+U2+U1+O2+")) == 1  # the virtual trefoil
+    assert genus(parse_gauss("O1+;U1+")) == 1  # the virtual Hopf link
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_knot(n):
+    classical = 0
     for d in all_diagrams(n):
         rep = invariant_report(d)  # raises NotDivisible unless the knot factor divides
         assert rep.delta0 == determinant_cofactor(build_matrix(derive_incidence(d)[1]).rows), d
         assert rep.conjecture_holds, d
+        if genus(d) == 0:
+            classical += 1
+            assert not rep.delta0 and rep.odd_writhe == 0, d
         comp = d.components[0]
         for r in range(1, 2 * n):
             turned = Diagram([comp[r:] + comp[:r]], d.signs)
             assert invariant_report(turned).dbar_normalized == rep.dbar_normalized, (d, r)
+    assert classical == CLASSICAL_COUNTS[n, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_two_component_link(n):
+    classical = 0
     for d in all_diagrams(n, 2):
         rep = invariant_report(d)  # raises NotDivisible unless the link factor divides
         assert rep.delta0 == determinant_cofactor(build_matrix(derive_incidence(d)[1]).rows), d
+        if genus(d) == 0:
+            classical += 1
+            assert not rep.delta0, d
+    assert classical == CLASSICAL_COUNTS[n, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
