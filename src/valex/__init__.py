@@ -44,7 +44,6 @@ from .laurent import (
 )
 from .twist import (
     TwistSpec,
-    base_delta_bar,
     clasp_identity,
     evaluate_recursive,
     format_spec,
@@ -53,7 +52,6 @@ from .twist import (
     parity_context,
     parse_spec,
     spec_report,
-    vtab_delta_bar,
 )
 from .verify import (
     batch_check,
@@ -79,8 +77,7 @@ __all__ = [
     "invariant_report",
     # twist
     "TwistSpec", "parse_spec", "format_spec", "parity_context",
-    "generate_twist", "base_delta_bar", "vtab_delta_bar",
-    "evaluate_recursive",
+    "generate_twist", "evaluate_recursive",
     "clasp_identity", "ow_closed_form", "spec_report",
     # verify
     "run_grid", "run_law_suite", "batch_check",

@@ -66,10 +66,6 @@ class NotAKnot(ValexError):
 
 # -- twist -----------------------------------------------------------------
 
-class NotABaseCase(ValexError):
-    """Twist spec does not match any closed-form base family."""
-
-
 class UnsupportedClasp(ValexError):
     """Clasp variant has no direct diagram generator."""
 

@@ -1,9 +1,11 @@
 """Virtual twist knots: generators, closed forms, and the recursion engine.
 
 ``evaluate_recursive`` (and ``spec_report``, which wraps it) is the
-recursion's public entry.  Its three steps, the recursion step, the
-contraction and the negative flip, are the private ``_step``, ``_contract``
-and ``_flip_term``, which work on block tuples and carry the paper's formulas.
+recursion's public entry and the one way to get dbar of a spec, base shapes
+included.  Its three steps, the recursion step, the contraction and the
+negative flip, are the private ``_step``, ``_contract`` and ``_flip_term``,
+which work on block tuples and carry the paper's formulas; the private
+``_closed_form`` gives dbar of the base shape the steps end at.
 
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
@@ -33,13 +35,7 @@ from typing import NamedTuple
 
 from .alexander import InvariantReport
 from .diagram import Diagram, Passage, mirror_all
-from .errors import (
-    InfiniteReduction,
-    InvalidArgument,
-    NotABaseCase,
-    ParseError,
-    UnsupportedClasp,
-)
+from .errors import InfiniteReduction, InvalidArgument, ParseError, UnsupportedClasp
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -52,8 +48,6 @@ __all__ = [
     "ParityContext",
     "parity_context",
     "generate_twist",
-    "base_delta_bar",
-    "vtab_delta_bar",
     "evaluate_recursive",
     "clasp_identity",
     "mirror_invariant",
@@ -271,16 +265,11 @@ def _square(t: int, c: int, d: int) -> dict:
 
 
 def _classify_base(blocks) -> tuple:
-    """(family, m) for the four base shapes; NotABaseCase otherwise."""
-    n = len(blocks)
-    if 0 in blocks[1:-1]:
-        raise NotABaseCase(f"interior empty block in {blocks}")
-    if not set(blocks) <= {0, 1}:
-        raise NotABaseCase(f"{blocks} has blocks outside {{0, 1}}")
+    """(family, m) of a base shape: blocks in {0, 1}, zeros only at the ends."""
     lead = blocks[0] == 0
     trail = blocks[-1] == 0
     m = sum(blocks)
-    if n == 1:
+    if len(blocks) == 1:
         return (2, 0) if lead else (1, 1)
     if lead and trail:
         return (4, m)
@@ -314,19 +303,6 @@ def _closed_form(blocks: tuple, clasp: str, k: int) -> dict:
     if fam == 4:
         return _square(m, c, k)
     return _square(m - 1, c, k + 1)
-
-
-def base_delta_bar(spec: TwistSpec) -> LaurentPoly:
-    """Delta_0 / ((u-1)(v-1)(uv-1)) for the base families, by the double sums."""
-    if spec.clasp != "a":
-        raise NotABaseCase(f"base families are clasp-a specs, got {spec.clasp!r}")
-    return LaurentPoly._raw(_closed_form(spec.blocks, "a", 0))
-
-
-def vtab_delta_bar(spec: TwistSpec) -> LaurentPoly:
-    if spec.clasp != "ab":
-        raise NotABaseCase(f"expected clasp 'ab', got {spec.clasp!r}")
-    return LaurentPoly._raw(_closed_form(spec.blocks, "ab", 0))
 
 
 # -- recursion engine ---------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Three layers:
 
-* ``run_grid`` sweeps twist specs and checks, per spec: the recursion against
-  the determinant pipeline, the signed odd-writhe identity, the
-  2|dbar(-1,-1)| = |OW| conjecture, and the divisibility law.
+* ``run_grid`` sweeps twist specs and checks, per spec: the recursion's dbar
+  against the determinant's, term by term, the signed odd-writhe identity,
+  the 2|dbar(-1,-1)| = |OW| conjecture, and the divisibility law.
 * ``run_law_suite`` exercises the diagram-level laws (Reidemeister-I
   factors, the exact skein identity, R2 insertion, mirror/reverse symmetry,
   divisibility) on the built-in corpus of small diagrams.
@@ -29,7 +29,7 @@ from . import diagram
 from .alexander import delta0_diagram, delta_bar, invariant_report
 from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientation, \
     smooth_crossing, switch_crossing
-from .errors import EmptyComponent, NotAKnot, UnsupportedClasp, ValexError
+from .errors import EmptyComponent, InvalidArgument, NotAKnot, UnsupportedClasp, ValexError
 from .laurent import ONE, U, V, format_poly, normalize
 from .twist import TwistSpec, clasp_identity, generate_twist, parity_context, \
     spec_report
@@ -45,14 +45,18 @@ __all__ = [
     "batch_check",
     "worker_count",
     "MAX_GRID_SPECS",
+    "MAX_GRID_CROSSINGS",
 ]
 
 # Grids of at most this many specs run in-process; a pool costs more to start.
 _SERIAL_MAX_SPECS = 32
 
-# The largest grid `valex verify` runs; at the cap it takes about 15 s and
-# 170 MB on two CPUs (README, "Command line").
+# grid_specs' caps: the most specs a grid holds, and the most twist crossings
+# its largest spec has.  At the first `valex verify` takes about 15 s and
+# 170 MB on two CPUs; at the second its largest spec takes about a second
+# (README, "Command line").
 MAX_GRID_SPECS = 100_000
+MAX_GRID_CROSSINGS = 3_000
 
 
 class CheckResult(NamedTuple):
@@ -72,12 +76,27 @@ class CheckResult(NamedTuple):
 # -- grid ---------------------------------------------------------------------
 
 def grid_specs(n_max: int, lo: int, hi: int) -> list:
-    """All clasp-a specs with 1 <= n <= n_max and blocks in [lo, hi], in order."""
-    out = []
-    for n in range(1, n_max + 1):
-        for blocks in itertools.product(range(lo, hi + 1), repeat=n):
-            out.append(TwistSpec(blocks))
-    return out
+    """All clasp-a specs with 1 <= n <= n_max and blocks in [lo, hi], in order.
+
+    A grid of more than ``MAX_GRID_SPECS`` specs, or whose largest spec has
+    more than ``MAX_GRID_CROSSINGS`` twist crossings (n_max max(|lo|, |hi|)),
+    raises InvalidArgument before any spec is built.
+    """
+    if lo > hi:  # no spec; the count below needs a nonempty range
+        return []
+    crossings = n_max * max(abs(lo), abs(hi))
+    if crossings > MAX_GRID_CROSSINGS:
+        raise InvalidArgument(f"a grid of n <= {n_max} blocks in {lo}..{hi} has specs of "
+                              f"{crossings} twist crossings, above the cap of "
+                              f"{MAX_GRID_CROSSINGS}")
+    n_specs = 0
+    for n in range(1, n_max + 1):  # n_specs >= n, so this stops by the cap
+        n_specs += (hi - lo + 1) ** n
+        if n_specs > MAX_GRID_SPECS:
+            raise InvalidArgument(f"a grid of n <= {n_max} blocks in {lo}..{hi} has more "
+                                  f"than the cap of {MAX_GRID_SPECS} specs")
+    return [TwistSpec(blocks) for n in range(1, n_max + 1)
+            for blocks in itertools.product(range(lo, hi + 1), repeat=n)]
 
 
 def acceptance_grid() -> list:
@@ -106,13 +125,9 @@ def _check_one_spec(spec: TwistSpec) -> list:
                     "delta0 mod (u-1)(v-1)(uv-1)", "0", div_detail)
     )
 
-    rec_n = rep.dbar_normalized
-    det_n = normalize(det_bar).poly if det_bar is not None else None
-    ok = det_n == rec_n
     results.append(
-        CheckResult(name, "recursion_vs_determinant", ok,
-                    format_poly(rec_n), "<determinant>" if det_n is None else format_poly(det_n),
-                    "equal only after normalization" if ok and rec != det_bar else "")
+        CheckResult(name, "recursion_vs_determinant", rec == det_bar, format_poly(rec),
+                    "<determinant>" if det_bar is None else format_poly(det_bar))
     )
 
     ow = rep.odd_writhe

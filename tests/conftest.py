@@ -4,9 +4,7 @@ import random
 import pytest
 
 from valex.diagram import Diagram, Passage
-from valex.errors import NotABaseCase
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO
-from valex.twist import _classify_base
 
 
 def read_poly(text: str) -> LaurentPoly:
@@ -153,25 +151,34 @@ def determinant_cofactor(m: list) -> LaurentPoly:
     return rec(m, list(range(n)))
 
 
-def base_closed_form(spec) -> LaurentPoly:
-    """Diagram-level Delta_0 for the four clasp-a base families (not normalized).
+def base_end_zeros(blocks) -> tuple:
+    """(leading zero, trailing zero) of a base shape: blocks in {0, 1} with
+    zeros only at the ends.  A single block counts as leading only."""
+    if not (set(blocks) <= {0, 1} and all(blocks[1:-1])):
+        raise ValueError(f"{blocks} is not a base shape")
+    return blocks[0] == 0, len(blocks) > 1 and blocks[-1] == 0
 
-    The paper's closed forms, written out as polynomials; the oracle that
-    ``base_delta_bar``'s double sums and the generated diagrams are checked
-    against.
+
+def base_closed_form(spec) -> LaurentPoly:
+    """Diagram-level Delta_0 of a clasp-a base shape (not normalized).
+
+    The paper's closed forms, written out as polynomials, one per pattern of
+    end zeros; the oracle that the generated diagrams and the recursion's
+    base values are checked against.
     """
     if spec.clasp != "a":
-        raise NotABaseCase(f"base families are clasp-a specs, got {spec.clasp!r}")
-    fam, m = _classify_base(spec.blocks)
+        raise ValueError(f"base families are clasp-a specs, got {spec.clasp!r}")
+    lead, trail = base_end_zeros(spec.blocks)
+    m = sum(spec.blocks)
     u, v = U, V
-    if fam == 1:
+    if not lead and not trail:
         return -ONE + u ** m + v - u ** (m + 1) * v - u ** m * v ** (m + 1) \
             + u ** (m + 1) * v ** (m + 1)
-    if fam == 2:
+    if not trail:
         body = v - u * v - v ** m + u ** m * v ** m + u * v ** (m + 1) \
             - u ** m * v ** (m + 1)
         return -body if m % 2 == 0 else body
-    if fam == 3:
+    if not lead:
         return -u + u ** m + u * v - u ** (m + 1) * v - u ** m * v ** m \
             + u ** (m + 1) * v ** m
     body = ONE - u - v ** m + u ** (m + 1) * v ** m + u * v ** (m + 1) \

@@ -88,13 +88,13 @@ def test_base_family_fixtures():
 
 
 def test_oracle_equivalence():
-    """Recursion and determinant agree (normalized) across the whole grid."""
+    """Recursion and determinant agree term by term across the whole grid."""
     t0 = time.time()
     specs = acceptance_grid()
     assert len(specs) >= 800
     for spec in specs:
-        rec = normalize(evaluate_recursive(spec)).poly
-        det = normalize(delta_bar(delta0_diagram(generate_twist(spec)))).poly
+        rec = evaluate_recursive(spec)
+        det = delta_bar(delta0_diagram(generate_twist(spec)))
         assert rec == det, spec
     report(f"oracle equivalence, {len(specs)} specs", time.time() - t0, 60.0)
 

@@ -16,7 +16,7 @@ from valex.twist import (
     format_spec,
     generate_twist,
 )
-from valex.verify import run_law_suite
+from valex.verify import MAX_GRID_CROSSINGS, run_law_suite
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
@@ -250,25 +250,37 @@ class TestVerify:
 
     def test_grid_over_cap_exits_1_at_once(self, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("grid_specs called past the cap")
+            raise AssertionError("a spec was built past the cap")
 
-        monkeypatch.setattr("valex.cli.grid_specs", refuse)
+        monkeypatch.setattr("valex.verify.TwistSpec", refuse)
         # about 1.6e10 specs; then 10**9 one-spec levels, which the count
-        # passes after 100,001 of them
-        for argv in (("--n", "12", "--range", "-3..3"),
-                     ("--n", str(10 ** 9), "--range", "0..0")):
+        # passes after 100,001 of them; then 2 specs of up to 50,000 twist
+        # crossings each
+        for argv, cap in ((("--n", "12", "--range", "-3..3"), "cap of 100000 specs"),
+                          (("--n", str(10 ** 9), "--range", "0..0"), "cap of 100000 specs"),
+                          (("--n", "1", "--range", "49999..50000"),
+                           f"50000 twist crossings, above the cap of {MAX_GRID_CROSSINGS}")):
             t0 = time.perf_counter()
             code, out, err = run(capsys, "verify", *argv)
             assert time.perf_counter() - t0 < 1.0
             assert code == 1 and out == ""
-            assert err.startswith("error: ") and "cap of 100000 specs" in err
+            assert err.startswith("error: ") and cap in err
 
     def test_grid_at_cap_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("valex.cli.MAX_GRID_SPECS", 4)
+        monkeypatch.setattr("valex.verify.MAX_GRID_SPECS", 4)
         code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..3")
         assert code == 0 and "all 4 specs checked" in out
         code, out, err = run(capsys, "verify", "--n", "1", "--range", "0..4")
         assert code == 1 and out == "" and "cap of 4 specs" in err
+
+    def test_grid_at_crossing_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr("valex.verify.MAX_GRID_CROSSINGS", 4)
+        # the largest spec is VT(-2,-2), of 4 twist crossings
+        code, out, _ = run(capsys, "verify", "--n", "2", "--range", "-2..1")
+        assert code == 0 and "all 20 specs checked" in out
+        code, out, err = run(capsys, "verify", "--n", "1", "--range", "-5..0")
+        assert code == 1 and out == ""
+        assert "specs of 5 twist crossings, above the cap of 4" in err
 
     # batch files go through `valex batch` only, so `verify --file` is refused too
     @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "x"), ("--range", "3"),

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import all_diagrams, determinant_cofactor, genus
 from valex.alexander import build_matrix, delta0_diagram, invariant_report
@@ -11,6 +13,8 @@ from valex.diagram import (KINK_KINDS, Diagram, add_kink, add_r2, derive_inciden
 from valex.errors import EmptyComponent
 from valex.laurent import ONE, U, V
 
+TREFOIL = "O1+U2+O3+U1+O2+U3+"
+FIGURE_EIGHT = "O1+U2-O4-U1+O3+U4-O2-U3+"
 KINK_FACTORS = {"Ia": U * V, "Ib": U * V, "Ic": -ONE, "Id": -ONE}
 
 # (n, components) -> codes of genus 0 among all_diagrams(n, components);
@@ -27,10 +31,40 @@ def test_generator_yields_each_diagram_once(n, n_comp, count):
 
 
 def test_genus_oracle_fixtures():
-    assert genus(parse_gauss("O1+U2+O3+U1+O2+U3+")) == 0  # the classical trefoil
-    assert genus(parse_gauss("O1+U2-O4-U1+O3+U4-O2-U3+")) == 0  # the figure-eight
+    assert genus(parse_gauss(TREFOIL)) == 0  # the classical trefoil
+    assert genus(parse_gauss(FIGURE_EIGHT)) == 0  # the figure-eight
     assert genus(parse_gauss("O1+U2+U1+O2+")) == 1  # the virtual trefoil
     assert genus(parse_gauss("O1+;U1+")) == 1  # the virtual Hopf link
+
+
+def test_r2_on_the_trefoil_mostly_leaves_the_plane():
+    # an R2 move keeps the knot type, but pushing one arc over another across
+    # the diagram adds a handle to the Carter surface
+    d = parse_gauss(TREFOIL)
+    genera = [genus(add_r2(d, a, b)) for a, b in itertools.permutations(range(1, 7), 2)]
+    assert (genera.count(0), genera.count(1), len(genera)) == (6, 24, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([TREFOIL, FIGURE_EIGHT]), st.data())
+def test_r1_keeps_the_genus_and_r2_never_lowers_it(code, data):
+    # chains of 1-4 moves from a classical knot; each genus-0 result is a
+    # classical diagram, so Delta_0 and the odd writhe vanish on it
+    d = parse_gauss(code)
+    g = genus(d)
+    for _ in range(data.draw(st.integers(1, 4))):
+        arcs = st.integers(1, 2 * d.n_crossings)
+        if data.draw(st.booleans()):
+            d = add_kink(d, data.draw(arcs), data.draw(st.sampled_from(KINK_KINDS)))
+            assert genus(d) == g
+        else:
+            over = data.draw(arcs)
+            d = add_r2(d, over, data.draw(arcs.filter(lambda a: a != over)))
+            assert genus(d) >= g
+            g = genus(d)
+        if g == 0:
+            rep = invariant_report(d)
+            assert not rep.delta0 and rep.odd_writhe == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -4,17 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import base_closed_form, read_poly
+from tests.conftest import base_closed_form, base_end_zeros, read_poly
 from valex import twist
 from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
 from valex.diagram import format_gauss, odd_writhe, parse_gauss, smooth_crossing
-from valex.errors import (
-    InvalidArgument,
-    NotABaseCase,
-    ParseError,
-    UnsupportedClasp,
-    ValexError,
-)
+from valex.errors import InvalidArgument, ParseError, UnsupportedClasp, ValexError
 from valex.laurent import (
     LaurentPoly,
     ONE,
@@ -34,7 +28,6 @@ from valex.twist import (
     _square,
     _step,
     _triangle,
-    base_delta_bar,
     clasp_identity,
     evaluate_recursive,
     format_spec,
@@ -44,7 +37,6 @@ from valex.twist import (
     parity_context,
     parse_spec,
     spec_report,
-    vtab_delta_bar,
 )
 
 UV = U * V
@@ -119,6 +111,32 @@ CLASP_REWRITES = {
 }
 
 
+def base_dbar(blocks, clasp: str) -> LaurentPoly:
+    """dbar of a base shape of clasp ``a`` or ``ab``, by the paper's sums.
+
+    With m ones and the end zeros read by ``base_end_zeros``, clasp ``a``
+    sums u^i v^j over
+        j <= i < m          with no end zero,
+        i <= j < m - 1      times v with a leading zero only,
+        j <= i < m - 1      times u with a trailing zero only,
+        i <= j < m          with both,
+    and clasp ``ab`` over the square i, j <= t, times uv unless both ends are
+    zero, where t = m - 2, m - 1 or m for none, one or two end zeros.  A
+    leading zero gives the sign (-1)^m.
+    """
+    lead, trail = base_end_zeros(blocks)
+    m = sum(blocks)
+    sign = (-1) ** m if lead else 1
+    if clasp == "ab":
+        t = m - 2 + lead + trail
+        d = 0 if lead and trail else 1
+        return LaurentPoly({(i + d, j + d): sign for i in range(t + 1) for j in range(t + 1)})
+    t = m if lead == trail else m - 1
+    du, dv = int(trail and not lead), int(lead and not trail)
+    return LaurentPoly({(i + du, j + dv): sign for i in range(t) for j in range(t)
+                        if (i <= j if lead else j <= i)})
+
+
 def mirrored(p: LaurentPoly) -> LaurentPoly:
     """p(u, v) -> -p(v, u), the invariant of the mirror image."""
     return -LaurentPoly({(j, i): c for (i, j), c in p.items()})
@@ -127,9 +145,9 @@ def mirrored(p: LaurentPoly) -> LaurentPoly:
 def reference_dbar(spec: TwistSpec):
     """dbar by the paper's recursion in LaurentPoly arithmetic, from the
     definitions: the clasp identities by ``CLASP_REWRITES`` and ``mirrored``,
-    the parities by ``paper_parities``, the contraction by ``leftmost_merge``
-    and the flips by ``FLIP_TABLE``.  It shares only the closed forms with
-    ``evaluate_recursive``.
+    the parities by ``paper_parities``, the contraction by ``leftmost_merge``,
+    the flips by ``FLIP_TABLE`` and the base values by ``base_dbar``.  It
+    shares no twist code with ``evaluate_recursive``.
     """
     blocks, clasp, mirror = CLASP_REWRITES[spec.clasp](spec.blocks)
     factor = ONE
@@ -155,8 +173,7 @@ def reference_dbar(spec: TwistSpec):
                 e, c = flip_correction(blocks, i)
                 acc = acc + factor * c * UV ** e
             blocks = blocks[: i - 1] + (1,) + blocks[i:]
-    closed_form = base_delta_bar if clasp == "a" else vtab_delta_bar
-    dbar = factor * closed_form(TwistSpec(blocks, clasp)) + acc
+    dbar = factor * base_dbar(blocks, clasp) + acc
     return mirrored(dbar) if mirror else dbar
 
 
@@ -332,25 +349,27 @@ class TestBaseClosedForms:
                 det = delta0_diagram(generate_twist(spec))
                 cf = base_closed_form(spec)
                 assert det == cf, (spec, format_poly(det), format_poly(cf))
-                assert cf == KNOT_FACTOR * base_delta_bar(spec)
+                assert cf == KNOT_FACTOR * base_dbar(spec.blocks, "a")
+                assert cf == KNOT_FACTOR * evaluate_recursive(spec)
 
     def test_fixture_values(self):
         assert base_closed_form(TwistSpec((1, 1))) == read_poly(
             "-1 + u^2 + v - u^3*v - u^2*v^3 + u^3*v^3"
         )
-        assert base_delta_bar(TwistSpec((1, 1))) == read_poly("1 + u + u*v")
-        assert base_delta_bar(TwistSpec((0, 1, 1))) == V
+        assert evaluate_recursive(TwistSpec((1, 1))) == read_poly("1 + u + u*v")
+        assert evaluate_recursive(TwistSpec((0, 1, 1))) == V
         assert not base_closed_form(TwistSpec((1, 0)))
-        assert not base_delta_bar(TwistSpec((0,)))
+        assert not evaluate_recursive(TwistSpec((0,)))
 
-    def test_not_a_base_case(self):
-        for blocks in ((2,), (1, -1), (1, 0, 1)):
-            with pytest.raises(NotABaseCase):
-                base_closed_form(TwistSpec(blocks))
-            with pytest.raises(NotABaseCase):
-                base_delta_bar(TwistSpec(blocks))
-            with pytest.raises(NotABaseCase):
-                vtab_delta_bar(TwistSpec(blocks, "ab"))
+    @pytest.mark.parametrize("clasp", ["a", "ab"])
+    def test_recursion_reads_every_base_shape(self, clasp):
+        # blocks in {0, 1}, zeros only at the ends: 2 shapes at n = 1, 4 at each n >= 2
+        shapes = [b for n in range(1, 8) for b in itertools.product((0, 1), repeat=n)
+                  if all(b[1:-1])]
+        assert len(shapes) == 26
+        for blocks in shapes:
+            got = evaluate_recursive(TwistSpec(blocks, clasp))
+            assert got == base_dbar(blocks, clasp), blocks
 
 
 class TestDoubleSums:
@@ -374,15 +393,15 @@ class TestDoubleSums:
 
 class TestVTabClosedForms:
     def test_guards(self):
-        assert not vtab_delta_bar(TwistSpec((1,), "ab"))
-        assert vtab_delta_bar(TwistSpec((0, 1), "ab")) == -UV
-        assert vtab_delta_bar(TwistSpec((0, 0), "ab")) == ONE
+        assert not evaluate_recursive(TwistSpec((1,), "ab"))
+        assert evaluate_recursive(TwistSpec((0, 1), "ab")) == -UV
+        assert evaluate_recursive(TwistSpec((0, 0), "ab")) == ONE
         # the knot factor has one home, alexander
         assert not hasattr(twist, "KNOT_FACTOR")
 
     def test_family_values(self):
-        assert vtab_delta_bar(TwistSpec((1, 1), "ab")) == UV
-        assert vtab_delta_bar(TwistSpec((1, 1, 1), "ab")) == UV * read_poly(
+        assert evaluate_recursive(TwistSpec((1, 1), "ab")) == UV
+        assert evaluate_recursive(TwistSpec((1, 1, 1), "ab")) == UV * read_poly(
             "1 + u + v + u*v"
         )
 
@@ -477,7 +496,7 @@ class TestNegativeFlip:
 
     def test_single_negative(self):
         assert _flip_term((-1,), 1) == (0, -1)
-        assert base_delta_bar(TwistSpec((1,))) == ONE  # so dbar(VT(-1)) == 1 - 1 == 0
+        assert evaluate_recursive(TwistSpec((1,))) == ONE  # so dbar(VT(-1)) == 1 - 1 == 0
 
     def test_matches_flip_table(self):
         for n in range(1, 6):

@@ -4,8 +4,8 @@ from valex.diagram import parse_gauss, smooth_crossing
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
 from valex import verify
 from valex.errors import EmptyComponent, UnsupportedClasp
-from valex.laurent import U
-from valex.twist import TwistSpec, spec_report
+from valex.laurent import U, V
+from valex.twist import TwistSpec, evaluate_recursive, spec_report
 from valex.verify import (
     batch_check,
     builtin_corpus,
@@ -83,6 +83,22 @@ class TestGrid:
         assert not results["divisibility"].passed
         rvd = results["recursion_vs_determinant"]
         assert (rvd.passed, rvd.rhs, rvd.detail) == (False, "<determinant>", "")
+
+    def test_unit_slip_in_the_recursion_fails(self, monkeypatch):
+        # -uv is a unit, which normalization hides; the check compares the
+        # raw values, so it fails on every spec whose dbar is not 0
+        def slipped(spec):
+            rep = spec_report(spec)
+            rep.dbar = -(U * V) * rep.dbar
+            return rep
+
+        monkeypatch.setattr(verify, "spec_report", slipped)
+        specs = grid_specs(2, 0, 3)
+        results = run_grid(specs, workers=1)
+        passed = {r.subject for r in results
+                  if r.check == "recursion_vs_determinant" and r.passed}
+        assert passed == {"VT[a](0)", "VT[a](0,0)", "VT[a](0,1)", "VT[a](1,0)"}
+        assert all(not evaluate_recursive(s) for s in specs if str(s) in passed)
 
     @pytest.mark.parametrize("clasp", ["^a", "b", "^b"])
     def test_other_clasps_all_pass(self, clasp):
