@@ -19,16 +19,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import (
-    EmptyComponent,
-    InvalidArgument,
-    NotAKnot,
-    PairingError,
-    ParseError,
-    SignMismatch,
-    UnknownArc,
-    UnknownCrossing,
-)
+from .errors import EmptyComponent, InvalidArgument, ParseError
 
 __all__ = [
     "Passage",
@@ -94,19 +85,18 @@ class Diagram:
                 seen.setdefault(cid, []).append(over)
         for cid, flags in seen.items():
             if len(flags) != 2 or flags[0] == flags[1]:
-                raise PairingError(
-                    f"crossing {cid} must be visited exactly once over and once under"
-                )
+                raise InvalidArgument(
+                    f"crossing {cid} must be visited exactly once over and once under")
         signs = dict(signs)
         if set(map(type, signs)) != {int}:
             raise InvalidArgument(f"crossing ids in signs must be ints: {list(signs)!r}")
         for cid in seen:
             s = signs.get(cid)
             if type(s) is not int or s not in (1, -1):
-                raise SignMismatch(f"crossing {cid} needs the int sign 1 or -1, not {s!r}")
+                raise InvalidArgument(f"crossing {cid} needs the int sign 1 or -1, not {s!r}")
         extra = set(signs) - set(seen)
         if extra:
-            raise PairingError(f"signs given for absent crossings: {sorted(extra)}")
+            raise InvalidArgument(f"signs given for absent crossings: {sorted(extra)}")
         n2 = 2 * len(seen)
         if arc_labels is not None:
             arc_labels = tuple(arc_labels)
@@ -193,15 +183,14 @@ def parse_gauss(text: str) -> Diagram:
             if prev is None:
                 signs[cid] = sign
             elif prev != sign:
-                raise SignMismatch(
-                    f"crossing {cid} appears with both signs in {text!r}"
-                )
+                raise ParseError(f"crossing {cid} appears with both signs in {text!r}",
+                                 offset + pos)
             passages.append(Passage(cid, over))
             pos = m.end()
         if passages:
             components.append(passages)
         elif len(chunks) > 1 or chunk.strip():
-            raise EmptyComponent("component without classical crossings")
+            raise ParseError("component without classical crossings", offset)
         offset += len(chunk) + 1
     if not components:
         raise ParseError("empty Gauss code", 0)
@@ -301,7 +290,7 @@ def _perm_sign(perm) -> int:
 def switch_crossing(d: Diagram, cid: int) -> Diagram:
     """Swap over/under on both passages of ``cid`` and negate its sign."""
     if cid not in d.signs:
-        raise UnknownCrossing(f"no crossing {cid}")
+        raise InvalidArgument(f"no crossing {cid}")
     comps = [
         [Passage(p.crossing, not p.over) if p.crossing == cid else p for p in comp]
         for comp in d.components
@@ -334,7 +323,7 @@ def odd_writhe(d: Diagram) -> int:
     its two visits along the cyclic code.
     """
     if not d.is_knot:
-        raise NotAKnot("odd writhe is defined for knots")
+        raise InvalidArgument("odd writhe is defined for knots")
     comp = d.components[0]
     pos: dict[int, list[int]] = {}
     for t, p in enumerate(comp):
@@ -374,7 +363,7 @@ def _passage_leaving(outs: tuple, arc) -> int:
     try:
         return outs.index(arc)
     except ValueError:
-        raise UnknownArc(f"no arc {arc}") from None
+        raise InvalidArgument(f"no arc {arc}") from None
 
 
 def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
@@ -421,7 +410,7 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     and 2 negates det(L0).
     """
     if cid not in d.signs:
-        raise UnknownCrossing(f"no crossing {cid}")
+        raise InvalidArgument(f"no crossing {cid}")
     out_of, at = {}, {}  # passage -> its out-arc; over? -> (component, position)
     for ci, (comp, _, outs) in enumerate(_component_arcs(d)):
         for pi, p in enumerate(comp):
@@ -471,7 +460,7 @@ def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
     them.  Labels are assigned so that det(result) = (-uv) det(d) exactly.
     """
     if over_arc == under_arc:
-        raise UnknownArc("R2 insertion needs two distinct arcs")
+        raise InvalidArgument("R2 insertion needs two distinct arcs")
     outs = _out_labels(d)
     t_over = _passage_leaving(outs, over_arc)
     t_under = _passage_leaving(outs, under_arc)

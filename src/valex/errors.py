@@ -1,8 +1,13 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from :class:`ValexError`, so callers can
-catch one type at the CLI boundary.  Parse failures carry the offending
-position to make error messages actionable.
+catch one type at the CLI boundary.  There is one class per kind of failure:
+
+* ``ParseError``: text that ``parse_gauss`` or ``parse_spec`` cannot read;
+  it carries the offending position.
+* ``InvalidArgument``: any other value outside a function's domain.
+* ``EmptyComponent``, ``NotDivisible``, ``UnsupportedClasp`` and
+  ``InfiniteReduction``: failures that callers tell apart by type.
 """
 
 
@@ -24,47 +29,13 @@ class InvalidArgument(ValexError, ValueError):
     """A library call was given a value outside its documented domain."""
 
 
-# -- laurent ---------------------------------------------------------------
-
-class NonUnitNegativePower(ValexError):
-    """Negative power requested for a monomial whose coefficient is not a unit."""
-
-
-class DivisionByZero(ValexError, ZeroDivisionError):
-    """Polynomial division by the zero polynomial."""
+class EmptyComponent(ValexError):
+    """A diagram component without classical crossings (rejected everywhere)."""
 
 
 class NotDivisible(ValexError, ArithmeticError):
     """Exact polynomial division has a nonzero remainder."""
 
-
-# -- diagram ---------------------------------------------------------------
-
-class PairingError(ValexError):
-    """A crossing is not visited exactly once over and once under."""
-
-
-class SignMismatch(ValexError):
-    """The two passages of a crossing carry different signs."""
-
-
-class UnknownCrossing(ValexError, KeyError):
-    """Crossing id not present in the diagram."""
-
-
-class UnknownArc(ValexError, KeyError):
-    """Arc id not present in the diagram."""
-
-
-class EmptyComponent(ValexError):
-    """A component without classical crossings (rejected everywhere)."""
-
-
-class NotAKnot(ValexError):
-    """Knot-only operation applied to a multi-component diagram."""
-
-
-# -- twist -----------------------------------------------------------------
 
 class UnsupportedClasp(ValexError):
     """Clasp variant has no direct diagram generator."""

@@ -19,12 +19,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from ._backend import divexact_terms, mul_terms
-from .errors import (
-    DivisionByZero,
-    InvalidArgument,
-    NonUnitNegativePower,
-    NotDivisible,
-)
+from .errors import InvalidArgument, NotDivisible
 
 __all__ = [
     "LaurentPoly",
@@ -58,9 +53,9 @@ class LaurentPoly:
         if terms:
             for (i, j), c in dict(terms).items():
                 if not isinstance(c, int):
-                    raise TypeError(f"coefficient {c!r} is not an int")
+                    raise InvalidArgument(f"coefficient {c!r} is not an int")
                 if not (isinstance(i, int) and isinstance(j, int)):
-                    raise TypeError(f"exponent pair {(i, j)!r} is not a pair of ints")
+                    raise InvalidArgument(f"exponent pair {(i, j)!r} is not a pair of ints")
                 if c:
                     clean[(int(i), int(j))] = c
         self._terms = clean
@@ -158,7 +153,7 @@ class LaurentPoly:
                 ((i, j), c), = self._terms.items()
                 if c in (1, -1):
                     return LaurentPoly._raw({(i * k, j * k): c ** (k & 1)})
-            raise NonUnitNegativePower(f"cannot raise {self} to power {k}")
+            raise InvalidArgument(f"cannot raise {self} to power {k}")
         result = ONE
         base = self
         while k:
@@ -169,10 +164,6 @@ class LaurentPoly:
         return result
 
     # -- structure queries ---------------------------------------------------
-
-    def substituted_swap(self) -> "LaurentPoly":
-        """p(u, v) -> p(v, u)."""
-        return LaurentPoly._raw({(j, i): c for (i, j), c in self._terms.items()})
 
     def substituted_inverse(self) -> "LaurentPoly":
         """p(u, v) -> p(u^-1, v^-1)."""
@@ -198,11 +189,11 @@ V = LaurentPoly._raw({(0, 1): 1})
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient q with q*b == a.
 
-    Raises DivisionByZero when b == 0 and NotDivisible when no exact quotient
+    Raises InvalidArgument when b == 0 and NotDivisible when no exact quotient
     exists (the latter signals a violated divisibility law upstream).
     """
     if not b:
-        raise DivisionByZero("division by the zero polynomial")
+        raise InvalidArgument("division by the zero polynomial")
     if not a:
         return ZERO
     q = divexact_terms(a._terms, b._terms)

@@ -29,10 +29,10 @@ from . import diagram
 from .alexander import delta0_diagram, delta_bar, invariant_report
 from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientation, \
     smooth_crossing, switch_crossing
-from .errors import EmptyComponent, InvalidArgument, NotAKnot, UnsupportedClasp, ValexError
+from .errors import EmptyComponent, InvalidArgument, UnsupportedClasp, ValexError
 from .laurent import ONE, U, V, format_poly, normalize
-from .twist import TwistSpec, clasp_identity, generate_twist, parity_context, \
-    spec_report
+from .twist import TwistSpec, clasp_identity, generate_twist, mirror_invariant, \
+    parity_context, spec_report
 
 __all__ = [
     "CheckResult",
@@ -51,10 +51,11 @@ __all__ = [
 # Grids of at most this many specs run in-process; a pool costs more to start.
 _SERIAL_MAX_SPECS = 32
 
-# grid_specs' caps: the most specs a grid holds, and the most twist crossings
-# its largest spec has.  At the first `valex verify` takes about 15 s and
-# 170 MB on two CPUs; at the second its largest spec takes about a second
-# (README, "Command line").
+# grid_specs' caps: the most specs a grid holds, and the square root of the
+# most that its specs' twist crossings, squared, sum to.  A spec of m twist
+# crossings takes about m^2 time, so at the first `valex verify` takes about
+# 15 s and 170 MB on two CPUs, and at the second as long as one spec of 3,000
+# crossings, about a second (README, "Command line").
 MAX_GRID_SPECS = 100_000
 MAX_GRID_CROSSINGS = 3_000
 
@@ -78,23 +79,30 @@ class CheckResult(NamedTuple):
 def grid_specs(n_max: int, lo: int, hi: int) -> list:
     """All clasp-a specs with 1 <= n <= n_max and blocks in [lo, hi], in order.
 
-    A grid of more than ``MAX_GRID_SPECS`` specs, or whose largest spec has
-    more than ``MAX_GRID_CROSSINGS`` twist crossings (n_max max(|lo|, |hi|)),
-    raises InvalidArgument before any spec is built.
+    A grid of more than ``MAX_GRID_SPECS`` specs, or whose specs' twist
+    crossings, squared, sum to more than ``MAX_GRID_CROSSINGS`` squared,
+    raises InvalidArgument before any spec is built.  So no spec has more
+    than ``MAX_GRID_CROSSINGS`` twist crossings.
     """
     if lo > hi:  # no spec; the count below needs a nonempty range
         return []
-    crossings = n_max * max(abs(lo), abs(hi))
-    if crossings > MAX_GRID_CROSSINGS:
-        raise InvalidArgument(f"a grid of n <= {n_max} blocks in {lo}..{hi} has specs of "
-                              f"{crossings} twist crossings, above the cap of "
-                              f"{MAX_GRID_CROSSINGS}")
+    size = hi - lo + 1
     n_specs = 0
     for n in range(1, n_max + 1):  # n_specs >= n, so this stops by the cap
-        n_specs += (hi - lo + 1) ** n
+        n_specs += size ** n
         if n_specs > MAX_GRID_SPECS:
             raise InvalidArgument(f"a grid of n <= {n_max} blocks in {lo}..{hi} has more "
                                   f"than the cap of {MAX_GRID_SPECS} specs")
+    # (|a_1| + ... + |a_n|)^2 summed over the size^n specs of n blocks; the
+    # count cap keeps these sums at most 100,000 terms long
+    s1 = sum(abs(a) for a in range(lo, hi + 1))
+    s2 = sum(a * a for a in range(lo, hi + 1))
+    work = sum(n * s2 * size ** (n - 1) + n * (n - 1) * s1 * s1 * size ** max(n - 2, 0)
+               for n in range(1, n_max + 1))
+    if work > MAX_GRID_CROSSINGS ** 2:
+        raise InvalidArgument(f"a grid of n <= {n_max} blocks in {lo}..{hi} sums {work} "
+                              f"over its specs' twist crossings squared, above the cap of "
+                              f"{MAX_GRID_CROSSINGS ** 2}")
     return [TwistSpec(blocks) for n in range(1, n_max + 1)
             for blocks in itertools.product(range(lo, hi + 1), repeat=n)]
 
@@ -248,7 +256,7 @@ def run_law_suite() -> list:
 
         if knot and dbar is not None:
             lhs = normalize(delta_bar(delta0_diagram(mirror_all(d)))).poly
-            rhs = normalize(-dbar.substituted_swap()).poly
+            rhs = normalize(mirror_invariant(dbar)).poly
             results.append(CheckResult(name, "mirror_symmetry", lhs == rhs,
                                        format_poly(lhs), format_poly(rhs)))
             lhs = normalize(delta_bar(delta0_diagram(reverse_orientation(d)))).poly
@@ -296,7 +304,7 @@ def batch_check(lines: Iterable[str]) -> BatchSummary:
         try:
             d = parse_gauss(line)
             if not d.is_knot:
-                raise NotAKnot("the odd-writhe conjecture concerns knots")
+                raise InvalidArgument("the odd-writhe conjecture concerns knots")
             verdicts.append((no, invariant_report(d)))
         except ValexError as e:
             errors.append((no, f"{type(e).__name__}: {e}"))

@@ -255,11 +255,14 @@ class TestVerify:
         monkeypatch.setattr("valex.verify.TwistSpec", refuse)
         # about 1.6e10 specs; then 10**9 one-spec levels, which the count
         # passes after 100,001 of them; then 2 specs of up to 50,000 twist
-        # crossings each
+        # crossings each; then 6,001 and 40,602 specs whose twist crossings,
+        # squared, sum to 1.8e10 and 4.8e8
+        work_cap = f"squared, above the cap of {MAX_GRID_CROSSINGS ** 2}"
         for argv, cap in ((("--n", "12", "--range", "-3..3"), "cap of 100000 specs"),
                           (("--n", str(10 ** 9), "--range", "0..0"), "cap of 100000 specs"),
-                          (("--n", "1", "--range", "49999..50000"),
-                           f"50000 twist crossings, above the cap of {MAX_GRID_CROSSINGS}")):
+                          (("--n", "1", "--range", "49999..50000"), work_cap),
+                          (("--n", "1", "--range", "-3000..3000"), work_cap),
+                          (("--n", "2", "--range", "-100..100"), work_cap)):
             t0 = time.perf_counter()
             code, out, err = run(capsys, "verify", *argv)
             assert time.perf_counter() - t0 < 1.0
@@ -275,12 +278,17 @@ class TestVerify:
 
     def test_grid_at_crossing_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setattr("valex.verify.MAX_GRID_CROSSINGS", 4)
-        # the largest spec is VT(-2,-2), of 4 twist crossings
-        code, out, _ = run(capsys, "verify", "--n", "2", "--range", "-2..1")
-        assert code == 0 and "all 20 specs checked" in out
-        code, out, err = run(capsys, "verify", "--n", "1", "--range", "-5..0")
-        assert code == 1 and out == ""
-        assert "specs of 5 twist crossings, above the cap of 4" in err
+        # the squared twist crossings sum to 16 over VT(-4), and to 7 over
+        # the six specs of n <= 2 blocks in 0..1
+        code, out, _ = run(capsys, "verify", "--n", "1", "--range", "-4..-4")
+        assert code == 0 and "all 1 specs checked" in out
+        code, out, _ = run(capsys, "verify", "--n", "2", "--range", "0..1")
+        assert code == 0 and "all 6 specs checked" in out
+        # 9 + 16 over VT(-4) and VT(-3); 1 + 4 + 9 + 16 over VT(1)..VT(4)
+        for grid, work in (("-4..-3", 25), ("1..4", 30)):
+            code, out, err = run(capsys, "verify", "--n", "1", "--range", grid)
+            assert code == 1 and out == ""
+            assert f"sums {work} over its specs' twist crossings squared, above the cap of 16" in err
 
     # batch files go through `valex batch` only, so `verify --file` is refused too
     @pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "x"), ("--range", "3"),

@@ -22,12 +22,7 @@ from valex.diagram import (
 from valex.errors import (
     EmptyComponent,
     InvalidArgument,
-    NotAKnot,
-    PairingError,
     ParseError,
-    SignMismatch,
-    UnknownArc,
-    UnknownCrossing,
     ValexError,
 )
 from valex.twist import TwistSpec, generate_twist, ow_closed_form
@@ -54,11 +49,11 @@ class TestParse:
 
     def test_pairing_errors(self):
         for bad in ("O1+", "O1+O1+", "O1+U2+U1+"):
-            with pytest.raises(PairingError):
+            with pytest.raises(InvalidArgument):
                 parse_gauss(bad)
 
     def test_sign_mismatch(self):
-        with pytest.raises(SignMismatch):
+        with pytest.raises(ParseError):
             parse_gauss("O1+U1-")
 
     def test_garbage(self):
@@ -84,7 +79,7 @@ class TestParse:
         assert parse_gauss("O1+U1+\t;U2-O2-") == parse_gauss("O1+U1+;U2-O2-")
 
     def test_empty_component(self):
-        with pytest.raises(EmptyComponent):
+        with pytest.raises(ParseError):
             parse_gauss("O1+;;U1+")
 
     def test_multi_component(self):
@@ -135,7 +130,7 @@ class TestConstructor:
     @pytest.mark.parametrize("sign", [1.0, -1.0, True, 2, None])
     def test_signs_are_int_1_or_minus_1(self, sign):
         # 1.0 == 1 and True == 1; a float sign would fail later, in evaluate
-        with pytest.raises(SignMismatch):
+        with pytest.raises(InvalidArgument):
             Diagram([[Passage(1, True), Passage(1, False)]], {1: sign})
 
     @pytest.mark.parametrize("signs", [{1: 1, 2.0: 1}, {True: 1, 2: 1}])
@@ -209,7 +204,7 @@ class TestTransforms:
             assert switch_crossing(switch_crossing(d, cid), cid) == d
 
     def test_switch_unknown(self):
-        with pytest.raises(UnknownCrossing):
+        with pytest.raises(InvalidArgument):
             switch_crossing(parse_gauss(VTREFOIL), 9)
 
     def test_mirror_is_switch_all(self):
@@ -243,7 +238,7 @@ class TestOddWrithe:
         assert odd_writhe(generate_twist(TwistSpec((2,)))) == 2
 
     def test_not_a_knot(self):
-        with pytest.raises(NotAKnot):
+        with pytest.raises(InvalidArgument):
             odd_writhe(parse_gauss("O1+;U1+"))
 
     def test_mirror_negates(self, rng):
@@ -272,7 +267,7 @@ class TestKink:
             assert d2.signs[new] == (1 if kind in ("Ia", "Id") else -1)
 
     def test_unknown_arc(self):
-        with pytest.raises(UnknownArc):
+        with pytest.raises(InvalidArgument):
             add_kink(parse_gauss(VTREFOIL), 5, "Ia")
 
     def test_unknown_kind(self):
@@ -300,7 +295,7 @@ class TestSmooth:
             smooth_crossing(parse_gauss("O1+U1+"), 1)
 
     def test_unknown(self):
-        with pytest.raises(UnknownCrossing):
+        with pytest.raises(InvalidArgument):
             smooth_crossing(parse_gauss(VTREFOIL), 7)
 
     def test_sign_independent(self, rng):
@@ -330,5 +325,5 @@ class TestR2:
         assert sorted(d2.signs[c] for c in news) == [-1, 1]
 
     def test_needs_distinct_arcs(self):
-        with pytest.raises(UnknownArc):
+        with pytest.raises(InvalidArgument):
             add_r2(parse_gauss(VTREFOIL), 2, 2)

@@ -10,9 +10,7 @@ from tests.conftest import read_poly
 from valex import _backend
 from valex._backend import divexact_terms, fma_terms, mul_terms
 from valex.errors import (
-    DivisionByZero,
     InvalidArgument,
-    NonUnitNegativePower,
     NotDivisible,
 )
 from valex.laurent import (
@@ -404,7 +402,7 @@ class TestAddMul:
     def test_constructor_takes_only_int_exponents_and_coefficients(self, terms):
         # converting with int() would truncate (0.5, 0) onto (0, 0), where
         # the later term overwrites it, and read ("1", "2") as u*v^2
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidArgument):
             LaurentPoly(terms)
 
     def test_bool_and_repr(self):
@@ -416,9 +414,9 @@ class TestAddMul:
         assert (-U * V) ** -1 == LaurentPoly({(-1, -1): -1})
 
     def test_negative_power_of_nonunit(self):
-        with pytest.raises(NonUnitNegativePower):
+        with pytest.raises(InvalidArgument):
             (U + 1) ** -1
-        with pytest.raises(NonUnitNegativePower):
+        with pytest.raises(InvalidArgument):
             (2 * U) ** -1
 
 
@@ -436,13 +434,13 @@ class TestMonomialPow:
         assert (-U * V) ** 12 == LaurentPoly({(12, 12): 1})
 
     def test_negative_power_of_nonunit(self):
-        with pytest.raises(NonUnitNegativePower):
+        with pytest.raises(InvalidArgument):
             (2 * U) ** -1
 
     def test_zero_monomial(self):
         assert not ZERO ** 2
         assert ZERO ** 0 == ONE
-        with pytest.raises(NonUnitNegativePower):
+        with pytest.raises(InvalidArgument):
             ZERO ** -1
 
 
@@ -468,7 +466,7 @@ class TestExactDiv:
             exact_div(1 + U * V, 1 + V)
 
     def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(InvalidArgument):
             exact_div(U, ZERO)
 
     def test_laurent_shifts(self):

@@ -1,5 +1,5 @@
 """valex's records: named tuples, two assignable slots classes, a lean import,
-exports that resolve and no unused private names."""
+exports that resolve, no unused private names and no unused error class."""
 
 import ast
 import importlib
@@ -12,8 +12,20 @@ from pathlib import Path
 import pytest
 
 import valex
+from valex import errors
 from valex.alexander import invariant_report
-from valex.diagram import parse_gauss
+from valex.diagram import (
+    Diagram,
+    Passage,
+    add_kink,
+    add_r2,
+    odd_writhe,
+    parse_gauss,
+    smooth_crossing,
+    switch_crossing,
+)
+from valex.errors import InvalidArgument, ParseError, ValexError
+from valex.laurent import ZERO, LaurentPoly, U, exact_div
 from valex.twist import TwistSpec
 from valex.verify import CheckResult
 
@@ -69,6 +81,68 @@ def test_every_private_name_is_used():
                                    if (m, i) != (module, index)):
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that no raise statement in valex names is dead code
+    raised = set()
+    for path in Path(valex.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, ValexError) and obj is not ValexError}
+    assert classes and classes - raised == set()
+
+
+_VTREFOIL = "O1+U2+U1+O2+"
+
+_RAISE_SITES = {  # name -> (call, type, message, position)
+    "pairing": (lambda: Diagram([[Passage(1, True)]], {1: 1}), InvalidArgument,
+                "crossing 1 must be visited exactly once over and once under", None),
+    "sign": (lambda: Diagram([[Passage(1, True), Passage(1, False)]], {1: 2}), InvalidArgument,
+             "crossing 1 needs the int sign 1 or -1, not 2", None),
+    "absent_sign": (lambda: Diagram([[Passage(1, True), Passage(1, False)]], {1: 1, 2: 1}),
+                    InvalidArgument, "signs given for absent crossings: [2]", None),
+    "both_signs": (lambda: parse_gauss("O1+U1-"), ParseError,
+                   "crossing 1 appears with both signs in 'O1+U1-' (at position 3)", 3),
+    "empty_text_component": (lambda: parse_gauss("O1+;;U1+"), ParseError,
+                             "component without classical crossings (at position 4)", 4),
+    "switch_unknown": (lambda: switch_crossing(parse_gauss(_VTREFOIL), 9), InvalidArgument,
+                       "no crossing 9", None),
+    "smooth_unknown": (lambda: smooth_crossing(parse_gauss(_VTREFOIL), 9), InvalidArgument,
+                       "no crossing 9", None),
+    "kink_unknown_arc": (lambda: add_kink(parse_gauss(_VTREFOIL), 9, "Ia"), InvalidArgument,
+                         "no arc 9", None),
+    "r2_unknown_arc": (lambda: add_r2(parse_gauss(_VTREFOIL), 1, 9), InvalidArgument,
+                       "no arc 9", None),
+    "r2_one_arc": (lambda: add_r2(parse_gauss(_VTREFOIL), 2, 2), InvalidArgument,
+                   "R2 insertion needs two distinct arcs", None),
+    "odd_writhe_link": (lambda: odd_writhe(parse_gauss("O1+;U1+")), InvalidArgument,
+                        "odd writhe is defined for knots", None),
+    "div_by_zero": (lambda: exact_div(U, ZERO), InvalidArgument,
+                    "division by the zero polynomial", None),
+    "nonunit_power": (lambda: (U + 1) ** -1, InvalidArgument,
+                      "cannot raise 1 + u to power -1", None),
+    "float_coefficient": (lambda: LaurentPoly({(0, 0): 1.0}), InvalidArgument,
+                          "coefficient 1.0 is not an int", None),
+    "float_exponent": (lambda: LaurentPoly({(0.5, 0): 1}), InvalidArgument,
+                       "exponent pair (0.5, 0) is not a pair of ints", None),
+}
+
+
+@pytest.mark.parametrize("site", list(_RAISE_SITES))
+def test_error_type_message_and_position(site):
+    # one class per kind of failure, and the message prints as written:
+    # no KeyError quotes
+    call, kind, message, position = _RAISE_SITES[site]
+    with pytest.raises(ValexError) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    if kind is ParseError:
+        assert exc.value.position == position
 
 
 class TestTwistSpec:

@@ -37,7 +37,7 @@ class TestConjecture:
         assert (rep.odd_writhe, rep.conjecture_holds) == (None, None)
         summary = batch_check(["O1+;U1+\n"])
         assert summary.errors == [
-            (1, "NotAKnot: the odd-writhe conjecture concerns knots")]
+            (1, "InvalidArgument: the odd-writhe conjecture concerns knots")]
         # clasp b is the mirror of VT_a(-S): same verdict, odd writhe negated
         rep = spec_report(TwistSpec((1,), "b"))
         assert rep.odd_writhe == -spec_report(TwistSpec((-1,))).odd_writhe
