@@ -46,10 +46,8 @@ from .twist import (
     TwistSpec,
     clasp_identity,
     evaluate_recursive,
-    format_spec,
     generate_twist,
     ow_closed_form,
-    parity_context,
     parse_spec,
     spec_report,
 )
@@ -76,8 +74,7 @@ __all__ = [
     "determinant", "delta0_diagram", "delta_bar",
     "invariant_report",
     # twist
-    "TwistSpec", "parse_spec", "format_spec", "parity_context",
-    "generate_twist", "evaluate_recursive",
+    "TwistSpec", "parse_spec", "generate_twist", "evaluate_recursive",
     "clasp_identity", "ow_closed_form", "spec_report",
     # verify
     "run_grid", "run_law_suite", "batch_check",

@@ -21,7 +21,6 @@ from .errors import ValexError
 from .laurent import format_poly
 from .twist import (
     clasp_identity,
-    format_spec,
     generate_twist,
     parse_spec,
     spec_report,
@@ -84,10 +83,10 @@ def cmd_twist(args) -> int:
     spec = parse_spec(args.spec)
     d = generate_twist(spec)
     base, mirrored = clasp_identity(spec)
-    print(f"# {format_spec(spec)}: {d.n_crossings} classical crossings"
+    print(f"# {spec}: {d.n_crossings} classical crossings"
           f" (crossing 1 = clasp), {d.n_components} component")
     if base != spec:
-        print(f"# generated via clasp identity as {format_spec(base)}"
+        print(f"# generated via clasp identity as {base}"
               + (" mirrored" if mirrored else ""))
     print(f"# arc labels along traversal (columns of the matrix): "
           f"{' '.join(str(x) for x in _out_labels(d))}")
@@ -96,22 +95,28 @@ def cmd_twist(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    checked = held = errors = ignored = 0
     with open(args.file, encoding="utf-8") as fh:
-        summary = batch_check(fh)
-    for no, rep in summary.verdicts:
-        if args.machine:
-            print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
-                  f"dbar={rep.dbar_at_minus_one}, "
-                  f"holds={str(rep.conjecture_holds).lower()}")
-        else:
-            mark = "holds" if rep.conjecture_holds else "FAILS"
-            print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
-                  f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}")
-    for no, msg in summary.errors:
-        print(f"line {no}: ERROR {msg}", file=sys.stderr)
-    print(f"checked={summary.checked} held={summary.held} "
-          f"errors={len(summary.errors)} ignored={summary.ignored}")
-    return 0 if summary.ok else 1
+        for no, rep in batch_check(fh):
+            if rep is None:
+                ignored += 1
+            elif isinstance(rep, str):
+                errors += 1
+                print(f"line {no}: ERROR {rep}", file=sys.stderr, flush=True)
+            else:
+                checked += 1
+                held += rep.conjecture_holds
+                if args.machine:
+                    print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
+                          f"dbar={rep.dbar_at_minus_one}, "
+                          f"holds={str(rep.conjecture_holds).lower()}", flush=True)
+                else:
+                    mark = "holds" if rep.conjecture_holds else "FAILS"
+                    print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
+                          f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}", flush=True)
+    print(f"checked={checked} held={held} errors={errors} ignored={ignored}")
+    # a file with no code to check fails
+    return 0 if checked and not errors and held == checked else 1
 
 
 def cmd_verify(args) -> int:

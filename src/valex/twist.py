@@ -44,9 +44,6 @@ __all__ = [
     "MAX_SPEC_CROSSINGS",
     "TwistSpec",
     "parse_spec",
-    "format_spec",
-    "ParityContext",
-    "parity_context",
     "generate_twist",
     "evaluate_recursive",
     "clasp_identity",
@@ -110,7 +107,7 @@ class TwistSpec(_TwistFields):
         return sum(map(abs, self.blocks))
 
     def __str__(self):
-        return format_spec(self)
+        return f"VT[{self.clasp}]({','.join(map(str, self.blocks))})"
 
 
 _SPEC_RE = re.compile(r"\s*VT(?:\[(\^?[ab]{1,2})\])?\s*\(([^)]*)\)\s*$", re.IGNORECASE)
@@ -146,35 +143,21 @@ def parse_spec(text: str) -> TwistSpec:
     return TwistSpec._make((blocks, clasp))
 
 
-def format_spec(spec: TwistSpec) -> str:
-    return f"VT[{spec.clasp}]({','.join(str(b) for b in spec.blocks)})"
-
-
 # -- parity bookkeeping --------------------------------------------------------
 
-class ParityContext(NamedTuple):
-    """The partial sums and parity counts that drive every twist formula."""
+def _parity(a: tuple) -> tuple:
+    """The partial sums and parity counts that drive every twist formula.
 
-    s: tuple       # s[i] = sum_{j<=i} (a_j + 1), s[0] = 0
-    delta: int     # sum_j p(a_j) p(s(j))
-    eps: tuple     # eps[i-1] = epsilon(i), i = 1..n
-    half_sum: int  # sum_i floor(|a_i| / 2)
+    Returns (s, delta, eps, half_sum) for the blocks a_1..a_n, in time linear
+    in n: s[i] = sum_{j<=i} (a_j + 1) with s[0] = 0, delta = sum_j p(a_j)
+    p(s(j)), eps[i-1] = epsilon(i) for i = 1..n, and half_sum =
+    sum_i floor(|a_i| / 2), where
 
+        epsilon(i) = p(s(i-1)) - 1 + sum_{j<i} p(a_j) p(s(j))
+                                   + sum_{j>=i} p(a_j) p(1 + s(j-1)).
 
-def parity_context(spec: TwistSpec) -> ParityContext:
-    """Partial sums and parity counts, in time linear in the block count.
-
-    epsilon(i) = p(s(i-1)) - 1 + sum_{j<i} p(a_j) p(s(j))
-                               + sum_{j>=i} p(a_j) p(1 + s(j-1)).
     The first sum is carried as a prefix, whose last value is delta; the
     second as a suffix, which starts at its total over all blocks.
-    """
-    return ParityContext(*_parity(spec.blocks))
-
-
-def _parity(a: tuple) -> tuple:
-    """The fields of ``parity_context`` for a block tuple, in field order.
-
     ``x & y & 1`` is p(x) p(y).
     """
     s = [0]
@@ -216,10 +199,9 @@ def generate_twist(spec: TwistSpec) -> Diagram:
         d = generate_twist(base)
         return mirror_all(d) if mirrored else d
 
-    ctx = parity_context(spec)
+    s = _parity(spec.blocks)[0]
     m = spec.m
-    n = spec.n
-    clasp_positive = _p(ctx.s[n]) == 0
+    clasp_positive = _p(s[-1]) == 0
 
     odd_under = []
     signs = {1: 1 if clasp_positive else -1}
@@ -228,7 +210,7 @@ def generate_twist(spec: TwistSpec) -> Diagram:
         sign = _sgn(block)
         for k in range(1, abs(block) + 1):
             t += 1
-            type1 = _p(ctx.s[j - 1] + k - 1) == 0
+            type1 = _p(s[j - 1] + k - 1) == 0
             odd_under.append(type1 == (sign > 0))
             signs[t + 1] = sign
 
@@ -488,4 +470,4 @@ def spec_report(spec: TwistSpec) -> InvariantReport:
         ow = ow_closed_form(spec)
     except UnsupportedClasp:
         ow = None
-    return InvariantReport(format_spec(spec), None, dbar, True, ow)
+    return InvariantReport(str(spec), None, dbar, True, ow)

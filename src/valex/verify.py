@@ -8,9 +8,9 @@ Three layers:
 * ``run_law_suite`` exercises the diagram-level laws (Reidemeister-I
   factors, the exact skein identity, R2 insertion, mirror/reverse symmetry,
   divisibility) on the built-in corpus of small diagrams.
-* ``batch_check`` streams conjecture verdicts for the lines of a
+* ``batch_check`` yields a conjecture verdict for each line of a
   user-supplied file of Gauss codes (one per line, ``#`` comments and blank
-  lines ignored).
+  lines ignored) as soon as that line is checked.
 
 Failures are recorded in the returned results, never raised; reruns are
 deterministic.  The one exception is a grid spec of clasp ``ab`` or ``ba``,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import diagram
 from .alexander import delta0_diagram, delta_bar, invariant_report
@@ -31,8 +31,8 @@ from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientat
     smooth_crossing, switch_crossing
 from .errors import EmptyComponent, InvalidArgument, UnsupportedClasp, ValexError
 from .laurent import ONE, U, V, format_poly, normalize
-from .twist import TwistSpec, clasp_identity, generate_twist, mirror_invariant, \
-    parity_context, spec_report
+from .twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, generate_twist, \
+    mirror_invariant, spec_report
 
 __all__ = [
     "CheckResult",
@@ -41,7 +41,6 @@ __all__ = [
     "run_grid",
     "builtin_corpus",
     "run_law_suite",
-    "BatchSummary",
     "batch_check",
     "worker_count",
     "MAX_GRID_SPECS",
@@ -79,10 +78,11 @@ class CheckResult(NamedTuple):
 def grid_specs(n_max: int, lo: int, hi: int) -> list:
     """All clasp-a specs with 1 <= n <= n_max and blocks in [lo, hi], in order.
 
-    A grid of more than ``MAX_GRID_SPECS`` specs, or whose specs' twist
-    crossings, squared, sum to more than ``MAX_GRID_CROSSINGS`` squared,
-    raises InvalidArgument before any spec is built.  So no spec has more
-    than ``MAX_GRID_CROSSINGS`` twist crossings.
+    A grid of more than ``MAX_GRID_SPECS`` specs, of specs of more than
+    ``MAX_SPEC_BLOCKS`` blocks, or whose specs' twist crossings, squared, sum
+    to more than ``MAX_GRID_CROSSINGS`` squared, raises InvalidArgument
+    before any spec is built.  So no spec has more than
+    ``MAX_GRID_CROSSINGS`` twist crossings.
     """
     if lo > hi:  # no spec; the count below needs a nonempty range
         return []
@@ -93,8 +93,11 @@ def grid_specs(n_max: int, lo: int, hi: int) -> list:
         if n_specs > MAX_GRID_SPECS:
             raise InvalidArgument(f"a grid of n <= {n_max} blocks in {lo}..{hi} has more "
                                   f"than the cap of {MAX_GRID_SPECS} specs")
+    if n_max > MAX_SPEC_BLOCKS:  # a one-value range passes the count cap up to 100,000
+        raise InvalidArgument(f"a grid of n <= {n_max} blocks exceeds the cap of "
+                              f"{MAX_SPEC_BLOCKS} blocks per spec")
     # (|a_1| + ... + |a_n|)^2 summed over the size^n specs of n blocks; the
-    # count cap keeps these sums at most 100,000 terms long
+    # block cap keeps this sum at most 400 terms long
     s1 = sum(abs(a) for a in range(lo, hi + 1))
     s2 = sum(a * a for a in range(lo, hi + 1))
     work = sum(n * s2 * size ** (n - 1) + n * (n - 1) * s1 * s1 * size ** max(n - 2, 0)
@@ -117,7 +120,7 @@ def acceptance_grid() -> list:
 def _check_one_spec(spec: TwistSpec) -> list:
     name = str(spec)
     base, _ = clasp_identity(spec)  # the identity takes the clasp-a spec's parities
-    ctx = parity_context(base)
+    s, delta, _, half_sum = _parity(base.blocks)
     rep = spec_report(spec)
     rec = rep.dbar
     det = delta0_diagram(generate_twist(spec))
@@ -140,7 +143,7 @@ def _check_one_spec(spec: TwistSpec) -> list:
 
     ow = rep.odd_writhe
     lhs = 2 * rec.evaluate(-1, -1)
-    sgn = -1 if (ctx.delta + ctx.s[base.n] + ctx.half_sum) % 2 else 1
+    sgn = -1 if (delta + s[-1] + half_sum) % 2 else 1
     results.append(
         CheckResult(name, "signed_odd_writhe_identity", lhs == sgn * ow,
                     str(lhs), f"{sgn * ow}")
@@ -268,44 +271,24 @@ def run_law_suite() -> list:
 
 # -- batch files --------------------------------------------------------------------
 
-class BatchSummary(NamedTuple):
-    verdicts: list        # (line_no, InvariantReport)
-    errors: list          # (line_no, message)
-    ignored: int          # comments and blank lines
-
-    @property
-    def checked(self) -> int:
-        return len(self.verdicts)
-
-    @property
-    def held(self) -> int:
-        return sum(1 for _, rep in self.verdicts if rep.conjecture_holds)
-
-    @property
-    def ok(self) -> bool:
-        """Every line parsed and held; a file with no code to check fails."""
-        return self.checked > 0 and not self.errors and self.held == self.checked
-
-
-def batch_check(lines: Iterable[str]) -> BatchSummary:
+def batch_check(lines: Iterable[str]) -> Iterator[tuple]:
     """Check the conjecture for each Gauss code among the lines of a file.
 
-    Malformed lines and links are reported with their numbers and skipped;
-    comments (``#``) and blank lines are ignored but counted.
+    Yields ``(line_no, outcome)`` for each line, in order, as soon as that
+    line is checked, and reads no line ahead.  The outcome is the line's
+    InvariantReport, the text ``"<ErrorClass>: <message>"`` for a malformed
+    line or a link, or None for a comment (``#``) or a blank line.
     """
-    verdicts = []
-    errors = []
-    ignored = 0
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            ignored += 1
+            yield no, None
             continue
         try:
             d = parse_gauss(line)
             if not d.is_knot:
                 raise InvalidArgument("the odd-writhe conjecture concerns knots")
-            verdicts.append((no, invariant_report(d)))
+            outcome = invariant_report(d)
         except ValexError as e:
-            errors.append((no, f"{type(e).__name__}: {e}"))
-    return BatchSummary(verdicts, errors, ignored)
+            outcome = f"{type(e).__name__}: {e}"
+        yield no, outcome

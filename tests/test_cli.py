@@ -13,7 +13,6 @@ from valex.twist import (
     MAX_SPEC_BLOCKS,
     MAX_SPEC_CROSSINGS,
     TwistSpec,
-    format_spec,
     generate_twist,
 )
 from valex.verify import MAX_GRID_CROSSINGS, run_law_suite
@@ -165,7 +164,7 @@ class TestTwist:
         for clasp in ("a", "^a", "b", "^b", "ab", "ba"):
             for blocks in small:
                 spec = TwistSpec(blocks, clasp)
-                code, out, _ = run(capsys, "compute", "--spec", format_spec(spec),
+                code, out, _ = run(capsys, "compute", "--spec", str(spec),
                                    "--machine")
                 assert code == 0, spec
                 fields = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -242,6 +241,16 @@ class TestVerify:
         assert code == 1
         assert err.startswith("io error:") and "checked=" not in out
 
+    def test_verdicts_before_a_decode_error_stay_printed(self, capsys, tmp_path):
+        # the reader decodes 8 KiB at a time, so line 1 is checked and
+        # printed before the bad byte past 10,000 comment bytes is read
+        path = tmp_path / "late.txt"
+        path.write_bytes(f"{VTREFOIL}\n".encode() + b"#" * 10_000 + b"\n\xff\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1
+        assert out.startswith("line 1: O1+U2+U1+O2+  ow=2") and "checked=" not in out
+        assert err.startswith("io error:")
+
     def test_small_grid_reports_one_worker(self, capsys):
         # 4 specs run in-process, so no pool is started
         code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..3")
@@ -254,12 +263,15 @@ class TestVerify:
 
         monkeypatch.setattr("valex.verify.TwistSpec", refuse)
         # about 1.6e10 specs; then 10**9 one-spec levels, which the count
-        # passes after 100,001 of them; then 2 specs of up to 50,000 twist
-        # crossings each; then 6,001 and 40,602 specs whose twist crossings,
-        # squared, sum to 1.8e10 and 4.8e8
+        # passes after 100,001 of them; then 100,000 specs of zero work,
+        # which pass the count but not the block cap; then 2 specs of up to
+        # 50,000 twist crossings each; then 6,001 and 40,602 specs whose
+        # twist crossings, squared, sum to 1.8e10 and 4.8e8
         work_cap = f"squared, above the cap of {MAX_GRID_CROSSINGS ** 2}"
         for argv, cap in ((("--n", "12", "--range", "-3..3"), "cap of 100000 specs"),
                           (("--n", str(10 ** 9), "--range", "0..0"), "cap of 100000 specs"),
+                          (("--n", "100000", "--range", "0..0"),
+                           f"cap of {MAX_SPEC_BLOCKS} blocks per spec"),
                           (("--n", "1", "--range", "49999..50000"), work_cap),
                           (("--n", "1", "--range", "-3000..3000"), work_cap),
                           (("--n", "2", "--range", "-100..100"), work_cap)):

@@ -25,16 +25,15 @@ from valex.twist import (
     TwistSpec,
     _contract,
     _flip_term,
+    _parity,
     _square,
     _step,
     _triangle,
     clasp_identity,
     evaluate_recursive,
-    format_spec,
     generate_twist,
     mirror_invariant,
     ow_closed_form,
-    parity_context,
     parse_spec,
     spec_report,
 )
@@ -193,9 +192,9 @@ def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
         raise InvalidArgument(f"block index {i} out of range 1..{spec.n}")
     if spec.blocks[i - 1] == 0:
         raise InvalidArgument(f"block {i} of {spec} is empty")
-    ctx = parity_context(spec)
-    sign_exp = (-ctx.s[i - 1] + ctx.delta + ctx.s[spec.n]) % 2
-    out = (-UV) ** ctx.half_sum * UV ** ctx.eps[i - 1]
+    s, delta, eps, half_sum = _parity(spec.blocks)
+    sign_exp = (-s[i - 1] + delta + s[spec.n]) % 2
+    out = (-UV) ** half_sum * UV ** eps[i - 1]
     out = out * ((U - 1) * (V - 1))
     return -out if sign_exp else out
 
@@ -221,7 +220,7 @@ class TestSpecText:
 
     def test_roundtrip(self):
         for text in ("VT[a](1)", "VT[ab](0,1,1)", "VT[ba](2,0)", "VT[^a](-3)"):
-            assert format_spec(parse_spec(text)) == text
+            assert str(parse_spec(text)) == text
 
     def test_errors(self):
         for bad in ("VT[q](1)", "VT[a]()", "VT[a](x)", "knot(1)"):
@@ -268,39 +267,38 @@ class TestSpecText:
 
 class TestParityContext:
     def test_positive_worked_example(self):
-        ctx = parity_context(TwistSpec((7, 4, 3, 5, 9)))
-        assert ctx.delta == 3
-        assert ctx.s[5] == 33
-        assert ctx.eps == (0, -1, 0, 1, 2)
+        s, delta, eps, _ = _parity((7, 4, 3, 5, 9))
+        assert delta == 3
+        assert s[5] == 33
+        assert eps == (0, -1, 0, 1, 2)
 
     def test_negative_worked_example(self):
-        ctx = parity_context(TwistSpec((-7, 3, -5, -2, 3)))
-        assert ctx.delta == 1
-        assert ctx.s[5] == -3
-        assert ctx.eps == (2, 1, 0, -1, 0)
+        s, delta, eps, _ = _parity((-7, 3, -5, -2, 3))
+        assert delta == 1
+        assert s[5] == -3
+        assert eps == (2, 1, 0, -1, 0)
 
     def test_single_block(self):
         for k in range(0, 7):
-            ctx = parity_context(TwistSpec((k,)))
-            assert ctx.s[1] == k + 1
-            assert ctx.delta == 0
-            assert ctx.eps == (k % 2 - 1,)
+            s, delta, eps, _ = _parity((k,))
+            assert s[1] == k + 1
+            assert delta == 0
+            assert eps == (k % 2 - 1,)
 
     def test_signed_vs_absolute_convention(self):
         for blocks in [(-7, 3, -5, -2, 3), (-1, -2), (4, -3, 0)]:
-            signed = parity_context(TwistSpec(blocks))
-            absolute = parity_context(TwistSpec(tuple(abs(b) for b in blocks)))
-            assert signed.delta == absolute.delta
-            assert signed.eps == absolute.eps
-            assert (signed.s[-1] - absolute.s[-1]) % 2 == 0
+            s, delta, eps, _ = _parity(blocks)
+            s_abs, delta_abs, eps_abs, _ = _parity(tuple(abs(b) for b in blocks))
+            assert delta == delta_abs
+            assert eps == eps_abs
+            assert (s[-1] - s_abs[-1]) % 2 == 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
     def test_matches_quadratic_definition(self, blocks):
         s, delta, eps = paper_parities(blocks)
-        ctx = parity_context(TwistSpec(tuple(blocks)))
-        assert (ctx.s, ctx.delta, ctx.eps) == (s, delta, eps)
-        assert ctx.half_sum == sum(abs(b) // 2 for b in blocks)
+        half_sum = sum(abs(b) // 2 for b in blocks)
+        assert _parity(tuple(blocks)) == (s, delta, eps, half_sum)
 
 
 class TestGenerator:
@@ -441,7 +439,7 @@ class TestSmoothedClosedForm:
             rng = range(-3, 4) if n <= 2 else range(-2, 3)
             for blocks in itertools.product(rng, repeat=n):
                 spec = TwistSpec(blocks)
-                ctx = parity_context(spec)
+                s = _parity(blocks)[0]
                 d = generate_twist(spec)
                 for i, b in enumerate(blocks, start=1):
                     if b == 0:
@@ -450,7 +448,7 @@ class TestSmoothedClosedForm:
                         smooth_crossing(d, first_crossing_of_block(spec, i))
                     )
                     want = smoothed_closed_form(spec, i)
-                    if ctx.s[i - 1] % 2:
+                    if s[i - 1] % 2:
                         want = -want
                     assert got == want, (blocks, i)
 

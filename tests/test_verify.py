@@ -1,11 +1,11 @@
 import pytest
 
 from valex.diagram import parse_gauss, smooth_crossing
-from valex.alexander import delta0_diagram, delta_bar, invariant_report
+from valex.alexander import InvariantReport, delta0_diagram, delta_bar, invariant_report
 from valex import verify
-from valex.errors import EmptyComponent, UnsupportedClasp
+from valex.errors import EmptyComponent, InvalidArgument, UnsupportedClasp
 from valex.laurent import U, V
-from valex.twist import TwistSpec, evaluate_recursive, spec_report
+from valex.twist import MAX_SPEC_BLOCKS, TwistSpec, evaluate_recursive, spec_report
 from valex.verify import (
     batch_check,
     builtin_corpus,
@@ -17,6 +17,19 @@ from valex.verify import (
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
+
+
+def tally(lines) -> tuple:
+    """(verdicts, errors, ignored) of ``batch_check`` over the lines."""
+    verdicts, errors, ignored = [], [], 0
+    for no, outcome in batch_check(lines):
+        if outcome is None:
+            ignored += 1
+        elif isinstance(outcome, str):
+            errors.append((no, outcome))
+        else:
+            verdicts.append((no, outcome))
+    return verdicts, errors, ignored
 
 
 class TestConjecture:
@@ -35,8 +48,7 @@ class TestConjecture:
     def test_not_a_knot(self):
         rep = invariant_report(parse_gauss("O1+;U1+"))
         assert (rep.odd_writhe, rep.conjecture_holds) == (None, None)
-        summary = batch_check(["O1+;U1+\n"])
-        assert summary.errors == [
+        assert list(batch_check(["O1+;U1+\n"])) == [
             (1, "InvalidArgument: the odd-writhe conjecture concerns knots")]
         # clasp b is the mirror of VT_a(-S): same verdict, odd writhe negated
         rep = spec_report(TwistSpec((1,), "b"))
@@ -117,6 +129,12 @@ class TestGrid:
             run_grid([TwistSpec((1,)), TwistSpec((1, 1), clasp)], workers=1)
         assert ran == []
 
+    def test_block_cap(self):
+        specs = grid_specs(MAX_SPEC_BLOCKS, 0, 0)
+        assert [s.n for s in specs] == list(range(1, MAX_SPEC_BLOCKS + 1))
+        with pytest.raises(InvalidArgument, match=f"cap of {MAX_SPEC_BLOCKS} blocks per spec"):
+            grid_specs(MAX_SPEC_BLOCKS + 1, 0, 0)
+
     def test_worker_count(self):
         # small grids run in-process whatever the request
         assert worker_count(32) == worker_count(4, workers=2) == 1
@@ -157,27 +175,46 @@ class TestBatch:
             "O1+U2-O4-U1+O3+U4-O2-U3+\n"
             "U2+U1+O2+O1+\n"
         )
-        summary = batch_check(path.read_text().splitlines(keepends=True))
-        assert summary.checked == 4
-        assert summary.held == 4
-        assert summary.ignored == 2
-        assert not summary.errors
-        assert summary.ok
+        verdicts, errors, ignored = tally(path.read_text().splitlines(keepends=True))
+        assert [no for no, _ in verdicts] == [3, 4, 5, 6]
+        assert all(rep.conjecture_holds for _, rep in verdicts)
+        assert ignored == 2
+        assert not errors
 
     def test_malformed_lines_reported(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(f"{VTREFOIL}\nO1+O1+\nO1+;U1+\n")
-        summary = batch_check(path.read_text().splitlines(keepends=True))
-        assert summary.checked == 1
-        assert len(summary.errors) == 2
-        assert summary.errors[0][0] == 2
-        assert not summary.ok
+        verdicts, errors, _ = tally(path.read_text().splitlines(keepends=True))
+        assert len(verdicts) == 1
+        assert len(errors) == 2
+        assert errors[0][0] == 2
+        assert errors[1] == (3, "InvalidArgument: the odd-writhe conjecture concerns knots")
 
     def test_empty_file(self):
-        # nothing checked is not a pass
-        summary = batch_check([])
-        assert summary.checked == 0 and not summary.ok
+        assert list(batch_check([])) == []
 
     def test_accepts_iterable(self):
-        summary = batch_check([f"{VTREFOIL}\n", "# note\n"])
-        assert summary.checked == 1 and summary.ignored == 1
+        outcomes = list(batch_check([f"{VTREFOIL}\n", "# note\n"]))
+        assert [no for no, _ in outcomes] == [1, 2]
+        assert isinstance(outcomes[0][1], InvariantReport) and outcomes[1][1] is None
+
+    def test_reads_no_line_ahead(self):
+        # each outcome arrives before the next line is read, so a slow line
+        # holds back no verdict before it
+        taken = []
+
+        def lines():
+            for text in (f"{VTREFOIL}\n", "O1+O1+\n", "# note\n", f"{TREFOIL}\n"):
+                taken.append(text)
+                yield text
+
+        outcomes = batch_check(lines())
+        no, rep = next(outcomes)
+        assert (no, len(taken)) == (1, 1)
+        assert rep.subject == VTREFOIL and rep.conjecture_holds
+        assert next(outcomes) == (
+            2, "InvalidArgument: crossing 1 must be visited exactly once over and once under")
+        assert len(taken) == 2
+        assert next(outcomes) == (3, None) and len(taken) == 3
+        assert next(outcomes)[0] == 4 and len(taken) == 4
+        assert next(outcomes, None) is None
