@@ -313,7 +313,8 @@ def delta0_diagram(d: Diagram) -> LaurentPoly:
 
     Equal term by term to ``determinant(build_matrix(...))``; the module
     docstring derives the over-arc matrix, the walk that builds it and the
-    unit that relates the two.
+    unit that relates the two.  The unit is multiplied into the matrix's
+    first row, so ``determinant`` returns Delta_0 itself.
     """
     signs = d.signs
     place = [None] * (2 * len(signs) + 1)  # arc -> (generator arc, k)
@@ -355,8 +356,11 @@ def delta0_diagram(d: Diagram) -> LaurentPoly:
         else:
             sign = -sign  # the B row's pivot is -1
     sign *= _perm_sign(kept + eliminated) * _perm_sign([a - 1 for a in gens] + pivots)
-    det = determinant(rows)
-    return LaurentPoly._raw({(i, j + v_exp): sign * c for (i, j), c in det._terms.items()})
+    # the determinant is linear in row 0, so the unit goes there; a monomial
+    # factor keeps every entry's term count and unit status, and so the pivots
+    rows[0] = {j: {(i, k + v_exp): sign * c for (i, k), c in terms.items()}
+               for j, terms in rows[0].items()}
+    return determinant(rows)
 
 
 def delta_bar(p: LaurentPoly, is_knot: bool = True) -> LaurentPoly:

@@ -95,25 +95,32 @@ def cmd_twist(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    checked = held = errors = ignored = 0
-    with open(args.file, encoding="utf-8") as fh:
-        for no, rep in batch_check(fh):
-            if rep is None:
-                ignored += 1
-            elif isinstance(rep, str):
-                errors += 1
-                print(f"line {no}: ERROR {rep}", file=sys.stderr, flush=True)
-            else:
-                checked += 1
-                held += rep.conjecture_holds
-                if args.machine:
-                    print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
-                          f"dbar={rep.dbar_at_minus_one}, "
-                          f"holds={str(rep.conjecture_holds).lower()}", flush=True)
+    checked = held = errors = ignored = no = 0
+    # each line is decoded on its own, so a bad byte stops the run after the
+    # verdicts of every line before it and names its line
+    with open(args.file, "rb") as fh:
+        lines = (raw.decode("utf-8") for raw in fh)
+        try:
+            for no, rep in batch_check(lines):
+                if rep is None:
+                    ignored += 1
+                elif isinstance(rep, str):
+                    errors += 1
+                    print(f"line {no}: ERROR {rep}", file=sys.stderr, flush=True)
                 else:
-                    mark = "holds" if rep.conjecture_holds else "FAILS"
-                    print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
-                          f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}", flush=True)
+                    checked += 1
+                    held += rep.conjecture_holds
+                    if args.machine:
+                        print(f"line={no}, knot={rep.subject}, ow={rep.odd_writhe}, "
+                              f"dbar={rep.dbar_at_minus_one}, "
+                              f"holds={str(rep.conjecture_holds).lower()}", flush=True)
+                    else:
+                        mark = "holds" if rep.conjecture_holds else "FAILS"
+                        print(f"line {no}: {rep.subject}  ow={rep.odd_writhe} "
+                              f"dbar(-1,-1)={rep.dbar_at_minus_one}  {mark}", flush=True)
+        except UnicodeDecodeError as e:  # raised while reading line no + 1
+            print(f"io error: line {no + 1}: {e}", file=sys.stderr)
+            return 1
     print(f"checked={checked} held={held} errors={errors} ignored={ignored}")
     # a file with no code to check fails
     return 0 if checked and not errors and held == checked else 1

@@ -109,6 +109,20 @@ class Diagram:
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "arc_labels", arc_labels)
 
+    @classmethod
+    def _raw(cls, components: tuple, signs: dict, arc_labels) -> "Diagram":
+        """A diagram from fields already in the form ``__init__`` stores, unchecked.
+
+        ``components`` is a tuple of passage tuples, ``signs`` a dict of the
+        int signs 1 and -1 by crossing id, and ``arc_labels`` None or a tuple
+        that is not the identity.  For values derived from checked input.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "components", components)
+        object.__setattr__(d, "signs", signs)
+        object.__setattr__(d, "arc_labels", arc_labels)
+        return d
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Diagram is immutable")
 

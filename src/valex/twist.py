@@ -226,7 +226,9 @@ def generate_twist(spec: TwistSpec) -> Diagram:
     labels.append(2 * m + 2)
     labels.extend(2 * m + 2 - 2 * k for k in range(1, m + 1))
     labels.append(1)
-    return Diagram([passages], signs, labels)
+    # a checked spec gives a valid diagram, so the constructor's checks are
+    # skipped; the labeling starts at 3 (at 2 when m = 0), never the identity
+    return Diagram._raw((tuple(passages),), signs, tuple(labels))
 
 
 # -- closed-form base families -----------------------------------------------------

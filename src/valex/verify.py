@@ -31,8 +31,8 @@ from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientat
     smooth_crossing, switch_crossing
 from .errors import EmptyComponent, InvalidArgument, UnsupportedClasp, ValexError
 from .laurent import ONE, U, V, format_poly, normalize
-from .twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, generate_twist, \
-    mirror_invariant, spec_report
+from .twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, evaluate_recursive, \
+    generate_twist, mirror_invariant, ow_closed_form
 
 __all__ = [
     "CheckResult",
@@ -53,7 +53,7 @@ _SERIAL_MAX_SPECS = 32
 # grid_specs' caps: the most specs a grid holds, and the square root of the
 # most that its specs' twist crossings, squared, sum to.  A spec of m twist
 # crossings takes about m^2 time, so at the first `valex verify` takes about
-# 15 s and 170 MB on two CPUs, and at the second as long as one spec of 3,000
+# 10 s and 170 MB on two CPUs, and at the second as long as one spec of 3,000
 # crossings, about a second (README, "Command line").
 MAX_GRID_SPECS = 100_000
 MAX_GRID_CROSSINGS = 3_000
@@ -121,8 +121,8 @@ def _check_one_spec(spec: TwistSpec) -> list:
     name = str(spec)
     base, _ = clasp_identity(spec)  # the identity takes the clasp-a spec's parities
     s, delta, _, half_sum = _parity(base.blocks)
-    rep = spec_report(spec)
-    rec = rep.dbar
+    rec = evaluate_recursive(spec)
+    ow = ow_closed_form(spec)
     det = delta0_diagram(generate_twist(spec))
     results = []
 
@@ -136,12 +136,14 @@ def _check_one_spec(spec: TwistSpec) -> list:
                     "delta0 mod (u-1)(v-1)(uv-1)", "0", div_detail)
     )
 
+    same = rec == det_bar
+    rec_text = format_poly(rec)  # equal polynomials print the same
+    det_text = (rec_text if same else
+                "<determinant>" if det_bar is None else format_poly(det_bar))
     results.append(
-        CheckResult(name, "recursion_vs_determinant", rec == det_bar, format_poly(rec),
-                    "<determinant>" if det_bar is None else format_poly(det_bar))
+        CheckResult(name, "recursion_vs_determinant", same, rec_text, det_text)
     )
 
-    ow = rep.odd_writhe
     lhs = 2 * rec.evaluate(-1, -1)
     sgn = -1 if (delta + s[-1] + half_sum) % 2 else 1
     results.append(
@@ -149,9 +151,11 @@ def _check_one_spec(spec: TwistSpec) -> list:
                     str(lhs), f"{sgn * ow}")
     )
 
+    # normalizing divides dbar by +-(uv)^k, which is +-1 at (-1, -1), so the
+    # conjecture reads the raw value
     results.append(
-        CheckResult(name, "conjecture_2dbar_eq_ow", rep.conjecture_holds,
-                    str(2 * abs(rep.dbar_at_minus_one)), str(abs(ow)))
+        CheckResult(name, "conjecture_2dbar_eq_ow", abs(lhs) == abs(ow),
+                    str(abs(lhs)), str(abs(ow)))
     )
     return results
 

@@ -239,17 +239,27 @@ class TestVerify:
         path.write_bytes(b"\xff\xfe" + VTREFOIL.encode("utf-16-le"))
         code, out, err = run(capsys, "batch", str(path))
         assert code == 1
-        assert err.startswith("io error:") and "checked=" not in out
+        assert err.startswith("io error: line 1:") and "checked=" not in out
+
+    def test_decode_error_names_its_line_after_the_verdicts_before_it(self, capsys, tmp_path):
+        # each line is decoded on its own, so the bad byte on line 2 leaves
+        # line 1's verdict printed
+        path = tmp_path / "byte.txt"
+        path.write_bytes(b"O1+U2+U1+O2+\n\xff\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1
+        assert out == "line 1: O1+U2+U1+O2+  ow=2 dbar(-1,-1)=1  holds\n"
+        assert err.startswith("io error: line 2:")
 
     def test_verdicts_before_a_decode_error_stay_printed(self, capsys, tmp_path):
-        # the reader decodes 8 KiB at a time, so line 1 is checked and
-        # printed before the bad byte past 10,000 comment bytes is read
+        # line 1 is checked and printed before the bad byte past 10,000
+        # comment bytes is read
         path = tmp_path / "late.txt"
         path.write_bytes(f"{VTREFOIL}\n".encode() + b"#" * 10_000 + b"\n\xff\n")
         code, out, err = run(capsys, "batch", str(path))
         assert code == 1
         assert out.startswith("line 1: O1+U2+U1+O2+  ow=2") and "checked=" not in out
-        assert err.startswith("io error:")
+        assert err.startswith("io error: line 3:")
 
     def test_small_grid_reports_one_worker(self, capsys):
         # 4 specs run in-process, so no pool is started

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tests.conftest import base_closed_form, base_end_zeros, read_poly
 from valex import twist
 from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
-from valex.diagram import format_gauss, odd_writhe, parse_gauss, smooth_crossing
+from valex.diagram import Diagram, format_gauss, odd_writhe, parse_gauss, smooth_crossing
 from valex.errors import InvalidArgument, ParseError, UnsupportedClasp, ValexError
 from valex.laurent import (
     LaurentPoly,
@@ -37,6 +37,7 @@ from valex.twist import (
     parse_spec,
     spec_report,
 )
+from valex.verify import acceptance_grid
 
 UV = U * V
 
@@ -326,6 +327,19 @@ class TestGenerator:
     def test_unsupported_clasp(self):
         with pytest.raises(UnsupportedClasp):
             generate_twist(TwistSpec((1, 1), "ab"))
+
+    def test_diagrams_pass_the_public_checks(self):
+        # the generator skips Diagram's checks; rebuilding through them must
+        # give the same diagram, with fields of the same types
+        grid = [s.blocks for s in acceptance_grid()] + [(0,)]
+        for blocks, clasp in itertools.product(grid, ("a", "^a", "b", "^b")):
+            d = generate_twist(TwistSpec(blocks, clasp))
+            checked = Diagram(d.components, d.signs, d.arc_labels)
+            assert checked == d, (blocks, clasp)
+            for x in (d, checked):
+                assert type(x.components) is tuple
+                assert all(type(c) is tuple for c in x.components)
+                assert type(x.signs) is dict and type(x.arc_labels) is tuple
 
     def test_clasp_variants_generate(self):
         for clasp in ("^a", "b", "^b"):

@@ -4,9 +4,12 @@ from valex.diagram import parse_gauss, smooth_crossing
 from valex.alexander import InvariantReport, delta0_diagram, delta_bar, invariant_report
 from valex import verify
 from valex.errors import EmptyComponent, InvalidArgument, UnsupportedClasp
-from valex.laurent import U, V
-from valex.twist import MAX_SPEC_BLOCKS, TwistSpec, evaluate_recursive, spec_report
+from valex.laurent import U, V, format_poly
+from valex.twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, evaluate_recursive, \
+    generate_twist, spec_report
 from valex.verify import (
+    CheckResult,
+    acceptance_grid,
     batch_check,
     builtin_corpus,
     grid_specs,
@@ -17,6 +20,27 @@ from valex.verify import (
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
+
+
+def reference_checks(spec) -> list:
+    """The four CheckResults of a grid spec, from ``spec_report`` and the determinant."""
+    name = str(spec)
+    base, _ = clasp_identity(spec)
+    s, delta, _, half_sum = _parity(base.blocks)
+    rep = spec_report(spec)
+    det_bar = delta_bar(delta0_diagram(generate_twist(spec)))
+    lhs = 2 * rep.dbar.evaluate(-1, -1)
+    sgn = -1 if (delta + s[-1] + half_sum) % 2 else 1
+    ow = rep.odd_writhe
+    return [
+        CheckResult(name, "divisibility", True, "delta0 mod (u-1)(v-1)(uv-1)", "0"),
+        CheckResult(name, "recursion_vs_determinant", rep.dbar == det_bar,
+                    format_poly(rep.dbar), format_poly(det_bar)),
+        CheckResult(name, "signed_odd_writhe_identity", lhs == sgn * ow, str(lhs),
+                    str(sgn * ow)),
+        CheckResult(name, "conjecture_2dbar_eq_ow", rep.conjecture_holds,
+                    str(2 * abs(rep.dbar_at_minus_one)), str(abs(ow))),
+    ]
 
 
 def tally(lines) -> tuple:
@@ -100,11 +124,9 @@ class TestGrid:
         # -uv is a unit, which normalization hides; the check compares the
         # raw values, so it fails on every spec whose dbar is not 0
         def slipped(spec):
-            rep = spec_report(spec)
-            rep.dbar = -(U * V) * rep.dbar
-            return rep
+            return -(U * V) * evaluate_recursive(spec)
 
-        monkeypatch.setattr(verify, "spec_report", slipped)
+        monkeypatch.setattr(verify, "evaluate_recursive", slipped)
         specs = grid_specs(2, 0, 3)
         results = run_grid(specs, workers=1)
         passed = {r.subject for r in results
@@ -120,6 +142,17 @@ class TestGrid:
         assert len(results) == 4 * len(specs)
         bad = [r for r in results if not r.passed]
         assert not bad, "\n".join(str(r) for r in bad)
+
+    @pytest.mark.parametrize("clasp", ["a", "^a", "b", "^b"])
+    def test_checks_match_the_reports(self, clasp):
+        # each result, field by field, as built from the spec's full report
+        # and the determinant's dbar
+        if clasp == "a":
+            specs = acceptance_grid()
+        else:
+            specs = [TwistSpec(s.blocks, clasp) for s in grid_specs(2, -4, 4)]
+        results = run_grid(specs, workers=1)
+        assert results == [r for spec in specs for r in reference_checks(spec)]
 
     @pytest.mark.parametrize("clasp", ["ab", "ba"])
     def test_clasps_without_diagram_raise_before_any_spec_runs(self, clasp, monkeypatch):
