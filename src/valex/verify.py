@@ -53,7 +53,7 @@ _SERIAL_MAX_SPECS = 32
 # grid_specs' caps: the most specs a grid holds, and the square root of the
 # most that its specs' twist crossings, squared, sum to.  A spec of m twist
 # crossings takes about m^2 time, so at the first `valex verify` takes about
-# 10 s and 170 MB on two CPUs, and at the second as long as one spec of 3,000
+# 9 s and 210 MB on two CPUs, and at the second as long as one spec of 3,000
 # crossings, about a second (README, "Command line").
 MAX_GRID_SPECS = 100_000
 MAX_GRID_CROSSINGS = 3_000
@@ -176,7 +176,9 @@ def run_grid(specs: Iterable[TwistSpec], workers: Optional[int] = None) -> list:
 
     Specs of clasps ``a``, ``^a``, ``b`` and ``^b`` are checked.  A spec of
     clasp ``ab`` or ``ba`` has no diagram and raises UnsupportedClasp before
-    any spec runs.
+    any spec runs.  A pool sends the specs in chunks of a quarter of each
+    worker's share, so that few round trips carry the grid and the last
+    chunks still balance the workers.
     """
     specs = list(specs)
     for spec in specs:
@@ -187,7 +189,8 @@ def run_grid(specs: Iterable[TwistSpec], workers: Optional[int] = None) -> list:
         import multiprocessing as mp
 
         with mp.Pool(nproc) as pool:
-            grouped = pool.map(_check_one_spec, specs, chunksize=8)
+            grouped = pool.map(_check_one_spec, specs,
+                               chunksize=max(1, len(specs) // (4 * nproc)))
     else:
         grouped = [_check_one_spec(s) for s in specs]
     return [r for group in grouped for r in group]

@@ -417,6 +417,60 @@ def assert_over_arc_matches(d):
     assert all(c for _, c in got.items())
 
 
+# codes with runs of consecutive under-passages, all with Delta_0 != 0: a run
+# across passage 0, all under-passages in one run, each of the four sign pairs
+# along a run, under-only components, and kinks inside a run
+PASS_THROUGH_CODES = [
+    "U1+O2-U3+O1+O3+U2-",
+    "U1+U2+U3+O1+O2+O3+",
+    "U1-U2-U3-O2-O1-O3-",
+    "U1+U2+U3-U4-U5+O3-O1+O5+O2+O4-",
+    "U1-U2+U3+U4-U5-O4-O2+O5-O1-O3+",
+    "U1+U2+U3-U4-U5+O2+O1+O3-O4-O5+",
+    "O1+O2+;U2+U1+",
+    "O1-O2-O3-;U3-U1-U2-",
+    "O1+O2+O3-;U1+U3-U2+",
+    "O1-U3+O2+;U1-U2+O3+",
+    "U1+U2-O2-U3+O1+O3+",
+    "O1+U1+U2-O3-O2-U3-",
+    "U1-U2+O2+U3-O1-O3-",
+]
+
+
+def generator_count(d):
+    """The over-arc matrix's columns: the out-under arcs and one per over-only component."""
+    return d.n_crossings + sum(all(p.over for p in comp) for comp in d.components)
+
+
+def pass_through_count(d):
+    """Under-passages followed directly by another under-passage.
+
+    A component of under-passages only keeps one of them, so it counts one
+    less than its length.
+    """
+    count = 0
+    for comp in d.components:
+        unders = sum(not p.over and not comp[t - 1].over for t, p in enumerate(comp))
+        count += unders - 1 if all(not p.over for p in comp) else unders
+    return count
+
+
+def matrix_order(d):
+    """The order of the matrix ``delta0_diagram`` passes to ``determinant``."""
+    orders = []
+    real = alexander.determinant
+
+    def spy(m):
+        orders.append(len(m))
+        return real(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alexander, "determinant", spy)
+        delta0_diagram(d)
+    (order,) = orders
+    return order
+
+
 @st.composite
 def over_arc_cases(draw):
     """A code of 1-3 components, or a link with an over-only component."""
@@ -471,6 +525,30 @@ class TestOverArcMatrix:
         # v^0 - 1 is empty and Delta_0 is 0
         d = parse_gauss("O1+O2-;U1+U2-")
         assert delta0_diagram(d) == ZERO == determinant(rows_of(d).rows)
+
+    @pytest.mark.parametrize("code", PASS_THROUGH_CODES)
+    def test_pass_through_codes(self, code):
+        d = parse_gauss(code)
+        assert delta0_diagram(d)
+        assert_over_arc_matches(d)
+
+    @pytest.mark.parametrize("code", PASS_THROUGH_CODES)
+    def test_pass_through_kinks(self, code):
+        d = parse_gauss(code)
+        for arc in range(1, 2 * d.n_crossings + 1):
+            for kind in KINK_KINDS:
+                assert_over_arc_matches(add_kink(d, arc, kind))
+
+    @pytest.mark.parametrize("code", PASS_THROUGH_CODES + ["O1+U2+U1+O2+", "O1+;U1+",
+                                                           "O1+O2+;U1+U2+"])
+    def test_folded_rows_leave_the_matrix(self, code):
+        d = parse_gauss(code)
+        assert matrix_order(d) == generator_count(d) - pass_through_count(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(over_arc_cases())
+    def test_folded_rows_leave_random_matrices(self, d):
+        assert matrix_order(d) == generator_count(d) - pass_through_count(d)
 
 
 class TestDeltaBar:
