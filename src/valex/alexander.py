@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._backend import _ONE, divexact_terms, fma_terms, mul_terms
+from ._backend import _ONE, det3_terms, divexact_terms, fma_terms, mul_terms
 from .diagram import Diagram, _component_arcs, _perm_sign, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
@@ -130,40 +130,44 @@ class AlexMatrix:
                 for row in self.rows]
 
 
-def _relations(sign, in_over, out_over, in_under, out_under, e=0) -> tuple:
-    """The crossing's A and B rows as (column, terms) pieces, one per arc.
+def _a_row(sign, in_over, out_over, in_under, out_under, e=0) -> tuple:
+    """The crossing's A row as (column, (i, k), c) triples, one per arc.
 
-    Each arc is given by its place (column, k): its term goes to that column
-    times v^k.  The A row is multiplied by u^e, the factor of a folded row.
-    ``build_matrix`` and ``delta0_diagram`` both take their rows from it; in
-    the over-arc matrix ``_sparse_row`` merges the pieces that share a column.
+    Each arc is given by its place (column, k): its term c * u^i goes to
+    that column times v^k.  The row is multiplied by u^e, the factor of a
+    folded row.  ``build_matrix`` and ``delta0_diagram`` both take their A
+    rows from it, and ``_add_terms`` merges the triples that share a column.
     """
     (j1, k1), (j2, k2), (j3, k3), (j4, k4) = in_under, in_over, out_under, out_over
     if sign > 0:
-        return (((j1, {(e, k1): 1}), (j2, {(e + 1, k2): 1}), (j3, {(e + 1, k3): -1}),
-                 (j4, {(e, k4): -1})),
-                ((j2, {(0, k2): -1}), (j4, {(0, k4 + 1): 1})))
-    return (((j2, {(e, k2): 1}), (j1, {(e + 1, k1): 1}), (j4, {(e + 1, k4): -1}),
-             (j3, {(e, k3): -1})),
-            ((j2, {(0, k2 + 1): 1}), (j4, {(0, k4): -1})))
+        return (j1, (e, k1), 1), (j2, (e + 1, k2), 1), (j3, (e + 1, k3), -1), (j4, (e, k4), -1)
+    return (j2, (e, k2), 1), (j1, (e + 1, k1), 1), (j4, (e + 1, k4), -1), (j3, (e, k3), -1)
 
 
-def _sparse_row(pieces) -> dict:
-    """A row {column: terms} from fresh (column, terms) pieces.
+def _b_row(sign, in_over, out_over) -> tuple:
+    """The crossing's B row as (column, (i, k), c) triples, as ``_a_row``'s."""
+    (j2, k2), (j4, k4) = in_over, out_over
+    if sign > 0:
+        return (j2, (0, k2), -1), (j4, (0, k4 + 1), 1)
+    return (j2, (0, k2 + 1), 1), (j4, (0, k4), -1)
 
-    Pieces in one column add up, and a term or entry that cancels to zero
-    is not stored; columns keep the order in which they first appear.
+
+def _add_terms(row: dict, triples) -> dict:
+    """Add (column, key, c) triples into a row {column: terms} and return it.
+
+    A term or entry that cancels to zero is not stored; columns keep the
+    order in which they first appear.
     """
-    row: dict = {}
-    for j, terms in pieces:
-        entry = row.setdefault(j, terms)
-        if entry is not terms:
-            for key, c in terms.items():
-                c += entry.get(key, 0)
-                if c:
-                    entry[key] = c
-                else:
-                    del entry[key]
+    for j, key, c in triples:
+        entry = row.get(j)
+        if entry is None:
+            row[j] = {key: c}
+            continue
+        c += entry.get(key, 0)
+        if c:
+            entry[key] = c
+        else:
+            del entry[key]
             if not entry:
                 del row[j]
     return row
@@ -180,9 +184,10 @@ def build_matrix(incidences) -> AlexMatrix:
     place = {a: (k, 0) for k, a in enumerate(arcs)}
     rows = []
     for inc in sorted(incidences, key=lambda i: i.crossing):
-        rows.extend(map(_sparse_row, _relations(
-            inc.sign, place[inc.in_over], place[inc.out_over],
-            place[inc.in_under], place[inc.out_under])))
+        in_over, out_over = place[inc.in_over], place[inc.out_over]
+        rows.append(_add_terms({}, _a_row(inc.sign, in_over, out_over,
+                                          place[inc.in_under], place[inc.out_under])))
+        rows.append(_add_terms({}, _b_row(inc.sign, in_over, out_over)))
     return AlexMatrix(rows)
 
 
@@ -241,7 +246,10 @@ def determinant(m: list) -> LaurentPoly:
     costs less; otherwise it takes the entry of least cost, ties going to
     the entry with fewer terms.  Either way ties then go to the first one
     found in row-then-column order.  The pivot order changes the work, never
-    the result.  Most Alexander-matrix entries are units.
+    the result.  Most Alexander-matrix entries are units.  When no unit is
+    left, prev is 1 and exactly three rows remain, no pivot is taken: the
+    three-row core is finished by cofactors (below), unless the kernel
+    declines it, and then the loop goes on as before.
 
     A unit pivot's row is first divided by the unit, whose inverse is the
     monomial e * u^-a v^-b, which leaves a pivot of 1; the units' product is
@@ -264,6 +272,16 @@ def determinant(m: list) -> LaurentPoly:
     can lose its last entry; if one does, the matrix is singular and the
     result is 0.
 
+    The three-row finish.  While prev is 1, each active entry is a minor of
+    the row-scaled input bordered on a leading minor that is 1, so by
+    Sylvester's identity the determinant of the remaining core is the last
+    pivot that Bareiss would reach, with no division.  ``det3_terms``
+    expands it by cofactors with every entry packed once; each coefficient
+    of the result is at most the permanent of the entries' l1 norms in size,
+    and when that needs slots of more than 64 bits, or the packed box is too
+    sparse, it returns None and the loop goes on with the core.
+    Its rows are matched to its columns in their order, for the sign rule.
+
     Sign rule: the units' product times the last pivot is the determinant of
     the matrix with rows and columns taken in pivot order, so it is
     multiplied by the parity of the row permutation and by that of the
@@ -271,8 +289,8 @@ def determinant(m: list) -> LaurentPoly:
     takes each pivot's row to its column.
 
     Every product and quotient goes through ``_backend``'s kernel
-    (``fma_terms``, ``mul_terms``, ``divexact_terms``); the units' product
-    is kept in ints.
+    (``fma_terms``, ``mul_terms``, ``divexact_terms``, and ``det3_terms``
+    for a three-row core); the units' product is kept in ints.
     """
     n = len(m)
     cols: dict = {j: set() for j in range(n)}
@@ -294,6 +312,13 @@ def determinant(m: list) -> LaurentPoly:
     prev = pivot = _ONE
     while active:
         found = _cheapest_unit(active, cols)
+        if not found and prev is _ONE and len(active) == 3:
+            det = det3_terms([[sparse.get(j, {}) for j in cols] for sparse in active.values()])
+            if det is not None:
+                for p, q in zip(active, cols):
+                    match[p] = q
+                pivot = det
+                break
         p, q = found or _cheapest(active, cols)
         pivot_row = active.pop(p)
         pivot = pivot_row.pop(q)
@@ -342,12 +367,15 @@ def delta0_diagram(d: Diagram) -> LaurentPoly:
 
     Equal term by term to ``determinant(build_matrix(...))``; the module
     docstring derives the over-arc matrix, the walk that builds it, the fold
-    of its pass-through rows and the unit that relates them.  Each folded
-    row goes, times its power of u, into the pieces of its run's last row,
-    and its column's two pieces cancel there; a pass-through column keeps
-    the key -arc, outside the matrix, so a piece left in one would make
-    ``determinant`` raise.  The unit is multiplied into the matrix's first
-    row, so ``determinant`` returns Delta_0 itself.
+    of its pass-through rows and the unit that relates them.  The rows are
+    built in one pass over the crossings: each folded row's A row goes,
+    times its power of u, straight into its run's last row, and its
+    column's two terms cancel there; a pass-through column keeps the key
+    -arc, outside the matrix, so a term left in one would make
+    ``determinant`` raise.  The row permutation's parity is counted in the
+    same pass: each kept row passes every eliminated row before it.  The
+    unit is multiplied into the matrix's first row, so ``determinant``
+    returns Delta_0 itself.
     """
     signs = d.signs
     place = [None] * (2 * len(signs) + 1)  # arc -> (generator arc, k)
@@ -384,34 +412,36 @@ def delta0_diagram(d: Diagram) -> LaurentPoly:
     gens = [a for a, (g, _) in enumerate(place[1:], 1) if a == g]  # ascending
     col = {a: r for r, a in enumerate(gens)}
     place = [None] + [(col.get(g, g), k) for g, k in place[1:]]
-    rows, kept, eliminated, pivots = [], [], [], []
-    pieces = {}  # kept crossing -> its row's pieces, and those folded into it
+    rows, pivots = [], []
+    into_row = {}  # kept crossing -> its row, with the rows folded into it
     sign, u_exp, v_exp = 1, 0, 0
-    for t, c in enumerate(sorted(signs)):
+    eliminated = swaps = 0  # rows eliminated so far; kept rows passing them
+    for c in sorted(signs):
         (i_o, o_o), (i_u, o_u) = over[c], under[c]
         into, e = fold.get(c) or (c, 0)
-        a_row, b_row = _relations(signs[c], place[i_o], place[o_o], place[i_u], place[o_u], e)
-        pieces.setdefault(into, []).extend(a_row)
+        row = into_row.setdefault(into, {})
+        _add_terms(row, _a_row(signs[c], place[i_o], place[o_o], place[i_u], place[o_u], e))
         if into == c:
-            rows.append(pieces[c])
-            kept.append(2 * t)
+            rows.append(row)
+            swaps += eliminated
         else:  # eliminated, with the pivot -u (positive) or -1 (negative)
-            eliminated.append(2 * t)
+            eliminated += 1
             pivots.append(o_u - 1)
             sign = -sign
             u_exp += signs[c] > 0
         if o_o in col:  # the out-over arc of an over-only cycle: the B row stays
-            rows.append(b_row)
-            kept.append(2 * t + 1)
+            rows.append(_add_terms({}, _b_row(signs[c], place[i_o], place[o_o])))
+            swaps += eliminated
             continue
-        eliminated.append(2 * t + 1)
+        eliminated += 1
         pivots.append(o_o - 1)
         if signs[c] > 0:
             v_exp += 1  # the B row's pivot is +v
         else:
             sign = -sign  # the B row's pivot is -1
-    sign *= _perm_sign(kept + eliminated) * _perm_sign([a - 1 for a in gens] + pivots)
-    rows = list(map(_sparse_row, rows))
+    if swaps & 1:  # the row permutation is odd
+        sign = -sign
+    sign *= _perm_sign([a - 1 for a in gens] + pivots)
     # the determinant is linear in row 0, so the unit goes there; a monomial
     # factor keeps every entry's term count and unit status, and so the pivots
     rows[0] = {j: {(i + u_exp, k + v_exp): sign * c for (i, k), c in terms.items()}

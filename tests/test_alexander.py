@@ -13,6 +13,7 @@ from tests.conftest import (
     sparse_rows,
 )
 from valex import alexander
+from valex._backend import det3_terms
 from valex.alexander import (
     KNOT_FACTOR,
     LINK_FACTOR,
@@ -306,6 +307,8 @@ class TestDeterminant:
         # no entry is +-1, so the first steps are Bareiss steps; they make
         # +-1 entries, which are then unit steps whose previous pivot is
         # not 1, so every row they update or leave alone is divided by it
+        # (at order 3 the whole matrix is a unit-free core, which
+        # det3_terms finishes by cofactors)
         values = [0, 2, -2, 3, -3, 4, 5]
         for _ in range(300):
             m = [{j: {(0, 0): c} for j, c in enumerate(rng.choices(values, k=order)) if c}
@@ -409,6 +412,98 @@ class TestDeterminant:
     @given(unit_heavy_rows())
     def test_unit_heavy_matrices(self, m):
         assert determinant(m) == determinant_cofactor(m)
+
+    def test_three_row_core_packed_on_n16_codes(self, rng, monkeypatch):
+        # many n = 16 codes leave a unit-free core of exactly three rows,
+        # which det3_terms finishes by cofactors; each core's result is
+        # checked against cofactor expansion, and each Delta_0 against the
+        # 2n x 2n matrix and against the Bareiss loop alone
+        diagrams = [make_random_diagram(rng, 16) for _ in range(20)]
+        monkeypatch.setattr(alexander, "det3_terms", lambda m: None)
+        bareiss = [delta0_diagram(d) for d in diagrams]
+        cores = spy_det3(monkeypatch)
+        for d, want in zip(diagrams, bareiss):
+            got = delta0_diagram(d)
+            assert got == want == determinant(rows_of(d).rows)
+        assert len(cores) >= 5
+        for m, det in cores:
+            assert det is not None
+            rows = [{j: t for j, t in enumerate(row) if t} for row in m]
+            assert LaurentPoly._raw(det) == determinant_cofactor(rows)
+
+    def test_three_row_core_past_64_bits_falls_back(self, monkeypatch):
+        # P = 2^20 (1 + v + ... + v^7): P^3 has a coefficient of 48 * 2^60,
+        # past 2^63, while max|c| gives the bound 2^60 + 8, which fits; the
+        # l1 permanent, 2^69 + 64, needs more than 64 bits, so the kernel
+        # declines and the core takes the Bareiss steps
+        p = {(0, k): 2 ** 20 for k in range(8)}
+        two = {(0, 0): 2}
+        m = [{0: p, 1: two}, {1: p, 2: two}, {0: two, 2: p}]
+        results = spy_det3(monkeypatch)
+        det = determinant(m)
+        assert [r for _, r in results] == [None]
+        assert det == determinant_cofactor(m)
+        assert det == LaurentPoly(p) ** 3 + 8
+        assert max(abs(c) for _, c in det.items()) == 48 * 2 ** 60
+
+    def test_three_row_core_with_a_sparse_box_falls_back(self, monkeypatch):
+        # entries of wide spans: a box of 19 x 19 slots for 9 term products,
+        # more than 4 slots each, so the kernel declines
+        two = {(0, 0): 2}
+        m = [{0: {(0, 0): 2, (9, 0): 3}, 1: two}, {1: {(0, 0): 2, (0, 9): 3}, 2: two},
+             {0: two, 2: {(0, 0): 3, (9, 9): 2}}]
+        results = spy_det3(monkeypatch)
+        assert determinant(m) == determinant_cofactor(m)
+        assert [r for _, r in results] == [None]
+
+    def test_three_row_core_with_negative_exponents_and_zeros(self, rng, monkeypatch):
+        # no units, so the whole matrix is the core; entries have negative
+        # exponents, and one or two are zero, stored as {} or left out; the
+        # entries are dense enough for the kernel to pack every core
+        def entry():
+            terms, size = {}, rng.randint(2, 4)
+            while len(terms) < size:
+                terms[(rng.randint(-2, -1), rng.randint(-3, -1))] = rng.choice([-5, -3, 2, 4, 7])
+            return terms
+
+        results = spy_det3(monkeypatch)
+        nonzero = 0
+        for k in range(40):
+            m = [{j: entry() for j in range(3)} for _ in range(3)]
+            for i, j in rng.sample([(i, j) for i in range(3) for j in range(3)], 1 + k % 2):
+                if k % 4 < 2:
+                    m[i][j] = {}
+                else:
+                    del m[i][j]
+            det = determinant(m)
+            assert det == determinant_cofactor(m)
+            nonzero += bool(det)
+        assert nonzero >= 30
+        assert len(results) == 40 and all(r is not None for _, r in results)
+
+    def test_singular_three_row_core(self, monkeypatch):
+        # row 2 is (1 + u) * row 0 - 2v * row 1, with no unit entry, so the
+        # cofactors cancel to the empty dict
+        a = [{(0, 0): 2, (-1, 1): 3}, {(1, -1): -2}, {(0, 2): 5, (2, 0): 1}]
+        b = [{(0, 1): 3}, {(-2, 0): 2, (0, 0): -4}, {(1, 1): 6}]
+        x, y = LaurentPoly({(0, 0): 1, (1, 0): 1}), LaurentPoly({(0, 1): -2})
+        c = [dict((x * LaurentPoly(s) + y * LaurentPoly(t)).items()) for s, t in zip(a, b)]
+        m = [dict(enumerate(r)) for r in (a, b, c)]
+        results = spy_det3(monkeypatch)
+        assert determinant(m) == ZERO == determinant_cofactor(m)
+        assert [r for _, r in results] == [{}]
+
+
+def spy_det3(monkeypatch) -> list:
+    """Record each (core, result) of ``alexander.det3_terms`` in the returned list."""
+    results = []
+
+    def spy(core):
+        results.append((core, det3_terms(core)))
+        return results[-1][1]
+
+    monkeypatch.setattr(alexander, "det3_terms", spy)
+    return results
 
 
 def assert_over_arc_matches(d):

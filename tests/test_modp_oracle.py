@@ -6,8 +6,9 @@ in ``valex.alexander``'s docstring, and its determinant is taken by plain
 Gaussian elimination mod p; it must equal Delta_0(u, v) mod p.  A wrong
 Delta_0 of total degree d passes with probability at most d / p.  The check
 shares no code with valex's row template, matrix builders, Laurent kernel or
-elimination, so an error in ``_relations``, which both ``build_matrix`` and
-``delta0_diagram`` use, cannot make the two sides agree.
+elimination, so an error in the row templates ``_a_row`` and ``_b_row``,
+which both ``build_matrix`` and ``delta0_diagram`` use, cannot make the two
+sides agree.
 """
 
 import random
