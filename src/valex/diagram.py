@@ -162,7 +162,8 @@ class Diagram:
 
 # -- text form ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([OU])\s*(\d+)\s*([+-])")
+# [0-9], not \d, which also matches non-ASCII digits that int() reads
+_TOKEN = re.compile(r"\s*([OU])\s*([0-9]+)\s*([+-])")
 
 
 def parse_gauss(text: str) -> Diagram:

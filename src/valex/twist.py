@@ -2,10 +2,11 @@
 
 ``evaluate_recursive`` (and ``spec_report``, which wraps it) is the
 recursion's public entry and the one way to get dbar of a spec, base shapes
-included.  Its three steps, the recursion step, the contraction and the
-negative flip, are the private ``_step``, ``_contract`` and ``_flip_term``,
-which work on block tuples and carry the paper's formulas; the private
-``_closed_form`` gives dbar of the base shape the steps end at.
+included.  Its two steps are private and work on block tuples: the pass
+``_step`` (the recursion step and the contraction, in one walk over the
+blocks, which carries the paper's parity formulas) and the negative flip
+``_flip_term``; the private ``_closed_form`` gives dbar of the base shape
+the steps end at.
 
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
@@ -56,7 +57,7 @@ CLASPS = ("a", "^a", "b", "^b", "ab", "ba")
 
 # parse_spec's caps.  With n blocks dbar can have about n^2 terms, and
 # `valex twist` builds one diagram crossing per twist crossing; at the caps
-# `valex compute --spec` and `valex twist` each take about a second
+# `valex compute --spec` and `valex twist` each take well under a second
 # (README, "Twist specs").
 MAX_SPEC_BLOCKS = 400
 MAX_SPEC_CROSSINGS = 100_000
@@ -116,6 +117,9 @@ _SPEC_RE = re.compile(r"\s*VT(?:\[(\^?[ab]{1,2})\])?\s*\(([^)]*)\)\s*$", re.IGNO
 def parse_spec(text: str) -> TwistSpec:
     """Parse ``VT[a](7,4,3,5,9)``; the clasp tag defaults to ``a``.
 
+    The block list is ASCII: blocks are written in the digits 0-9, as
+    ``str(spec)`` prints them, with no ``_`` separator.
+
     A spec with more than ``MAX_SPEC_BLOCKS`` blocks or more than
     ``MAX_SPEC_CROSSINGS`` twist crossings raises ParseError.  These checks
     cover the constructor's, so the result is built without repeating them.
@@ -126,9 +130,14 @@ def parse_spec(text: str) -> TwistSpec:
     clasp = (m.group(1) or "a").lower()
     if clasp not in CLASPS:
         raise ParseError(f"unknown clasp tag {clasp!r}", text.index("["))
-    body = m.group(2).strip()
+    raw = m.group(2)
+    body = raw.strip()
     if not body:
         raise ParseError("twist spec needs at least one block", text.index("("))
+    if not body.isascii() or "_" in body:  # int() reads both, str(spec) prints neither
+        bad = next(i for i, c in enumerate(body) if c == "_" or not c.isascii())
+        raise ParseError(f"bad character {body[bad]!r} in block list",
+                         m.start(2) + raw.index(body) + bad)
     try:
         blocks = tuple(map(int, body.split(",")))  # int() strips the blanks
     except ValueError:
@@ -146,32 +155,19 @@ def parse_spec(text: str) -> TwistSpec:
 # -- parity bookkeeping --------------------------------------------------------
 
 def _parity(a: tuple) -> tuple:
-    """The partial sums and parity counts that drive every twist formula.
+    """The partial sums and parity counts that describe a twist diagram.
 
-    Returns (s, delta, eps, half_sum) for the blocks a_1..a_n, in time linear
-    in n: s[i] = sum_{j<=i} (a_j + 1) with s[0] = 0, delta = sum_j p(a_j)
-    p(s(j)), eps[i-1] = epsilon(i) for i = 1..n, and half_sum =
-    sum_i floor(|a_i| / 2), where
-
-        epsilon(i) = p(s(i-1)) - 1 + sum_{j<i} p(a_j) p(s(j))
-                                   + sum_{j>=i} p(a_j) p(1 + s(j-1)).
-
-    The first sum is carried as a prefix, whose last value is delta; the
-    second as a suffix, which starts at its total over all blocks.
-    ``x & y & 1`` is p(x) p(y).
+    Returns (s, delta, half_sum) for the blocks a_1..a_n, in time linear in
+    n: s[i] = sum_{j<=i} (a_j + 1) with s[0] = 0, delta = sum_j p(a_j)
+    p(s(j)) and half_sum = sum_i floor(|a_i| / 2).  ``x & y & 1`` is
+    p(x) p(y).  The recursion's pass carries the same sums itself (``_step``).
     """
     s = [0]
-    suffix = 0
+    delta = 0
     for b in a:
-        suffix += b & (1 + s[-1]) & 1
         s.append(s[-1] + b + 1)
-    prefix = 0
-    eps = []
-    for j, b in enumerate(a):
-        eps.append((s[j] & 1) - 1 + prefix + suffix)
-        prefix += b & s[j + 1] & 1
-        suffix -= b & (1 + s[j]) & 1
-    return tuple(s), prefix, tuple(eps), sum(abs(b) // 2 for b in a)
+        delta += b & s[-1] & 1
+    return tuple(s), delta, sum(abs(b) // 2 for b in a)
 
 
 # -- diagram generation ----------------------------------------------------------
@@ -292,48 +288,76 @@ def _closed_form(blocks: tuple, clasp: str, k: int) -> dict:
 # -- recursion engine ---------------------------------------------------------------
 
 def _step(blocks: tuple, clasp: str) -> tuple:
-    """One application of the twist recursion: (reduced, k, {e: c}) with
+    """One pass of the twist recursion: (out, k, {e: c}) with
 
-        dbar(blocks) = (-uv)^k (dbar(reduced) + sum_e c (uv)^e)
+        dbar(blocks) = (-uv)^k dbar(out) + sum_e c (uv)^e.
 
-    where k = sum_i floor(|a_i|/2), the reduced blocks are sgn(a_i) p(a_i),
-    and the correction sums sgn(a_i) floor(|a_i|/2) (-1)^{delta+s(n)}
-    (uv)^{eps(i)}.  For clasp ``ab`` the correction is identically zero (the
-    smoothed links are classical Hopf links).  Terms of two blocks may
+    The pass reduces each block a_i to sgn(a_i) p(a_i) at a factor of
+    (-uv)^{floor(|a_i|/2)} and a correction of sgn(a_i) floor(|a_i|/2)
+    (-1)^{delta+s(n)} (uv)^{eps(i)}, where (see ``_parity``)
+
+        epsilon(i) = p(s(i-1)) - 1 + sum_{j<i} p(a_j) p(s(j))
+                                   + sum_{j>=i} p(a_j) p(1 + s(j-1));
+
+    the reduced vector is then contracted: each interior empty block is
+    removed by merging its neighbours, left to right, so a merge that sums
+    to zero merges with the next block.  Contraction is a virtual move, but
+    a merge that juxtaposes opposite-sign crossings costs one Reidemeister-II
+    move, a factor of -uv.  So k is sum_i floor(|a_i|/2) plus the
+    cancellations, and the corrections carry the pass's own factor
+    (-uv)^{sum_i floor(|a_i|/2)}.  For clasp ``ab`` there is no correction
+    (the smoothed links are classical Hopf links).  Terms of two blocks may
     cancel to a zero coefficient.
+
+    All of it is one walk over the blocks.  It carries p(s(i-1)) as ``s``,
+    the prefix sum of epsilon(i) and the suffix sum's terms so far, whose
+    total is known only at the end: each correction is kept as epsilon(i)
+    minus that total, and the total is added once.  The contracted vector is
+    ``out`` plus ``gap``, an empty block after ``out[-1]`` not yet merged.
+    A reduced block is 0 or +-1, so an odd block after a gap cancels when
+    the block it merges with has the other sign, at a cost of exactly one.
     """
-    s, delta, eps, half_sum = _parity(blocks)
-    reduced = tuple(_sgn(b) * _p(b) for b in blocks)
+    s = prefix = suffix = half_sum = k = 0
+    gap = False
+    out = []
+    pending = []  # (epsilon(i) minus the suffix total, weight) for floor(|a_i|/2) != 0
+    for b in blocks:
+        h = abs(b) >> 1
+        if h:
+            half_sum += h
+            pending.append((s - 1 + prefix - suffix, h if b > 0 else -h))
+        if b & 1:  # p(s(i)) = s, so the prefix term is s and the suffix's 1 - s
+            prefix += s
+            suffix += s ^ 1
+            y = 1 if b > 0 else -1
+            if gap:
+                x = out.pop()
+                if x * y < 0:
+                    k += 1
+                y += x
+                if y or not out:
+                    out.append(y)
+                    gap = False
+            else:
+                out.append(y)
+        else:  # an empty reduced block
+            s ^= 1
+            if gap:  # x, 0, 0 merges to x
+                gap = False
+            elif out:  # merged at the next block, or kept at the end
+                gap = True
+            else:  # a leading zero stays
+                out.append(0)
+    if gap:
+        out.append(0)
     corr = {}
     if clasp != "ab":
-        sign = -1 if (delta + s[-1]) % 2 else 1
-        for e, b in zip(eps, blocks):
-            w = _sgn(b) * (abs(b) // 2) * sign
-            if w:
-                corr[e] = corr.get(e, 0) + w
-    return reduced, half_sum, corr
-
-
-def _contract(blocks: tuple) -> tuple:
-    """Remove interior empty blocks by merging their neighbours: (blocks, k)
-    for the factor (-uv)^k.
-
-    Contraction itself is a virtual move (no polynomial change); when a merge
-    juxtaposes opposite-sign crossings, each cancelling pair costs one
-    Reidemeister-II move, i.e. a factor of -uv.  Left to right, so a merge
-    that sums to zero merges with the next block.
-    """
-    out = []
-    k = 0
-    for y in blocks:
-        if len(out) >= 2 and out[-1] == 0:
-            out.pop()
-            x = out.pop()
-            if x * y < 0:
-                k += min(abs(x), abs(y))
-            y += x
-        out.append(y)
-    return tuple(out), k
+        shift = suffix + half_sum
+        sign = -1 if (half_sum + prefix + s) & 1 else 1  # prefix is delta, s is p(s(n))
+        for e, w in pending:
+            e += shift
+            corr[e] = corr.get(e, 0) + sign * w
+    return tuple(out), half_sum + k, corr
 
 
 def _flip_term(blocks: tuple, i: int) -> tuple:
@@ -372,12 +396,12 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     mirrored ones pass the result through ``mirror_invariant`` and are
     canonical only after normalization.
 
-    Loop: recursion step (``_step``), contraction (``_contract``),
-    base-shape check; then flip any negative singleton blocks
-    (``_flip_term``) and apply the closed forms.  Each full pass
-    strictly reduces crossing counts; the iteration cap guards convention
-    bugs.  Every factor is a power of -uv and every correction a polynomial
-    in uv, so the loop carries the unit (-uv)^k as the int k (its sign is
+    Loop: base-shape check, then one pass (``_step``: the recursion step
+    and the contraction); then flip any negative singleton blocks
+    (``_flip_term``) and apply the closed forms.  Each pass strictly
+    reduces crossing counts; the iteration cap guards convention bugs.
+    Every factor is a power of -uv and every correction a polynomial in
+    uv, so the loop carries the unit (-uv)^k as the int k (its sign is
     (-1)^k) and the corrections as one dict {e: c} for sum c (uv)^e.  At the
     end ``_closed_form`` builds (-uv)^k dbar of the base shape as one fresh
     term dict, and the corrections are merged into it.
@@ -394,11 +418,9 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     for _ in range(cap):
         if _is_reduced_base_shape(blocks):
             break
-        blocks, half_sum, corr = _step(blocks, spec.clasp)
-        k += half_sum
+        blocks, k_step, corr = _step(blocks, spec.clasp)
         _add_uv(acc, corr.items(), k)
-        blocks, merged = _contract(blocks)
-        k += merged
+        k += k_step
     else:
         raise InfiniteReduction(f"{spec} did not reduce within {cap} passes")
 

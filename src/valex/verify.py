@@ -120,7 +120,7 @@ def acceptance_grid() -> list:
 def _check_one_spec(spec: TwistSpec) -> list:
     name = str(spec)
     base, _ = clasp_identity(spec)  # the identity takes the clasp-a spec's parities
-    s, delta, _, half_sum = _parity(base.blocks)
+    s, delta, half_sum = _parity(base.blocks)
     rec = evaluate_recursive(spec)
     ow = ow_closed_form(spec)
     det = delta0_diagram(generate_twist(spec))

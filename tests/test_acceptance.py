@@ -189,7 +189,7 @@ def test_odd_writhe_identity_and_conjecture(tmp_path):
     """Signed identity and 2|dbar(-1,-1)| = |OW| across the grid + batch file."""
     t0 = time.time()
     for spec in acceptance_grid():
-        s, delta, _, half_sum = _parity(spec.blocks)
+        s, delta, half_sum = _parity(spec.blocks)
         dbar = evaluate_recursive(spec)
         ow = ow_closed_form(spec)
         sign = -1 if (delta + s[spec.n] + half_sum) % 2 else 1

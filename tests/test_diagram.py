@@ -67,6 +67,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_gauss("O0+U0+")
 
+    def test_digits_outside_ascii_rejected(self):
+        # a crossing id is written in 0-9 only: int() would read Arabic-Indic
+        # or full-width digits, and an underscore, as crossing 1 or 10
+        for code, position in (("O\u0661+U\u0661+", 0), ("O\uff11+U\uff11+", 0),
+                               ("O1+U\u0661+", 3), ("O1_0+U1_0+", 0)):
+            with pytest.raises(ParseError, match="bad token") as err:
+                parse_gauss(code)
+            assert err.value.position == position, code
+
     def test_crossing_cap(self):
         # links count too: the cap is on the crossings of the whole code
         at_cap = ";".join(f"O{c}+U{c}+" for c in range(1, MAX_GAUSS_CROSSINGS + 1))

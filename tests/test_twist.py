@@ -23,7 +23,6 @@ from valex.twist import (
     MAX_SPEC_BLOCKS,
     MAX_SPEC_CROSSINGS,
     TwistSpec,
-    _contract,
     _flip_term,
     _parity,
     _square,
@@ -193,11 +192,51 @@ def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
         raise InvalidArgument(f"block index {i} out of range 1..{spec.n}")
     if spec.blocks[i - 1] == 0:
         raise InvalidArgument(f"block {i} of {spec} is empty")
-    s, delta, eps, half_sum = _parity(spec.blocks)
+    s, delta, eps = paper_parities(spec.blocks)
+    half_sum = sum(abs(b) // 2 for b in spec.blocks)
     sign_exp = (-s[i - 1] + delta + s[spec.n]) % 2
     out = (-UV) ** half_sum * UV ** eps[i - 1]
     out = out * ((U - 1) * (V - 1))
     return -out if sign_exp else out
+
+
+def paper_step(blocks, clasp: str) -> tuple:
+    """One recursion pass by the paper's definitions, in ``_step``'s form
+    (out, k, {e: c}) with dbar(blocks) = (-uv)^k dbar(out) + sum_e c (uv)^e:
+    the corrections from ``paper_parities``, then the reduced blocks
+    sgn(a_i) p(a_i), then ``leftmost_merge``."""
+    s, delta, eps = paper_parities(blocks)
+    half_sum = sum(abs(b) // 2 for b in blocks)
+    corr = {}
+    if clasp == "a":
+        sign = (-1) ** ((half_sum + delta + s[-1]) % 2)  # (-uv)^half_sum's sign too
+        for e, b in zip(eps, blocks):
+            w = abs(b) // 2
+            if w:
+                corr[e + half_sum] = corr.get(e + half_sum, 0) + sign * (w if b > 0 else -w)
+    reduced = tuple(0 if b % 2 == 0 else (1 if b > 0 else -1) for b in blocks)
+    out, k = leftmost_merge(reduced)
+    return out, half_sum + k, corr
+
+
+def step_eps(blocks) -> tuple:
+    """epsilon(i) for i = 1..n, read off ``_step``'s correction exponents.
+
+    epsilon reads only parities, so block i is set to 2 + p(a_i) and every
+    other block to p(a_j): block i is then the only one with a correction,
+    at the exponent epsilon(i) + 1 (one half-twist), and its coefficient
+    must be -(-1)^{delta+s(n)} with delta and s from ``paper_parities``.
+    """
+    s, delta, _ = paper_parities(blocks)
+    want = -((-1) ** ((delta + s[-1]) % 2))
+    out = []
+    for i, b in enumerate(blocks):
+        probe = [a & 1 for a in blocks]
+        probe[i] = 2 + (b & 1)
+        corr = _step(tuple(probe), "a")[2]
+        assert len(corr) == 1 and list(corr.values()) == [want], (blocks, i, corr)
+        out.append(next(iter(corr)) - 1)
+    return tuple(out)
 
 
 def dropping_zeros(step: tuple) -> tuple:
@@ -236,6 +275,15 @@ class TestSpecText:
             with pytest.raises(ValexError):
                 TwistSpec(*args)
 
+    def test_digits_outside_ascii_rejected(self):
+        # int() reads "1_0" as 10 and any Unicode decimal digit, so each of
+        # these would parse to a spec that prints as a different text
+        for text, position in (("VT(1_0)", 4), ("VT(\u0663)", 3), ("VT[a](7, \uff14)", 9),
+                               ("VT[b]( 1,\u0e52 )", 9)):
+            with pytest.raises(ParseError, match="bad character") as err:
+                parse_spec(text)
+            assert err.value.position == position, text
+
     def test_parse_builds_a_checked_spec(self):
         for text in ("VT[a](7,4,3,5,9)", "VT[ab](0,1,1)", "VT[^B]( -3 , 0 )"):
             spec = parse_spec(text)
@@ -268,30 +316,34 @@ class TestSpecText:
 
 class TestParityContext:
     def test_positive_worked_example(self):
-        s, delta, eps, _ = _parity((7, 4, 3, 5, 9))
+        s, delta, half_sum = _parity((7, 4, 3, 5, 9))
         assert delta == 3
         assert s[5] == 33
-        assert eps == (0, -1, 0, 1, 2)
+        assert half_sum == 12
+        assert step_eps((7, 4, 3, 5, 9)) == (0, -1, 0, 1, 2)
 
     def test_negative_worked_example(self):
-        s, delta, eps, _ = _parity((-7, 3, -5, -2, 3))
+        s, delta, half_sum = _parity((-7, 3, -5, -2, 3))
         assert delta == 1
         assert s[5] == -3
-        assert eps == (2, 1, 0, -1, 0)
+        assert half_sum == 8
+        assert step_eps((-7, 3, -5, -2, 3)) == (2, 1, 0, -1, 0)
 
     def test_single_block(self):
         for k in range(0, 7):
-            s, delta, eps, _ = _parity((k,))
+            s, delta, _ = _parity((k,))
             assert s[1] == k + 1
             assert delta == 0
-            assert eps == (k % 2 - 1,)
+            assert step_eps((k,)) == (k % 2 - 1,)
 
     def test_signed_vs_absolute_convention(self):
         for blocks in [(-7, 3, -5, -2, 3), (-1, -2), (4, -3, 0)]:
-            s, delta, eps, _ = _parity(blocks)
-            s_abs, delta_abs, eps_abs, _ = _parity(tuple(abs(b) for b in blocks))
+            s, delta, _ = _parity(blocks)
+            absolute = tuple(abs(b) for b in blocks)
+            s_abs, delta_abs, _ = _parity(absolute)
             assert delta == delta_abs
-            assert eps == eps_abs
+            assert step_eps(blocks) == step_eps(absolute)
+            assert _step(blocks, "a")[2].keys() == _step(absolute, "a")[2].keys()
             assert (s[-1] - s_abs[-1]) % 2 == 0
 
     @settings(max_examples=300, deadline=None)
@@ -299,7 +351,8 @@ class TestParityContext:
     def test_matches_quadratic_definition(self, blocks):
         s, delta, eps = paper_parities(blocks)
         half_sum = sum(abs(b) // 2 for b in blocks)
-        assert _parity(tuple(blocks)) == (s, delta, eps, half_sum)
+        assert _parity(tuple(blocks)) == (s, delta, half_sum)
+        assert step_eps(blocks) == eps
 
 
 class TestGenerator:
@@ -468,38 +521,83 @@ class TestSmoothedClosedForm:
 
 
 class TestRecursionStep:
+    # dbar(blocks) = (-uv)^k dbar(out) + sum_e c (uv)^e.  A pass reduces a_i
+    # to sgn(a_i) p(a_i) at a factor (-uv)^h, h = sum_i floor(|a_i|/2), and a
+    # correction (-uv)^h sgn(a_i) floor(|a_i|/2) (-1)^{delta+s(n)}
+    # (uv)^{eps(i)} per block; the reduced vector is then contracted, each
+    # cancelling merge costing one more -uv.
     def test_positive_worked_example(self):
-        assert dropping_zeros(_step((7, 4, 3, 5, 9), "a")) == (
-            (1, 0, 1, 1, 1), 12, {-1: 2, 0: 4, 1: 2, 2: 4})
+        # s = 0, 8, 13, 17, 23, 33; p(a) = 1, 0, 1, 1, 1.  delta = 0 + 0 + 1
+        # + 1 + 1 = 3.  The terms p(a_j) p(1 + s(j-1)) are 1, 0, 0, 0, 0, so
+        # the suffix sums are 1, 0, 0, 0, 0 and the prefix sums 0, 0, 0, 1, 2:
+        # eps = (0 - 1 + 0 + 1, 0 - 1 + 0 + 0, 1 - 1 + 0 + 0, 1 - 1 + 1 + 0,
+        # 1 - 1 + 2 + 0) = (0, -1, 0, 1, 2).  h = 3 + 2 + 1 + 2 + 4 = 12 and
+        # (-1)^{h+delta+s(n)} = (-1)^{12+3+33} = 1, so the weights 3, 2, 1, 2,
+        # 4 sit at 12 + eps: 2 at 11, 3 + 1 at 12, 2 at 13, 4 at 14.  The
+        # reduced (1, 0, 1, 1, 1) contracts to (2, 1, 1) with no cancellation.
+        assert _step((7, 4, 3, 5, 9), "a") == ((2, 1, 1), 12, {11: 2, 12: 4, 13: 2, 14: 4})
 
     def test_negative_worked_example(self):
-        assert dropping_zeros(_step((-7, 3, -5, -2, 3), "a")) == (
-            (-1, 1, -1, 0, 1), 8, {-1: -1, 0: -1, 1: 1, 2: -3})
+        # s = 0, -6, -2, -6, -7, -3; p(a) = 1, 1, 1, 0, 1.  delta = p(s(5)) =
+        # 1.  The terms p(a_j) p(1 + s(j-1)) are 1, 1, 1, 0, 0, so the suffix
+        # sums are 3, 2, 1, 0, 0 and the prefix sums all 0: eps = (0 - 1 + 3,
+        # 0 - 1 + 2, 0 - 1 + 1, 0 - 1 + 0, 1 - 1 + 0) = (2, 1, 0, -1, 0).
+        # h = 3 + 1 + 2 + 1 + 1 = 8 and (-1)^{8+1-3} = 1, so the weights -3,
+        # 1, -2, -1, 1 sit at 8 + eps: -3 at 10, 1 at 9, -2 + 1 at 8, -1 at 7.
+        # The reduced (-1, 1, -1, 0, 1) merges -1 and 1 across the zero: they
+        # cancel at one -uv and leave a zero at the end, so k = 8 + 1.
+        assert _step((-7, 3, -5, -2, 3), "a") == (
+            (-1, 1, 0), 9, {7: -1, 8: -1, 9: 1, 10: -3})
+
+    def test_odd_half_sum_negates_the_correction(self):
+        # VT(3): s = 0, 4; delta = p(3) p(4) = 0; eps(1) = 0 - 1 + p(3) p(1)
+        # = 0.  h = 1 and (-1)^{1+0+4} = -1, so the weight 1 gives -1 at
+        # 1 + 0; dbar(VT(3)) = -uv dbar(VT(1)) - uv = -2uv.
+        assert _step((3,), "a") == ((1,), 1, {1: -1})
+        assert evaluate_recursive(TwistSpec((3,))) == -2 * UV
 
     def test_trivial(self):
         assert _step((1, 1), "a") == ((1, 1), 0, {})
 
     def test_vtab_has_no_correction(self):
-        assert dropping_zeros(_step((7, 4, 3, 5, 9), "ab")) == ((1, 0, 1, 1, 1), 12, {})
+        assert _step((7, 4, 3, 5, 9), "ab") == ((2, 1, 1), 12, {})
+
+    def test_cancelling_weights_keep_their_exponent(self):
+        # no block is odd, so delta = 0 and every sum in eps is 0: eps(i) =
+        # p(s(i-1)) - 1.  VT(2, -2): s = 0, 3, 2, so eps = (-1, 0); h = 2 and
+        # (-1)^{2+0+2} = 1 put the weights 1 and -1 at 1 and 2.  VT(2, 0, -2):
+        # s = 0, 3, 4, 3, so eps = (-1, 0, -1); (-1)^{2+0+3} = -1 puts -1 and
+        # 1 both at 1, where they cancel.  All-zero reduced blocks contract
+        # to one zero.
+        assert _step((2, -2), "a") == ((0, 0), 2, {1: 1, 2: -1})
+        assert dropping_zeros(_step((2, 0, -2), "a")) == ((0,), 2, {})
+        assert _step((2, 0, -2), "a")[2] == {1: 0}
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=12), st.sampled_from(["a", "ab"]))
+    def test_matches_paper_step(self, blocks, clasp):
+        assert _step(tuple(blocks), clasp) == paper_step(blocks, clasp)
 
 
 class TestContract:
+    # on reduced blocks, in {-1, 0, 1}, a pass has no half-twist to remove,
+    # so it is the contraction alone
     def test_merge_without_cancellation(self):
-        assert _contract((1, 0, 1, 1, 1)) == ((2, 1, 1), 0)
+        assert _step((1, 0, 1, 1, 1), "a") == ((2, 1, 1), 0, {})
 
     def test_merge_with_cancellation(self):
-        assert _contract((-1, 1, -1, 0, 1)) == ((-1, 1, 0), 1)
+        assert _step((-1, 1, -1, 0, 1), "a") == ((-1, 1, 0), 1, {})
 
     def test_nothing_to_do(self):
-        assert _contract((1, 1)) == ((1, 1), 0)
+        assert _step((1, 1), "a") == ((1, 1), 0, {})
 
     def test_cascading(self):
-        assert _contract((1, 0, -1, 0, 1)) == ((1,), 1)
+        assert _step((1, 0, -1, 0, 1), "a") == ((1,), 1, {})
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
-    def test_matches_leftmost_merge(self, blocks):
-        assert _contract(tuple(blocks)) == leftmost_merge(blocks)
+    @given(st.lists(st.integers(-1, 1), min_size=1, max_size=10), st.sampled_from(["a", "ab"]))
+    def test_matches_leftmost_merge(self, blocks, clasp):
+        assert _step(tuple(blocks), clasp) == leftmost_merge(blocks) + ({},)
 
 
 class TestNegativeFlip:

@@ -26,7 +26,7 @@ def reference_checks(spec) -> list:
     """The four CheckResults of a grid spec, from ``spec_report`` and the determinant."""
     name = str(spec)
     base, _ = clasp_identity(spec)
-    s, delta, _, half_sum = _parity(base.blocks)
+    s, delta, half_sum = _parity(base.blocks)
     rep = spec_report(spec)
     det_bar = delta_bar(delta0_diagram(generate_twist(spec)))
     lhs = 2 * rep.dbar.evaluate(-1, -1)
