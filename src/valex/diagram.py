@@ -79,9 +79,14 @@ class Diagram:
         for comp in comps:
             if not comp:
                 raise EmptyComponent("crossing-free components are not allowed")
-            for cid, over in comp:
+            for p in comp:
+                if type(p) is not Passage:
+                    raise InvalidArgument(f"passage {p!r} is not a Passage")
+                cid, over = p
                 if type(cid) is not int or cid < 1:
                     raise InvalidArgument(f"crossing id {cid!r} is not an int >= 1")
+                if type(over) is not bool:
+                    raise InvalidArgument(f"crossing {cid}'s over flag {over!r} is not a bool")
                 seen.setdefault(cid, []).append(over)
         for cid, flags in seen.items():
             if len(flags) != 2 or flags[0] == flags[1]:

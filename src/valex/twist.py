@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from .alexander import InvariantReport
@@ -66,10 +67,6 @@ MAX_SPEC_CROSSINGS = 100_000
 def _p(x: int) -> int:
     """Parity of |x| (0 or 1)."""
     return x & 1
-
-
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 # A NamedTuple body may not define __new__, so TwistSpec validates in a subclass.
@@ -196,35 +193,27 @@ def generate_twist(spec: TwistSpec) -> Diagram:
         return mirror_all(d) if mirrored else d
 
     s = _parity(spec.blocks)[0]
-    m = spec.m
-    clasp_positive = _p(s[-1]) == 0
-
-    odd_under = []
-    signs = {1: 1 if clasp_positive else -1}
-    t = 0
-    for j, block in enumerate(spec.blocks, start=1):
-        sign = _sgn(block)
-        for k in range(1, abs(block) + 1):
-            t += 1
-            type1 = _p(s[j - 1] + k - 1) == 0
-            odd_under.append(type1 == (sign > 0))
-            signs[t + 1] = sign
-
-    passages = []
-    for t in range(1, m + 1):  # odd strand, left to right
-        passages.append(Passage(t + 1, not odd_under[t - 1]))
-    passages.append(Passage(1, False))  # clasp, x_{2m+1} -> x_{2m+2}, under
-    for t in range(m, 0, -1):  # even strand, right to left
-        passages.append(Passage(t + 1, odd_under[t - 1]))
-    passages.append(Passage(1, True))  # clasp, x_2 -> x_1, over
-
-    labels = [2 * t + 1 for t in range(1, m + 1)]
-    labels.append(2 * m + 2)
-    labels.extend(2 * m + 2 - 2 * k for k in range(1, m + 1))
-    labels.append(1)
+    # block j's crossings run over r = s(j-1) .. s(j-1)+|a_j|-1 and are type 1
+    # where r is even, so the odd strand passes over where r is odd in a
+    # positive block and where r is even in a negative one
+    over = [(r & 1) == (b > 0) for start, b in zip(s, spec.blocks)
+            for r in range(start, start + abs(b))]
+    m = len(over)
+    signs = [-1 if s[-1] & 1 else 1]  # c_1, then c_2..c_{m+1} left to right
+    for b in spec.blocks:
+        signs += [1 if b > 0 else -1] * abs(b)
+    # tuple.__new__(Passage, (c, flag)) is Passage(c, flag) without a
+    # Python-level call per passage
+    new = tuple.__new__
+    passages = (*map(new, repeat(Passage), enumerate(over, 2)),  # odd strand, left to right
+                Passage(1, False),  # clasp, x_{2m+1} -> x_{2m+2}, under
+                *map(new, repeat(Passage),  # even strand, right to left
+                     zip(range(m + 1, 1, -1), map(operator.not_, reversed(over)))),
+                Passage(1, True))  # clasp, x_2 -> x_1, over
+    labels = (*range(3, 2 * m + 2, 2), 2 * m + 2, *range(2 * m, 0, -2), 1)
     # a checked spec gives a valid diagram, so the constructor's checks are
     # skipped; the labeling starts at 3 (at 2 when m = 0), never the identity
-    return Diagram._raw((tuple(passages),), signs, tuple(labels))
+    return Diagram._raw((passages,), dict(enumerate(signs, 1)), labels)
 
 
 # -- closed-form base families -----------------------------------------------------

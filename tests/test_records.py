@@ -105,6 +105,10 @@ _RAISE_SITES = {  # name -> (call, type, message, position)
              "crossing 1 needs the int sign 1 or -1, not 2", None),
     "absent_sign": (lambda: Diagram([[Passage(1, True), Passage(1, False)]], {1: 1, 2: 1}),
                     InvalidArgument, "signs given for absent crossings: [2]", None),
+    "int_over_flag": (lambda: Diagram([[Passage(1, 2), Passage(1, 3)]], {1: 1}),
+                      InvalidArgument, "crossing 1's over flag 2 is not a bool", None),
+    "tuple_passage": (lambda: Diagram([[(1, True), (1, False)]], {1: 1}), InvalidArgument,
+                      "passage (1, True) is not a Passage", None),
     "both_signs": (lambda: parse_gauss("O1+U1-"), ParseError,
                    "crossing 1 appears with both signs in 'O1+U1-' (at position 3)", 3),
     "empty_text_component": (lambda: parse_gauss("O1+;;U1+"), ParseError,

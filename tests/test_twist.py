@@ -383,12 +383,14 @@ class TestGenerator:
 
     def test_diagrams_pass_the_public_checks(self):
         # the generator skips Diagram's checks; rebuilding through them must
-        # give the same diagram, with fields of the same types
+        # give the same diagram, with fields of the same types (every passage
+        # a Passage with a bool flag), and the signs run c_1, c_2, ... in order
         grid = [s.blocks for s in acceptance_grid()] + [(0,)]
         for blocks, clasp in itertools.product(grid, ("a", "^a", "b", "^b")):
             d = generate_twist(TwistSpec(blocks, clasp))
             checked = Diagram(d.components, d.signs, d.arc_labels)
             assert checked == d, (blocks, clasp)
+            assert list(d.signs) == list(range(1, d.n_crossings + 1)), (blocks, clasp)
             for x in (d, checked):
                 assert type(x.components) is tuple
                 assert all(type(c) is tuple for c in x.components)

@@ -1,9 +1,10 @@
 import pytest
 
 from valex.diagram import parse_gauss, smooth_crossing
-from valex.alexander import InvariantReport, delta0_diagram, delta_bar, invariant_report
+from valex.alexander import KNOT_FACTOR, InvariantReport, delta0_diagram, delta_bar, \
+    invariant_report
 from valex import verify
-from valex.errors import EmptyComponent, InvalidArgument, UnsupportedClasp
+from valex.errors import EmptyComponent, InvalidArgument, NotDivisible, UnsupportedClasp
 from valex.laurent import U, V, format_poly
 from valex.twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, evaluate_recursive, \
     generate_twist, spec_report
@@ -117,8 +118,18 @@ class TestGrid:
         monkeypatch.setattr(verify, "delta0_diagram", lambda d: U)
         results = {r.check: r for r in run_grid([TwistSpec((1,))], workers=1)}
         assert not results["divisibility"].passed
+        with pytest.raises(NotDivisible) as exc:
+            delta_bar(U)
+        assert results["divisibility"].detail == str(exc.value)
         rvd = results["recursion_vs_determinant"]
         assert (rvd.passed, rvd.rhs, rvd.detail) == (False, "<determinant>", "")
+
+    def test_a_matching_product_needs_no_division(self, monkeypatch):
+        # factor * dbar == Delta_0 shows divisibility and the quotient at once
+        calls = []
+        monkeypatch.setattr(verify, "delta_bar", lambda p: calls.append(p) or delta_bar(p))
+        results = run_grid(acceptance_grid(), workers=1)
+        assert calls == [] and all(r.passed for r in results)
 
     def test_unit_slip_in_the_recursion_fails(self, monkeypatch):
         # -uv is a unit, which normalization hides; the check compares the
@@ -127,12 +138,17 @@ class TestGrid:
             return -(U * V) * evaluate_recursive(spec)
 
         monkeypatch.setattr(verify, "evaluate_recursive", slipped)
+        calls = []
+        monkeypatch.setattr(verify, "delta_bar", lambda p: calls.append(p) or delta_bar(p))
         specs = grid_specs(2, 0, 3)
         results = run_grid(specs, workers=1)
         passed = {r.subject for r in results
                   if r.check == "recursion_vs_determinant" and r.passed}
         assert passed == {"VT[a](0)", "VT[a](0,0)", "VT[a](0,1)", "VT[a](1,0)"}
         assert all(not evaluate_recursive(s) for s in specs if str(s) in passed)
+        # one division for each spec whose product differs from Delta_0
+        dets = [delta0_diagram(generate_twist(s)) for s in specs]
+        assert calls == [det for s, det in zip(specs, dets) if KNOT_FACTOR * slipped(s) != det]
 
     @pytest.mark.parametrize("clasp", ["^a", "b", "^b"])
     def test_other_clasps_all_pass(self, clasp):
