@@ -249,7 +249,10 @@ def determinant(m: list) -> LaurentPoly:
     the result.  Most Alexander-matrix entries are units.  When no unit is
     left, prev is 1 and exactly three rows remain, no pivot is taken: the
     three-row core is finished by cofactors (below), unless the kernel
-    declines it, and then the loop goes on as before.
+    declines it, and then the loop goes on as before.  When one row is
+    left, its one entry is the last pivot, with no search: the step would
+    touch no other entry, and a unit taken as it stands gives the same
+    product as a unit divided out.
 
     A unit pivot's row is first divided by the unit, whose inverse is the
     monomial e * u^-a v^-b, which leaves a pivot of 1; the units' product is
@@ -311,6 +314,11 @@ def determinant(m: list) -> LaurentPoly:
     sign, ue, ve = 1, 0, 0  # the units' product is sign * u^ue v^ve
     prev = pivot = _ONE
     while active:
+        if len(active) == 1:  # the last row's one entry is the last pivot
+            ((p, row),) = active.items()
+            ((q, pivot),) = row.items()
+            match[p] = q
+            break
         found = _cheapest_unit(active, cols)
         if not found and prev is _ONE and len(active) == 3:
             det = det3_terms([[sparse.get(j, {}) for j in cols] for sparse in active.values()])

@@ -2,11 +2,15 @@
 
 ``evaluate_recursive`` (and ``spec_report``, which wraps it) is the
 recursion's public entry and the one way to get dbar of a spec, base shapes
-included.  Its two steps are private and work on block tuples: the pass
-``_step`` (the recursion step and the contraction, in one walk over the
-blocks, which carries the paper's parity formulas) and the negative flip
-``_flip_term``; the private ``_closed_form`` gives dbar of the base shape
-the steps end at.
+included.  It makes one call per spec for every clasp: ``clasp_identity``
+rewrites the spec onto clasp ``a`` or ``ab`` once, the rest runs on the
+rewritten blocks in the same call, and a mirrored clasp's finished result
+goes through ``mirror_invariant`` once.  Its steps are private and work on
+block tuples: the pass ``_step`` (the recursion step and the contraction,
+in one walk over the blocks, which carries the paper's parity formulas) and
+the negative flip ``_flip_term``, which holds the flip rule; the private
+``_closed_form`` holds the base families and gives dbar of the base shape
+the steps end at, over the sums ``_triangle`` and ``_square``.
 
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
@@ -233,45 +237,29 @@ def _square(t: int, c: int, d: int) -> dict:
     return {(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)}
 
 
-def _classify_base(blocks) -> tuple:
-    """(family, m) of a base shape: blocks in {0, 1}, zeros only at the ends."""
-    lead = blocks[0] == 0
-    trail = blocks[-1] == 0
-    m = sum(blocks)
-    if len(blocks) == 1:
-        return (2, 0) if lead else (1, 1)
-    if lead and trail:
-        return (4, m)
-    if lead:
-        return (2, m)
-    if trail:
-        return (3, m)
-    return (1, m)
-
-
 def _closed_form(blocks: tuple, clasp: str, k: int) -> dict:
-    """(-uv)^k dbar of a base shape of clasp ``a`` or ``ab``, as a fresh term dict.
+    """(-uv)^k dbar of a reduced base shape of clasp ``a`` or ``ab``, as a fresh term dict.
 
-    dbar is a double sum for clasp ``a`` and a square for ``ab``, picked by
-    the base family; families 2 and 4 carry the sign (-1)^m.  The unit
-    (-uv)^k adds k to both exponents and (-1)^k to the coefficient.
+    ``blocks`` is in {-1, 0, 1} with zeros only at the ends, and only where
+    its zeros are matters: a -1 reads as +1, its flip correction being the
+    caller's.  The end zeros pick the base family: 1 (none), 2 (leading;
+    also the shape (0,)), 3 (trailing), 4 (both), and m is the number of
+    nonzero blocks.  dbar is a
+    double sum for clasp ``a`` and a square for ``ab``; families 2 and 4
+    carry the sign (-1)^m.  The unit (-uv)^k adds k to both exponents and
+    (-1)^k to the coefficient.
     """
-    fam, m = _classify_base(blocks)
-    minus = k + m if fam in (2, 4) else k  # the coefficient is (-1)^minus
-    c = -1 if minus % 2 else 1
+    lead = blocks[0] == 0
+    trail = blocks[-1] == 0 and len(blocks) > 1
+    m = len(blocks) - lead - trail
+    c = -1 if (k + m * lead) & 1 else 1
     if clasp == "a":
-        if fam == 1:
-            return _triangle(m, False, c, k, k)
-        if fam == 2:
-            return _triangle(m - 1, True, c, k, k + 1)
-        if fam == 3:
-            return _triangle(m - 1, False, c, k + 1, k)
-        return _triangle(m, True, c, k, k)
-    if fam == 1:
-        return _square(m - 2, c, k + 1)
-    if fam == 4:
-        return _square(m, c, k)
-    return _square(m - 1, c, k + 1)
+        if lead == trail:  # families 1 and 4
+            return _triangle(m, lead, c, k, k)
+        return _triangle(m - 1, lead, c, k + trail, k + lead)  # families 2 and 3
+    # the square's side is m - 2 in family 1, m - 1 in families 2 and 3 and m
+    # in family 4, which alone starts at (uv)^k rather than (uv)^(k+1)
+    return _square(m - 2 + lead + trail, c, k + 1 - (lead and trail))
 
 
 # -- recursion engine ---------------------------------------------------------------
@@ -367,62 +355,62 @@ def _flip_term(blocks: tuple, i: int) -> tuple:
     return n - i, -1
 
 
-def _is_reduced_base_shape(blocks) -> bool:
-    return set(blocks) <= {-1, 0, 1} and 0 not in blocks[1:-1]
-
-
-def _add_uv(acc: dict, terms, k: int) -> None:
-    """acc += (-uv)^k sum c (uv)^e over the (e, c) pairs, with acc as {e: c}."""
-    sign = -1 if k % 2 else 1
-    for e, c in terms:
-        acc[e + k] = acc.get(e + k, 0) + sign * c
-
-
 def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
-    """Diagram-level dbar via the 4-step algorithm (clasps ``a`` and ``ab``).
+    """Diagram-level dbar via the 4-step algorithm, in one call for every clasp.
 
-    Other clasps are rewritten through their clasp identity first; the
-    mirrored ones pass the result through ``mirror_invariant`` and are
-    canonical only after normalization.
+    ``clasp_identity`` rewrites the spec onto clasp ``a`` or ``ab`` once, and
+    the rest runs on the rewritten blocks in this call: nothing calls
+    ``evaluate_recursive`` again.  A mirrored clasp's finished result goes
+    through ``mirror_invariant`` once, so it is canonical only after
+    normalization.
 
-    Loop: base-shape check, then one pass (``_step``: the recursion step
-    and the contraction); then flip any negative singleton blocks
-    (``_flip_term``) and apply the closed forms.  Each pass strictly
-    reduces crossing counts; the iteration cap guards convention bugs.
-    Every factor is a power of -uv and every correction a polynomial in
-    uv, so the loop carries the unit (-uv)^k as the int k (its sign is
-    (-1)^k) and the corrections as one dict {e: c} for sum c (uv)^e.  At the
-    end ``_closed_form`` builds (-uv)^k dbar of the base shape as one fresh
-    term dict, and the corrections are merged into it.
+    Loop: base-shape check (blocks in {-1, 0, 1}, zeros only at the ends),
+    then one pass (``_step``: the recursion step and the contraction).  Each
+    pass strictly reduces crossing counts; the iteration cap, computed on
+    the rewritten blocks, guards convention bugs.  Every factor is a power
+    of -uv and every correction a polynomial in uv, so the loop carries the
+    unit (-uv)^k as the int k (its sign is (-1)^k) and the corrections as
+    one dict {e: c} for sum c (uv)^e.  On the base shape, each -1 block of
+    clasp ``a`` adds its flip correction (``_flip_term``, the flip rule),
+    ``_closed_form`` (the base families) builds (-uv)^k dbar of the shape as
+    one fresh term dict, and the corrections are merged into it.
     """
-    if spec.clasp not in ("a", "ab"):
-        base, mirrored = clasp_identity(spec)
-        dbar = evaluate_recursive(base)
-        return mirror_invariant(dbar) if mirrored else dbar
-
-    blocks = spec.blocks
+    (blocks, clasp), mirrored = clasp_identity(spec)
     k = 0
     acc = {}  # running answer is (-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e
-    cap = spec.m + spec.n + 1
+    base_values = {-1, 0, 1}
+    cap = sum(map(abs, blocks)) + len(blocks) + 1
     for _ in range(cap):
-        if _is_reduced_base_shape(blocks):
+        if base_values.issuperset(blocks) and 0 not in blocks[1:-1]:
             break
-        blocks, k_step, corr = _step(blocks, spec.clasp)
-        _add_uv(acc, corr.items(), k)
+        blocks, k_step, corr = _step(blocks, clasp)
+        if k:
+            sign = -1 if k & 1 else 1
+            for e, c in corr.items():
+                e += k
+                acc[e] = acc.get(e, 0) + sign * c
+        else:  # a pass with corrections raises k, so acc is still empty
+            acc = corr
         k += k_step
     else:
         raise InfiniteReduction(f"{spec} did not reduce within {cap} passes")
 
-    if spec.clasp == "a":
-        _add_uv(acc, (_flip_term(blocks, i) for i, b in enumerate(blocks, 1) if b == -1), k)
-    out = _closed_form(tuple(map(abs, blocks)), spec.clasp, k)
+    if clasp == "a" and -1 in blocks:
+        sign = -1 if k & 1 else 1
+        for i, b in enumerate(blocks, 1):
+            if b == -1:
+                e, c = _flip_term(blocks, i)
+                e += k
+                acc[e] = acc.get(e, 0) + sign * c
+    out = _closed_form(blocks, clasp, k)
     for e, c in acc.items():
         c += out.get((e, e), 0)
         if c:
             out[e, e] = c
         else:
             out.pop((e, e), None)
-    return LaurentPoly._raw(out)
+    dbar = LaurentPoly._raw(out)
+    return mirror_invariant(dbar) if mirrored else dbar
 
 
 def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
@@ -447,9 +435,9 @@ def clasp_identity(spec: TwistSpec):
     if spec.clasp == "^a":
         return TwistSpec._make((spec.blocks + (0,), "a")), False
     if spec.clasp == "b":
-        return TwistSpec._make((tuple(-b for b in spec.blocks), "a")), True
+        return TwistSpec._make((tuple(map(operator.neg, spec.blocks)), "a")), True
     if spec.clasp == "^b":
-        return TwistSpec._make((tuple(-b for b in spec.blocks) + (0,), "a")), True
+        return TwistSpec._make(((*map(operator.neg, spec.blocks), 0), "a")), True
     # ba: lengthen the final block by a half-twist
     return TwistSpec._make((spec.blocks[:-1] + (spec.blocks[-1] + 1,), "ab")), False
 

@@ -686,12 +686,51 @@ class TestEvaluateRecursive:
                 == spec_report(spec).dbar_normalized)
 
     def test_reduction_guard_fires_on_broken_contract(self, monkeypatch):
-        from valex import twist as twist_mod
         from valex.errors import InfiniteReduction
 
-        monkeypatch.setattr(twist_mod, "_step", lambda blocks, clasp: (blocks, 0, {}))
-        with pytest.raises(InfiniteReduction):
-            twist_mod.evaluate_recursive(TwistSpec((4,)))
+        monkeypatch.setattr(twist, "_step", lambda blocks, clasp: (blocks, 0, {}))
+        # the cap is m + n + 1 of the rewritten blocks: (4,) for a and ab,
+        # (-4,) for b, (4, 0) for ^a, (-4, 0) for ^b and (5,) for ba; the
+        # message names the caller's spec, not its rewrite
+        for clasp, cap in (("a", 6), ("^a", 7), ("b", 6), ("^b", 7), ("ab", 6), ("ba", 7)):
+            with pytest.raises(InfiniteReduction) as exc:
+                twist.evaluate_recursive(TwistSpec((4,), clasp))
+            assert str(exc.value) == f"VT[{clasp}](4) did not reduce within {cap} passes"
+
+    @pytest.mark.parametrize("clasp", CLASPS)
+    def test_one_call_per_spec(self, monkeypatch, clasp):
+        # the module-level name is called once, from outside, and the clasp
+        # is rewritten once, even for a spec that takes several passes
+        calls = []
+
+        def spy_identity(spec):
+            calls.append("clasp_identity")
+            return clasp_identity(spec)
+
+        def spy_recursive(spec):
+            calls.append("evaluate_recursive")
+            return evaluate_recursive(spec)
+
+        monkeypatch.setattr(twist, "clasp_identity", spy_identity)
+        monkeypatch.setattr(twist, "evaluate_recursive", spy_recursive)
+        spec = TwistSpec((7, -4, 3, 0, 5, -9), clasp)
+        assert twist.evaluate_recursive(spec) == reference_dbar(spec)
+        assert calls == ["evaluate_recursive", "clasp_identity"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8))
+    def test_clasp_identities_term_by_term(self, blocks):
+        # before normalization, each rewritten clasp equals its identity's
+        # right-hand side exactly
+        def vt(clasp, b):
+            return evaluate_recursive(TwistSpec(b, clasp))
+
+        s = tuple(blocks)
+        neg = tuple(-b for b in s)
+        assert vt("b", s) == mirror_invariant(vt("a", neg))
+        assert vt("^b", s) == mirror_invariant(vt("a", neg + (0,)))
+        assert vt("^a", s) == vt("a", s + (0,))
+        assert vt("ba", s) == vt("ab", s[:-1] + (s[-1] + 1,))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8), st.sampled_from(CLASPS))
