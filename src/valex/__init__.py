@@ -2,9 +2,9 @@
 
 Computes the zeroth Alexander polynomial Delta_0(u, v) of virtual knots and
 links from signed Gauss codes, generates virtual twist-knot diagrams, runs the
-closed-form/recursive evaluation for twist knots, and verifies the invariant's
-structural laws (Reidemeister factors, skein relation, divisibility, odd
-writhe) by independent-oracle comparison.
+closed-form/recursive evaluation for twist knots, and checks it over grids of
+twist specs against the determinant: the same Delta-bar term by term,
+divisibility, the signed odd-writhe identity and the odd-writhe conjecture.
 """
 
 from ._backend import BACKEND
@@ -21,16 +21,11 @@ from .alexander import (
 from .diagram import (
     Diagram,
     Passage,
-    add_kink,
-    add_r2,
     derive_incidence,
     format_gauss,
     mirror_all,
     odd_writhe,
     parse_gauss,
-    reverse_orientation,
-    smooth_crossing,
-    switch_crossing,
 )
 from .laurent import (
     LaurentPoly,
@@ -54,7 +49,6 @@ from .twist import (
 from .verify import (
     batch_check,
     run_grid,
-    run_law_suite,
 )
 
 __version__ = "1.0.0"
@@ -67,8 +61,7 @@ __all__ = [
     "exact_div", "normalize", "format_poly",
     # diagram
     "Diagram", "Passage", "parse_gauss", "format_gauss", "derive_incidence",
-    "switch_crossing", "smooth_crossing", "add_kink", "add_r2",
-    "mirror_all", "reverse_orientation", "odd_writhe",
+    "mirror_all", "odd_writhe",
     # alexander
     "InvariantReport", "KNOT_FACTOR", "LINK_FACTOR", "build_matrix",
     "determinant", "delta0_diagram", "delta_bar",
@@ -77,5 +70,5 @@ __all__ = [
     "TwistSpec", "parse_spec", "generate_twist", "evaluate_recursive",
     "clasp_identity", "ow_closed_form", "spec_report",
     # verify
-    "run_grid", "run_law_suite", "batch_check",
+    "run_grid", "batch_check",
 ]

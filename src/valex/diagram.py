@@ -10,8 +10,7 @@ follow the traversal: arc t is the gap after the t-th passage (components in
 order, each from its basepoint), so the incoming arc of a component's first
 passage is the id of its last gap.  A diagram may carry an explicit
 ``arc_labels`` permutation instead; the twist generator uses this for the
-odd/even strand labeling that makes matrix fixtures sign-exact, and
-``smooth_crossing`` uses it to keep the skein relation exact (see below).
+odd/even strand labeling that makes matrix fixtures sign-exact.
 """
 
 from __future__ import annotations
@@ -29,31 +28,14 @@ __all__ = [
     "parse_gauss",
     "format_gauss",
     "derive_incidence",
-    "switch_crossing",
-    "smooth_crossing",
-    "add_kink",
-    "add_r2",
     "mirror_all",
-    "reverse_orientation",
     "odd_writhe",
-    "KINK_KINDS",
     "MAX_GAUSS_CROSSINGS",
 ]
-
-KINK_KINDS = ("Ia", "Ib", "Ic", "Id")
 
 # parse_gauss's cap.  Delta_0's cost grows steeply with the crossings; at the
 # cap a random knot code takes about a second (README, "Gauss codes").
 MAX_GAUSS_CROSSINGS = 72
-
-# kind -> (crossing sign, over strand on first passage?); fixed so that the
-# determinant factors are uv for Ia/Ib and -1 for Ic/Id
-_KINK_TABLE = {
-    "Ia": (1, True),
-    "Ib": (-1, False),
-    "Ic": (-1, True),
-    "Id": (1, False),
-}
 
 
 class Passage(NamedTuple):
@@ -93,7 +75,7 @@ class Diagram:
                 raise InvalidArgument(
                     f"crossing {cid} must be visited exactly once over and once under")
         signs = dict(signs)
-        if set(map(type, signs)) != {int}:
+        if not set(map(type, signs)) <= {int}:
             raise InvalidArgument(f"crossing ids in signs must be ints: {list(signs)!r}")
         for cid in seen:
             s = signs.get(cid)
@@ -307,33 +289,11 @@ def _perm_sign(perm) -> int:
 
 # -- transforms ------------------------------------------------------------------
 
-def switch_crossing(d: Diagram, cid: int) -> Diagram:
-    """Swap over/under on both passages of ``cid`` and negate its sign."""
-    if cid not in d.signs:
-        raise InvalidArgument(f"no crossing {cid}")
-    comps = [
-        [Passage(p.crossing, not p.over) if p.crossing == cid else p for p in comp]
-        for comp in d.components
-    ]
-    signs = dict(d.signs)
-    signs[cid] = -signs[cid]
-    return Diagram(comps, signs, d.arc_labels)
-
-
 def mirror_all(d: Diagram) -> Diagram:
     """Switch every classical crossing (the diagram D# of the symmetry laws)."""
     comps = [[Passage(p.crossing, not p.over) for p in comp] for comp in d.components]
     signs = {cid: -s for cid, s in d.signs.items()}
     return Diagram(comps, signs, d.arc_labels)
-
-
-def reverse_orientation(d: Diagram) -> Diagram:
-    """Reverse every component; over/under flags and signs are kept.
-
-    Any explicit arc labeling is dropped (it referred to the old traversal).
-    """
-    comps = [tuple(reversed(comp)) for comp in d.components]
-    return Diagram(comps, dict(d.signs), None)
 
 
 def odd_writhe(d: Diagram) -> int:
@@ -353,145 +313,3 @@ def odd_writhe(d: Diagram) -> int:
         if (q - p - 1) % 2 == 1:
             total += d.signs[cid]
     return total
-
-
-def _insert_after(d: Diagram, inserts: dict, new_signs: dict) -> Diagram:
-    """Place ``inserts[t]``, a list of passages, right after traversal position t.
-
-    Each insertion splits the arc leaving t.  That arc keeps its label, shifted
-    up by the slots opened below it; the inserted passages leave on the next
-    labels in order, and every old label above a split arc moves up to make
-    room.  Both Reidemeister insertions use this rule.
-    """
-    outs = _out_labels(d)
-    cuts = [(outs[t], len(ps)) for t, ps in inserts.items()]
-    comps, labels, t = [], [], 0
-    for comp in d.components:
-        new = []
-        for p in comp:
-            label = outs[t] + sum(k for cut, k in cuts if cut < outs[t])
-            extra = inserts.get(t, [])
-            new += [p, *extra]
-            labels += range(label, label + len(extra) + 1)
-            t += 1
-        comps.append(new)
-    return Diagram(comps, {**d.signs, **new_signs}, labels)
-
-
-def _passage_leaving(outs: tuple, arc) -> int:
-    """Traversal position of the passage that leaves on ``arc``."""
-    try:
-        return outs.index(arc)
-    except ValueError:
-        raise InvalidArgument(f"no arc {arc}") from None
-
-
-def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
-    """Insert a Reidemeister-I kink on the given arc.
-
-    The new crossing is visited twice in a row; ``kind`` selects the sign and
-    which passage is over (Ia: +/over-first, Ib: -/over-second,
-    Ic: -/over-first, Id: +/over-second), so the determinant factors are
-    uv, uv, -1, -1 respectively.  The split arc keeps its label; the loop and
-    the outgoing half take the next two label slots, which keeps the factor
-    exact under the canonical column order.
-    """
-    if kind not in _KINK_TABLE:
-        raise InvalidArgument(f"unknown kink kind {kind!r} (expected one of {KINK_KINDS})")
-    sign, over_first = _KINK_TABLE[kind]
-    t = _passage_leaving(_out_labels(d), arc)
-    new_id = max(d.signs) + 1
-    kink = [Passage(new_id, over_first), Passage(new_id, not over_first)]
-    return _insert_after(d, {t: kink}, {new_id: sign})
-
-
-def smooth_crossing(d: Diagram, cid: int) -> Diagram:
-    """Oriented smoothing: delete both passages of ``cid`` and reconnect.
-
-    The strand entering on the over passage continues into the strand that
-    exited on the under side (and vice versa), so the component count changes
-    by one and the arcs merge pairwise: (in_under, out_over) and
-    (in_over, out_under), in positive-crossing terms.
-
-    Labels: x and y are the arcs leaving the passages that are over and
-    under in the crossing's positive form.  Every surviving passage keeps
-    its out-arc; x and y are dropped, the rest are renumbered 1..2n-2 in
-    ascending order, and labels 1 and 2 trade places when x + y is even and
-    x < y, or odd and x > y.  This makes the skein identity
-    det(L+) - det(L-) = (uv-1) det(L0) exact.  L+ and L- differ only in the
-    crossing's B row.  Add columns x and y to the columns of the arcs they
-    merge into: the A row, in_under + u*in_over - u*y - x, and B+ - B-,
-    -in_over + v*x - v*in_under + y, then lie in columns x and y alone, as
-    [[-1, -u], [v, 1]] of determinant uv - 1 (uv - 1 also in the role
-    coincidences in_under = out_under and in_over = out_over), and deleting
-    those rows and columns leaves L0's matrix.  Laplace expansion along the
-    two adjacent rows gives det(L+) - det(L-) = -(-1)^(x+y) * (+-1) *
-    (uv-1) * det(L0), with +1 if x < y and -1 otherwise; trading labels 1
-    and 2 negates det(L0).
-    """
-    if cid not in d.signs:
-        raise InvalidArgument(f"no crossing {cid}")
-    out_of, at = {}, {}  # passage -> its out-arc; over? -> (component, position)
-    for ci, (comp, _, outs) in enumerate(_component_arcs(d)):
-        for pi, p in enumerate(comp):
-            out_of[p] = outs[pi]
-            if p.crossing == cid:
-                at[p.over] = ci, pi
-    (oci, opi), (uci, upi) = at[True], at[False]
-    positive = d.signs[cid] > 0
-    x, y = out_of.pop(Passage(cid, positive)), out_of.pop(Passage(cid, not positive))
-
-    # new passage structure
-    comps = [list(comp) for comp in d.components]
-    if oci == uci:
-        comp = comps[oci]
-        k = len(comp)
-        a, b = opi, upi
-        outer = [comp[(b + 1 + t) % k] for t in range((a - b - 1) % k)]
-        inner = [comp[(a + 1 + t) % k] for t in range((b - a - 1) % k)]
-        if not outer or not inner:
-            raise EmptyComponent(f"smoothing crossing {cid} creates a crossing-free loop")
-        new_comps = comps[:oci] + [outer, inner] + comps[oci + 1:]
-    else:
-        over_comp, under_comp = comps[oci], comps[uci]
-        if len(over_comp) == 1 and len(under_comp) == 1:
-            raise EmptyComponent(f"smoothing crossing {cid} creates a crossing-free loop")
-        ka, kb = len(over_comp), len(under_comp)
-        a, b = opi, upi
-        merged = [over_comp[(a + 1 + t) % ka] for t in range(ka - 1)] + [
-            under_comp[(b + 1 + t) % kb] for t in range(kb - 1)
-        ]
-        lo, hi = min(oci, uci), max(oci, uci)
-        new_comps = comps[:lo] + [merged] + comps[lo + 1: hi] + comps[hi + 1:]
-
-    signs = {c: s for c, s in d.signs.items() if c != cid}
-    keep = sorted(out_of.values())  # every arc but x and y
-    if (x + y) % 2 == (x > y):
-        keep[0], keep[1] = keep[1], keep[0]
-    rank = {a: r for r, a in enumerate(keep, 1)}
-    return Diagram(new_comps, signs, [rank[out_of[p]] for comp in new_comps for p in comp])
-
-
-def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
-    """Insert an antiparallel Reidemeister-II pair: one strand pokes over another.
-
-    The strand through ``over_arc`` goes over both new crossings (signs -,+
-    along it); the strand through ``under_arc`` runs the other way through
-    them.  Labels are assigned so that det(result) = (-uv) det(d) exactly.
-    """
-    if over_arc == under_arc:
-        raise InvalidArgument("R2 insertion needs two distinct arcs")
-    outs = _out_labels(d)
-    t_over = _passage_leaving(outs, over_arc)
-    t_under = _passage_leaving(outs, under_arc)
-    id1 = max(d.signs) + 1  # first along the over strand, negative
-    id2 = id1 + 1
-    # along each strand the over arc splits into labels (x1, x2, x3) and the
-    # under arc into (y1, y2, y3); fronting (x1, y3, x2, y2, x3, y1) has the
-    # sign of fronting (over_arc, under_arc): 6 or 9 inversions
-    return _insert_after(
-        d,
-        {t_over: [Passage(id1, True), Passage(id2, True)],
-         t_under: [Passage(id2, False), Passage(id1, False)]},
-        {id1: -1, id2: 1},
-    )

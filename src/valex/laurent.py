@@ -57,7 +57,7 @@ class LaurentPoly:
                 if not (isinstance(i, int) and isinstance(j, int)):
                     raise InvalidArgument(f"exponent pair {(i, j)!r} is not a pair of ints")
                 if c:
-                    clean[(int(i), int(j))] = c
+                    clean[(int(i), int(j))] = int(c)
         self._terms = clean
 
     @classmethod
@@ -164,10 +164,6 @@ class LaurentPoly:
         return result
 
     # -- structure queries ---------------------------------------------------
-
-    def substituted_inverse(self) -> "LaurentPoly":
-        """p(u, v) -> p(u^-1, v^-1)."""
-        return LaurentPoly._raw({(-i, -j): c for (i, j), c in self._terms.items()})
 
     def evaluate(self, u0: int, v0: int) -> int:
         """Exact substitution of u0, v0 in {1, -1} for u and v.

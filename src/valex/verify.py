@@ -1,6 +1,6 @@
-"""Verification harness: oracle comparisons, law suites, conjecture checks.
+"""Verification harness: oracle comparisons and conjecture checks.
 
-Three layers:
+Two layers:
 
 * ``run_grid`` sweeps twist specs and checks, per spec: the recursion's dbar
   against the determinant's, term by term, the signed odd-writhe identity,
@@ -9,9 +9,6 @@ Three layers:
   factor equals Delta_0 exactly when Delta_0 is divisible with that
   quotient.  Only a spec whose product differs runs ``delta_bar``, for the
   texts of its failures.
-* ``run_law_suite`` exercises the diagram-level laws (Reidemeister-I
-  factors, the exact skein identity, R2 insertion, mirror/reverse symmetry,
-  divisibility) on the built-in corpus of small diagrams.
 * ``batch_check`` yields a conjecture verdict for each line of a
   user-supplied file of Gauss codes (one per line, ``#`` comments and blank
   lines ignored) as soon as that line is checked.
@@ -29,22 +26,18 @@ import itertools
 import os
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from . import diagram
 from .alexander import KNOT_FACTOR, delta0_diagram, delta_bar, invariant_report
-from .diagram import add_kink, add_r2, mirror_all, parse_gauss, reverse_orientation, \
-    smooth_crossing, switch_crossing
-from .errors import EmptyComponent, InvalidArgument, UnsupportedClasp, ValexError
-from .laurent import ONE, U, V, format_poly, normalize
+from .diagram import parse_gauss
+from .errors import InvalidArgument, UnsupportedClasp, ValexError
+from .laurent import format_poly
 from .twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, evaluate_recursive, \
-    generate_twist, mirror_invariant, ow_closed_form
+    generate_twist, ow_closed_form
 
 __all__ = [
     "CheckResult",
     "grid_specs",
     "acceptance_grid",
     "run_grid",
-    "builtin_corpus",
-    "run_law_suite",
     "batch_check",
     "worker_count",
     "MAX_GRID_SPECS",
@@ -204,86 +197,6 @@ def run_grid(specs: Iterable[TwistSpec], workers: Optional[int] = None) -> list:
     else:
         grouped = [_check_one_spec(s) for s in specs]
     return [r for group in grouped for r in group]
-
-
-# -- law suite -----------------------------------------------------------------
-
-def builtin_corpus() -> list:
-    """Named small diagrams: Hopf links, trefoil, and twist families (m <= 4)."""
-    corpus = [
-        ("VHL+", parse_gauss("O1+;U1+")),
-        ("VHL-", parse_gauss("O1-;U1-")),
-        ("virtual_trefoil", parse_gauss("O1+U2+U1+O2+")),
-        ("trefoil", parse_gauss("O1+U2+O3+U1+O2+U3+")),
-    ]
-    for m in range(1, 5):
-        corpus.append((f"VT({','.join('1' * m)})", generate_twist(TwistSpec((1,) * m))))
-    for m in range(1, 4):
-        corpus.append((f"VT(0,{','.join('1' * m)})",
-                       generate_twist(TwistSpec((0,) + (1,) * m))))
-        corpus.append((f"VT({','.join('1' * m)},0)",
-                       generate_twist(TwistSpec((1,) * m + (0,)))))
-    return corpus
-
-
-_KINK_FACTOR = {"Ia": U * V, "Ib": U * V, "Ic": -ONE, "Id": -ONE}
-
-
-def run_law_suite() -> list:
-    """Diagram-law checks on ``builtin_corpus``: R1, skein, R2, symmetry, divisibility."""
-    uv1 = U * V - 1
-    results = []
-    for name, d in builtin_corpus():
-        base = delta0_diagram(d)
-        knot = d.is_knot
-        try:
-            dbar = delta_bar(base, is_knot=knot)
-            results.append(CheckResult(name, "divisibility", True,
-                                       "delta0 mod factor", "0"))
-        except ValexError as e:
-            dbar = None
-            results.append(CheckResult(name, "divisibility", False,
-                                       "delta0 mod factor", "0", str(e)))
-
-        n2 = 2 * d.n_crossings
-        for arc in range(1, n2 + 1):
-            for kind in diagram.KINK_KINDS:
-                kinked = add_kink(d, arc, kind)
-                got = delta0_diagram(kinked)
-                want = _KINK_FACTOR[kind] * base
-                results.append(CheckResult(
-                    name, f"kink_{kind}_factor(arc {arc})", got == want,
-                    format_poly(got), format_poly(want)))
-
-        for cid in d.crossings:
-            plus = d if d.signs[cid] > 0 else switch_crossing(d, cid)
-            minus = switch_crossing(plus, cid)
-            try:
-                zero = smooth_crossing(plus, cid)
-            except EmptyComponent:
-                continue
-            lhs = delta0_diagram(plus) - delta0_diagram(minus)
-            rhs = uv1 * delta0_diagram(zero)
-            results.append(CheckResult(
-                name, f"skein(crossing {cid})", lhs == rhs,
-                format_poly(lhs), format_poly(rhs)))
-
-        if n2 >= 4:
-            got = delta0_diagram(add_r2(d, 1, 2))
-            want = -(U * V) * base
-            results.append(CheckResult(name, "r2_insertion_factor", got == want,
-                                       format_poly(got), format_poly(want)))
-
-        if knot and dbar is not None:
-            lhs = normalize(delta_bar(delta0_diagram(mirror_all(d)))).poly
-            rhs = normalize(mirror_invariant(dbar)).poly
-            results.append(CheckResult(name, "mirror_symmetry", lhs == rhs,
-                                       format_poly(lhs), format_poly(rhs)))
-            lhs = normalize(delta_bar(delta0_diagram(reverse_orientation(d)))).poly
-            rhs = normalize(-dbar.substituted_inverse()).poly
-            results.append(CheckResult(name, "reverse_symmetry", lhs == rhs,
-                                       format_poly(lhs), format_poly(rhs)))
-    return results
 
 
 # -- batch files --------------------------------------------------------------------

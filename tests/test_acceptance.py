@@ -6,18 +6,19 @@ equality is exact: term equality on polynomials, integer equality on counts.
 
 import time
 
-from tests.conftest import base_closed_form, read_poly
-from valex.alexander import delta0_diagram, delta_bar, invariant_report
-from valex.cli import main
-from valex.diagram import (
+from tests.conftest import (
     KINK_KINDS,
     add_kink,
-    mirror_all,
-    parse_gauss,
+    add_r2,
+    base_closed_form,
+    read_poly,
     reverse_orientation,
     smooth_crossing,
     switch_crossing,
 )
+from valex.alexander import delta0_diagram, delta_bar, invariant_report
+from valex.cli import main
+from valex.diagram import mirror_all, parse_gauss
 from valex.errors import EmptyComponent
 from valex.laurent import (
     LaurentPoly,
@@ -147,7 +148,7 @@ def _law_corpus():
 
 
 def test_diagram_law_suites():
-    """Kink factors, exact skein identity, divisibility, symmetry laws."""
+    """Kink and R2 factors, exact skein identity, divisibility, symmetry laws."""
     t0 = time.time()
     kink_factors = {"Ia": UV, "Ib": UV, "Ic": -ONE, "Id": -ONE}
     uv1 = UV - 1
@@ -161,7 +162,8 @@ def test_diagram_law_suites():
             for kind, val in got.items():
                 assert val == kink_factors[kind] * base
 
-        # skein identity at every crossing, exact
+        # skein identity at every crossing, exact; the smoothed link is
+        # divisible by (u-1)(v-1) too
         for cid in d.crossings:
             plus = d if d.signs[cid] > 0 else switch_crossing(d, cid)
             minus = switch_crossing(plus, cid)
@@ -169,8 +171,13 @@ def test_diagram_law_suites():
                 zero = smooth_crossing(plus, cid)
             except EmptyComponent:
                 continue
-            assert delta0_diagram(plus) - delta0_diagram(minus) \
-                == uv1 * delta0_diagram(zero)
+            smoothed = delta0_diagram(zero)
+            assert delta0_diagram(plus) - delta0_diagram(minus) == uv1 * smoothed
+            delta_bar(smoothed, is_knot=zero.is_knot)  # must not raise
+
+        # R2 insertion factor -uv, exact
+        if d.n_crossings >= 2:
+            assert delta0_diagram(add_r2(d, 1, 2)) == -UV * base
 
         # divisibility by (u-1)(v-1) and, for knots, (uv-1)
         q = delta_bar(base, is_knot=knot)
@@ -181,7 +188,8 @@ def test_diagram_law_suites():
             mirror = LaurentPoly({(j, i): -c for (i, j), c in q.items()})
             assert lhs == normalize(mirror).poly
             lhs = normalize(delta_bar(delta0_diagram(reverse_orientation(d)))).poly
-            assert lhs == normalize(-q.substituted_inverse()).poly
+            reverse = LaurentPoly({(-i, -j): -c for (i, j), c in q.items()})
+            assert lhs == normalize(reverse).poly
     report("diagram law suites on corpus", time.time() - t0, 30.0)
 
 

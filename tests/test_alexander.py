@@ -6,11 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import (
+    KINK_KINDS,
+    add_kink,
+    add_r2,
     determinant_cofactor,
     make_over_only_link,
     make_random_diagram,
     read_poly,
+    smooth_crossing,
     sparse_rows,
+    switch_crossing,
 )
 from valex import alexander
 from valex._backend import det3_terms
@@ -23,18 +28,7 @@ from valex.alexander import (
     determinant,
     invariant_report,
 )
-from valex.diagram import (
-    CrossingIncidence,
-    Diagram,
-    KINK_KINDS,
-    Passage,
-    add_kink,
-    add_r2,
-    derive_incidence,
-    parse_gauss,
-    smooth_crossing,
-    switch_crossing,
-)
+from valex.diagram import CrossingIncidence, Diagram, Passage, derive_incidence, parse_gauss
 from valex.errors import EmptyComponent, InvalidArgument, NotDivisible
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO, normalize
 from valex.twist import TwistSpec, generate_twist

@@ -1,6 +1,4 @@
 import itertools
-import re
-
 import time
 
 import pytest
@@ -15,7 +13,7 @@ from valex.twist import (
     TwistSpec,
     generate_twist,
 )
-from valex.verify import MAX_GRID_CROSSINGS, run_law_suite
+from valex.verify import MAX_GRID_CROSSINGS, CheckResult
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
@@ -323,15 +321,22 @@ class TestVerify:
 
 
 class TestSelftest:
+    # selftest is the grid of n <= 2 blocks in 0..3: 20 specs, four checks each
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0
-        assert "checks passed" in out
+        assert out == "selftest: 80/80 checks passed\n"
 
-    def test_verbose_prints_every_law_check(self, capsys):
+    def test_verbose_prints_every_grid_check(self, capsys):
         code, out, _ = run(capsys, "selftest", "--verbose")
         *lines, last = out.splitlines()
         assert code == 0
-        assert len(lines) == len(run_law_suite()) and all(x.startswith("ok ") for x in lines)
-        n = re.fullmatch(r"selftest: (\d+)/(\d+) checks passed", last)
-        assert n and n[1] == n[2]
+        assert len(lines) == 80 and all(x.startswith("ok ") for x in lines)
+        assert last == "selftest: 80/80 checks passed"
+
+    def test_failure_exits_1(self, capsys, monkeypatch):
+        bad = CheckResult("VT[a](1)", "divisibility", False, "x", "0", "why")
+        monkeypatch.setattr("valex.cli.run_grid", lambda specs: [bad])
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out == f"{bad}\nselftest: 0/1 checks passed\n"

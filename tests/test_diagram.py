@@ -2,22 +2,24 @@ import ast
 
 import pytest
 
-from tests.conftest import make_random_diagram
-from valex.diagram import (
-    Diagram,
+from tests.conftest import (
     KINK_KINDS,
-    MAX_GAUSS_CROSSINGS,
-    Passage,
     add_kink,
     add_r2,
+    make_random_diagram,
+    reverse_orientation,
+    smooth_crossing,
+    switch_crossing,
+)
+from valex.diagram import (
+    Diagram,
+    MAX_GAUSS_CROSSINGS,
+    Passage,
     derive_incidence,
     format_gauss,
     mirror_all,
     odd_writhe,
     parse_gauss,
-    reverse_orientation,
-    smooth_crossing,
-    switch_crossing,
 )
 from valex.errors import (
     EmptyComponent,
@@ -336,3 +338,22 @@ class TestR2:
     def test_needs_distinct_arcs(self):
         with pytest.raises(InvalidArgument):
             add_r2(parse_gauss(VTREFOIL), 2, 2)
+
+
+_MOVE_ERRORS = {  # name -> (call, message); each raises InvalidArgument
+    "switch_unknown": (lambda: switch_crossing(parse_gauss(VTREFOIL), 9), "no crossing 9"),
+    "smooth_unknown": (lambda: smooth_crossing(parse_gauss(VTREFOIL), 9), "no crossing 9"),
+    "kink_unknown_arc": (lambda: add_kink(parse_gauss(VTREFOIL), 9, "Ia"), "no arc 9"),
+    "r2_unknown_arc": (lambda: add_r2(parse_gauss(VTREFOIL), 1, 9), "no arc 9"),
+    "r2_one_arc": (lambda: add_r2(parse_gauss(VTREFOIL), 2, 2),
+                   "R2 insertion needs two distinct arcs"),
+}
+
+
+@pytest.mark.parametrize("site", list(_MOVE_ERRORS))
+def test_move_error_type_and_message(site):
+    call, message = _MOVE_ERRORS[site]
+    with pytest.raises(ValexError) as exc:
+        call()
+    assert type(exc.value) is InvalidArgument
+    assert str(exc.value) == message

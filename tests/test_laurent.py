@@ -405,6 +405,13 @@ class TestAddMul:
         with pytest.raises(InvalidArgument):
             LaurentPoly(terms)
 
+    def test_constructor_stores_plain_int_coefficients(self):
+        # bools are ints: True is stored as 1 and False dropped as a zero,
+        # as exponents go through int()
+        p = LaurentPoly({(0, 0): True, (1, 0): -3, (0, 1): False, (True, 1): True})
+        assert list(p.items()) == [((0, 0), 1), ((1, 0), -3), ((1, 1), 1)]
+        assert all(type(c) is int for _, c in p.items())
+
     def test_bool_and_repr(self):
         assert not bool(U - U) and bool(U)
         assert repr(U + V) == "LaurentPoly('v + u')"

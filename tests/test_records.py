@@ -14,16 +14,7 @@ import pytest
 import valex
 from valex import errors
 from valex.alexander import invariant_report
-from valex.diagram import (
-    Diagram,
-    Passage,
-    add_kink,
-    add_r2,
-    odd_writhe,
-    parse_gauss,
-    smooth_crossing,
-    switch_crossing,
-)
+from valex.diagram import Diagram, Passage, odd_writhe, parse_gauss
 from valex.errors import InvalidArgument, ParseError, ValexError
 from valex.laurent import ZERO, LaurentPoly, U, exact_div
 from valex.twist import TwistSpec
@@ -96,13 +87,13 @@ def test_every_error_class_is_raised():
     assert classes and classes - raised == set()
 
 
-_VTREFOIL = "O1+U2+U1+O2+"
-
 _RAISE_SITES = {  # name -> (call, type, message, position)
     "pairing": (lambda: Diagram([[Passage(1, True)]], {1: 1}), InvalidArgument,
                 "crossing 1 must be visited exactly once over and once under", None),
     "sign": (lambda: Diagram([[Passage(1, True), Passage(1, False)]], {1: 2}), InvalidArgument,
              "crossing 1 needs the int sign 1 or -1, not 2", None),
+    "no_signs": (lambda: Diagram([[Passage(1, True), Passage(1, False)]], {}), InvalidArgument,
+                 "crossing 1 needs the int sign 1 or -1, not None", None),
     "absent_sign": (lambda: Diagram([[Passage(1, True), Passage(1, False)]], {1: 1, 2: 1}),
                     InvalidArgument, "signs given for absent crossings: [2]", None),
     "int_over_flag": (lambda: Diagram([[Passage(1, 2), Passage(1, 3)]], {1: 1}),
@@ -113,16 +104,6 @@ _RAISE_SITES = {  # name -> (call, type, message, position)
                    "crossing 1 appears with both signs in 'O1+U1-' (at position 3)", 3),
     "empty_text_component": (lambda: parse_gauss("O1+;;U1+"), ParseError,
                              "component without classical crossings (at position 4)", 4),
-    "switch_unknown": (lambda: switch_crossing(parse_gauss(_VTREFOIL), 9), InvalidArgument,
-                       "no crossing 9", None),
-    "smooth_unknown": (lambda: smooth_crossing(parse_gauss(_VTREFOIL), 9), InvalidArgument,
-                       "no crossing 9", None),
-    "kink_unknown_arc": (lambda: add_kink(parse_gauss(_VTREFOIL), 9, "Ia"), InvalidArgument,
-                         "no arc 9", None),
-    "r2_unknown_arc": (lambda: add_r2(parse_gauss(_VTREFOIL), 1, 9), InvalidArgument,
-                       "no arc 9", None),
-    "r2_one_arc": (lambda: add_r2(parse_gauss(_VTREFOIL), 2, 2), InvalidArgument,
-                   "R2 insertion needs two distinct arcs", None),
     "odd_writhe_link": (lambda: odd_writhe(parse_gauss("O1+;U1+")), InvalidArgument,
                         "odd writhe is defined for knots", None),
     "div_by_zero": (lambda: exact_div(U, ZERO), InvalidArgument,

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import all_diagrams, determinant_cofactor, genus
+from tests.conftest import (KINK_KINDS, add_kink, add_r2, all_diagrams, determinant_cofactor,
+                            genus, smooth_crossing, switch_crossing)
 from valex.alexander import build_matrix, delta0_diagram, invariant_report
-from valex.diagram import (KINK_KINDS, Diagram, add_kink, add_r2, derive_incidence,
-                           parse_gauss, smooth_crossing, switch_crossing)
+from valex.diagram import Diagram, derive_incidence, parse_gauss
 from valex.errors import EmptyComponent
 from valex.laurent import ONE, U, V
 

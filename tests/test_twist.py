@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import base_closed_form, base_end_zeros, read_poly
+from tests.conftest import base_closed_form, base_end_zeros, read_poly, smooth_crossing
 from valex import twist
 from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
-from valex.diagram import Diagram, format_gauss, odd_writhe, parse_gauss, smooth_crossing
+from valex.diagram import Diagram, format_gauss, odd_writhe, parse_gauss
 from valex.errors import InvalidArgument, ParseError, UnsupportedClasp, ValexError
 from valex.laurent import (
     LaurentPoly,

@@ -1,10 +1,10 @@
 import pytest
 
-from valex.diagram import parse_gauss, smooth_crossing
+from valex.diagram import parse_gauss
 from valex.alexander import KNOT_FACTOR, InvariantReport, delta0_diagram, delta_bar, \
     invariant_report
 from valex import verify
-from valex.errors import EmptyComponent, InvalidArgument, NotDivisible, UnsupportedClasp
+from valex.errors import InvalidArgument, NotDivisible, UnsupportedClasp
 from valex.laurent import U, V, format_poly
 from valex.twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, evaluate_recursive, \
     generate_twist, spec_report
@@ -12,10 +12,8 @@ from valex.verify import (
     CheckResult,
     acceptance_grid,
     batch_check,
-    builtin_corpus,
     grid_specs,
     run_grid,
-    run_law_suite,
     worker_count,
 )
 
@@ -188,29 +186,6 @@ class TestGrid:
         # small grids run in-process whatever the request
         assert worker_count(32) == worker_count(4, workers=2) == 1
         assert worker_count(33, workers=2) == 2
-
-
-class TestLawSuite:
-    def test_builtin_corpus_passes(self):
-        results = run_law_suite()
-        bad = [r for r in results if not r.passed]
-        assert not bad, "\n".join(str(r) for r in bad)
-
-    def test_corpus_contents(self):
-        names = [name for name, _ in builtin_corpus()]
-        assert "VHL+" in names and "VHL-" in names
-        assert "virtual_trefoil" in names and "trefoil" in names
-        assert "VT(1,1,1,1)" in names
-
-    def test_divisibility_of_smoothed_links(self):
-        # the (u-1)(v-1) divisibility also covers links made by smoothing
-        for name, d in builtin_corpus():
-            for cid in d.crossings:
-                try:
-                    s = smooth_crossing(d, cid)
-                except EmptyComponent:
-                    continue
-                delta_bar(delta0_diagram(s), is_knot=s.is_knot)  # must not raise
 
 
 class TestBatch:
