@@ -1,10 +1,11 @@
 import pytest
 
+from tests.conftest import smooth_crossing
 from valex.diagram import parse_gauss
 from valex.alexander import KNOT_FACTOR, InvariantReport, delta0_diagram, delta_bar, \
     invariant_report
 from valex import verify
-from valex.errors import InvalidArgument, NotDivisible, UnsupportedClasp
+from valex.errors import EmptyComponent, InvalidArgument, NotDivisible, UnsupportedClasp
 from valex.laurent import U, V, format_poly
 from valex.twist import MAX_SPEC_BLOCKS, TwistSpec, _parity, clasp_identity, evaluate_recursive, \
     generate_twist, spec_report
@@ -186,6 +187,24 @@ class TestGrid:
         # small grids run in-process whatever the request
         assert worker_count(32) == worker_count(4, workers=2) == 1
         assert worker_count(33, workers=2) == 2
+
+
+class TestLawSuite:
+    def test_divisibility_of_smoothed_links(self):
+        # the (u-1)(v-1) divisibility also covers links made by smoothing
+        corpus = [parse_gauss(c) for c in ("O1+;U1+", "O1-;U1-", VTREFOIL, TREFOIL)]
+        for m in range(1, 5):
+            corpus.append(generate_twist(TwistSpec((1,) * m)))
+        for m in range(1, 4):
+            corpus.append(generate_twist(TwistSpec((0,) + (1,) * m)))
+            corpus.append(generate_twist(TwistSpec((1,) * m + (0,))))
+        for d in corpus:
+            for cid in d.crossings:
+                try:
+                    s = smooth_crossing(d, cid)
+                except EmptyComponent:
+                    continue
+                delta_bar(delta0_diagram(s), is_knot=s.is_knot)  # must not raise
 
 
 class TestBatch:
