@@ -88,7 +88,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._backend import _ONE, det3_terms, divexact_terms, fma_terms, mul_terms
-from .diagram import Diagram, _component_arcs, _perm_sign, format_gauss, odd_writhe
+from .diagram import Diagram, _component_arcs, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
 
@@ -227,6 +227,20 @@ def _cheapest(active: dict, cols: dict) -> tuple:
                 continue
             best_cost, best_terms, found = cost, len(terms), (i, j)
     return found
+
+
+def _perm_sign(perm) -> int:
+    """The sign (+1 or -1) of a permutation of range(len(perm))."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            if k != start:
+                sign = -sign
+    return sign
 
 
 def determinant(m: list) -> LaurentPoly:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import EmptyComponent, InvalidArgument, ParseError
+from .errors import InvalidArgument, ParseError
 
 __all__ = [
     "Passage",
@@ -56,11 +56,11 @@ class Diagram:
     def __init__(self, components, signs, arc_labels=None):
         comps = tuple(tuple(c) for c in components)
         if not comps:
-            raise EmptyComponent("diagram has no components")
+            raise InvalidArgument("diagram has no components")
         seen: dict[int, list[bool]] = {}
         for comp in comps:
             if not comp:
-                raise EmptyComponent("crossing-free components are not allowed")
+                raise InvalidArgument("crossing-free components are not allowed")
             for p in comp:
                 if type(p) is not Passage:
                     raise InvalidArgument(f"passage {p!r} is not a Passage")
@@ -149,8 +149,9 @@ class Diagram:
 
 # -- text form ----------------------------------------------------------------
 
-# [0-9], not \d, which also matches non-ASCII digits that int() reads
-_TOKEN = re.compile(r"\s*([OU])\s*([0-9]+)\s*([+-])")
+# A token, a ';' or any other non-space character (a bad token); [0-9], not
+# \d, which also matches non-ASCII digits that int() reads
+_GAUSS_ITEM = re.compile(r"([OU])\s*([0-9]+)\s*([+-])|(;)|\S")
 
 
 def parse_gauss(text: str) -> Diagram:
@@ -160,42 +161,39 @@ def parse_gauss(text: str) -> Diagram:
     """
     components = []
     signs: dict[int, int] = {}
-    offset = 0
-    chunks = text.split(";")
-    for chunk in chunks:
-        passages = []
-        pos = 0
-        while pos < len(chunk):
-            if chunk[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(chunk, pos)
-            if not m:
-                raise ParseError(f"bad token in Gauss code {chunk[pos:pos+8]!r}", offset + pos)
-            over = m.group(1) == "O"
-            try:
-                cid = int(m.group(2))
-            except ValueError:  # past the int-string digit limit
-                raise ParseError(f"crossing id of {len(m.group(2))} digits is too long",
-                                 offset + pos) from None
-            if cid < 1:
-                raise ParseError("crossing ids start at 1", offset + pos)
-            sign = 1 if m.group(3) == "+" else -1
-            prev = signs.get(cid)
-            if prev is None:
-                signs[cid] = sign
-            elif prev != sign:
-                raise ParseError(f"crossing {cid} appears with both signs in {text!r}",
-                                 offset + pos)
-            passages.append(Passage(cid, over))
-            pos = m.end()
-        if passages:
+    passages = []
+    start = 0  # where the current component's text starts
+    for m in _GAUSS_ITEM.finditer(text):
+        over, digits, sign_char, semicolon = m.groups()
+        if semicolon:
+            if not passages:
+                raise ParseError("component without classical crossings", start)
             components.append(passages)
-        elif len(chunks) > 1 or chunk.strip():
-            raise ParseError("component without classical crossings", offset)
-        offset += len(chunk) + 1
-    if not components:
+            passages = []
+            start = m.end()
+            continue
+        pos = m.start()
+        if over is None:
+            raise ParseError(
+                f"bad token in Gauss code {text[pos:pos + 8].partition(';')[0]!r}", pos)
+        try:
+            cid = int(digits)
+        except ValueError:  # past the int-string digit limit
+            raise ParseError(f"crossing id of {len(digits)} digits is too long", pos) from None
+        if cid < 1:
+            raise ParseError("crossing ids start at 1", pos)
+        sign = 1 if sign_char == "+" else -1
+        prev = signs.get(cid)
+        if prev is None:
+            signs[cid] = sign
+        elif prev != sign:
+            raise ParseError(f"crossing {cid} appears with both signs in {text!r}", pos)
+        passages.append(Passage(cid, over == "O"))
+    if not passages:
+        if components:
+            raise ParseError("component without classical crossings", start)
         raise ParseError("empty Gauss code", 0)
+    components.append(passages)
     if len(signs) > MAX_GAUSS_CROSSINGS:
         raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
     return Diagram(components, signs)
@@ -271,20 +269,6 @@ def derive_incidence(d: Diagram):
         CrossingIncidence(cid, d.signs[cid], **roles[cid]) for cid in sorted(roles)
     ]
     return table, incidences
-
-
-def _perm_sign(perm) -> int:
-    """The sign (+1 or -1) of a permutation of range(len(perm))."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            if k != start:
-                sign = -sign
-    return sign
 
 
 # -- transforms ------------------------------------------------------------------

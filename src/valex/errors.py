@@ -6,8 +6,8 @@ catch one type at the CLI boundary.  There is one class per kind of failure:
 * ``ParseError``: text that ``parse_gauss`` or ``parse_spec`` cannot read;
   it carries the offending position.
 * ``InvalidArgument``: any other value outside a function's domain.
-* ``EmptyComponent``, ``NotDivisible``, ``UnsupportedClasp`` and
-  ``InfiniteReduction``: failures that callers tell apart by type.
+* ``NotDivisible``, ``UnsupportedClasp`` and ``InfiniteReduction``: failures
+  that callers tell apart by type.
 """
 
 
@@ -18,19 +18,13 @@ class ValexError(Exception):
 class ParseError(ValexError, ValueError):
     """Malformed textual input (a Gauss code or a twist spec)."""
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
 class InvalidArgument(ValexError, ValueError):
     """A library call was given a value outside its documented domain."""
-
-
-class EmptyComponent(ValexError):
-    """A diagram component without classical crossings (rejected everywhere)."""
 
 
 class NotDivisible(ValexError, ArithmeticError):

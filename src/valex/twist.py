@@ -68,11 +68,6 @@ MAX_SPEC_BLOCKS = 400
 MAX_SPEC_CROSSINGS = 100_000
 
 
-def _p(x: int) -> int:
-    """Parity of |x| (0 or 1)."""
-    return x & 1
-
-
 # A NamedTuple body may not define __new__, so TwistSpec validates in a subclass.
 class _TwistFields(NamedTuple):
     blocks: tuple
@@ -454,7 +449,7 @@ def ow_closed_form(spec: TwistSpec) -> int:
         raise UnsupportedClasp(f"no odd-writhe closed form for clasp {spec.clasp!r}")
     total = sum(base.blocks)
     s_n = total + base.n
-    ow = total + _p(total) * (1 if s_n % 2 == 0 else -1)
+    ow = total + (total & 1) * (1 if s_n % 2 == 0 else -1)
     return -ow if mirrored else ow
 
 

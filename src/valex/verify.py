@@ -185,7 +185,7 @@ def run_grid(specs: Iterable[TwistSpec], workers: Optional[int] = None) -> list:
     """
     specs = list(specs)
     for spec in specs:
-        if clasp_identity(spec)[0].clasp != "a":
+        if spec.clasp in ("ab", "ba"):
             raise UnsupportedClasp(f"run_grid has no diagram for clasp {spec.clasp!r}")
     nproc = worker_count(len(specs), workers)
     if nproc > 1:

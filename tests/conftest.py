@@ -4,7 +4,7 @@ import random
 import pytest
 
 from valex.diagram import Diagram, Passage, _component_arcs, _out_labels
-from valex.errors import EmptyComponent, InvalidArgument
+from valex.errors import InvalidArgument
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO
 
 
@@ -126,6 +126,10 @@ def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
     return _insert_after(d, {t: kink}, {new_id: sign})
 
 
+class CrossingFreeLoop(Exception):
+    """``smooth_crossing`` would leave a component without classical crossings."""
+
+
 def smooth_crossing(d: Diagram, cid: int) -> Diagram:
     """Oriented smoothing: delete both passages of ``cid`` and reconnect.
 
@@ -171,12 +175,12 @@ def smooth_crossing(d: Diagram, cid: int) -> Diagram:
         outer = [comp[(b + 1 + t) % k] for t in range((a - b - 1) % k)]
         inner = [comp[(a + 1 + t) % k] for t in range((b - a - 1) % k)]
         if not outer or not inner:
-            raise EmptyComponent(f"smoothing crossing {cid} creates a crossing-free loop")
+            raise CrossingFreeLoop(f"smoothing crossing {cid} creates a crossing-free loop")
         new_comps = comps[:oci] + [outer, inner] + comps[oci + 1:]
     else:
         over_comp, under_comp = comps[oci], comps[uci]
         if len(over_comp) == 1 and len(under_comp) == 1:
-            raise EmptyComponent(f"smoothing crossing {cid} creates a crossing-free loop")
+            raise CrossingFreeLoop(f"smoothing crossing {cid} creates a crossing-free loop")
         ka, kb = len(over_comp), len(under_comp)
         a, b = opi, upi
         merged = [over_comp[(a + 1 + t) % ka] for t in range(ka - 1)] + [

@@ -8,6 +8,7 @@ import time
 
 from tests.conftest import (
     KINK_KINDS,
+    CrossingFreeLoop,
     add_kink,
     add_r2,
     base_closed_form,
@@ -19,7 +20,6 @@ from tests.conftest import (
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
 from valex.cli import main
 from valex.diagram import mirror_all, parse_gauss
-from valex.errors import EmptyComponent
 from valex.laurent import (
     LaurentPoly,
     ONE,
@@ -169,7 +169,7 @@ def test_diagram_law_suites():
             minus = switch_crossing(plus, cid)
             try:
                 zero = smooth_crossing(plus, cid)
-            except EmptyComponent:
+            except CrossingFreeLoop:
                 continue
             smoothed = delta0_diagram(zero)
             assert delta0_diagram(plus) - delta0_diagram(minus) == uv1 * smoothed

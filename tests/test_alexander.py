@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import (
     KINK_KINDS,
+    CrossingFreeLoop,
     add_kink,
     add_r2,
     determinant_cofactor,
@@ -29,7 +30,7 @@ from valex.alexander import (
     invariant_report,
 )
 from valex.diagram import CrossingIncidence, Diagram, Passage, derive_incidence, parse_gauss
-from valex.errors import EmptyComponent, InvalidArgument, NotDivisible
+from valex.errors import InvalidArgument, NotDivisible
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO, normalize
 from valex.twist import TwistSpec, generate_twist
 from valex.verify import acceptance_grid
@@ -591,7 +592,7 @@ class TestOverArcMatrix:
         # smooth_crossing relabels the arcs through arc_labels
         try:
             smoothed = smooth_crossing(d, data.draw(st.sampled_from(d.crossings)))
-        except EmptyComponent:
+        except CrossingFreeLoop:
             return
         assert_over_arc_matches(smoothed)
 
@@ -704,7 +705,7 @@ class TestLemmaLaws:
                 minus = switch_crossing(plus, cid)
                 try:
                     zero = smooth_crossing(plus, cid)
-                except EmptyComponent:
+                except CrossingFreeLoop:
                     continue
                 lhs = delta0_diagram(plus) - delta0_diagram(minus)
                 assert lhs == uv1 * delta0_diagram(zero), (code, cid)

@@ -4,6 +4,7 @@ import pytest
 
 from tests.conftest import (
     KINK_KINDS,
+    CrossingFreeLoop,
     add_kink,
     add_r2,
     make_random_diagram,
@@ -22,7 +23,6 @@ from valex.diagram import (
     parse_gauss,
 )
 from valex.errors import (
-    EmptyComponent,
     InvalidArgument,
     ParseError,
     ValexError,
@@ -88,6 +88,8 @@ class TestParse:
     def test_trailing_whitespace(self):
         assert parse_gauss("O1+U1+ ") == parse_gauss("O1+U1+")
         assert parse_gauss("O1+U1+\t;U2-O2-") == parse_gauss("O1+U1+;U2-O2-")
+        # whitespace is whatever str.isspace() calls so, not ASCII alone
+        assert parse_gauss("O1+\x1cU1+\u3000") == parse_gauss("O1+U1+")
 
     def test_empty_component(self):
         with pytest.raises(ParseError):
@@ -300,9 +302,9 @@ class TestSmooth:
         assert s.n_components == 1 and s.n_crossings == 1
 
     def test_empty_component_rejected(self):
-        with pytest.raises(EmptyComponent):
+        with pytest.raises(CrossingFreeLoop):
             smooth_crossing(parse_gauss("O1+;U1+"), 1)
-        with pytest.raises(EmptyComponent):
+        with pytest.raises(CrossingFreeLoop):
             smooth_crossing(parse_gauss("O1+U1+"), 1)
 
     def test_unknown(self):
@@ -319,7 +321,7 @@ class TestSmooth:
             for cid in d.crossings:
                 try:
                     a = smooth_crossing(d, cid)
-                except EmptyComponent:
+                except CrossingFreeLoop:
                     continue
                 b = smooth_crossing(switch_crossing(d, cid), cid)
                 assert a.signs == b.signs

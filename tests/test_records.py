@@ -100,10 +100,22 @@ _RAISE_SITES = {  # name -> (call, type, message, position)
                       InvalidArgument, "crossing 1's over flag 2 is not a bool", None),
     "tuple_passage": (lambda: Diagram([[(1, True), (1, False)]], {1: 1}), InvalidArgument,
                       "passage (1, True) is not a Passage", None),
+    "no_components": (lambda: Diagram([], {}), InvalidArgument,
+                      "diagram has no components", None),
+    "empty_component": (lambda: Diagram([[Passage(1, True), Passage(1, False)], []], {1: 1}),
+                        InvalidArgument, "crossing-free components are not allowed", None),
     "both_signs": (lambda: parse_gauss("O1+U1-"), ParseError,
                    "crossing 1 appears with both signs in 'O1+U1-' (at position 3)", 3),
     "empty_text_component": (lambda: parse_gauss("O1+;;U1+"), ParseError,
                              "component without classical crossings (at position 4)", 4),
+    "leading_empty_component": (lambda: parse_gauss(";O1+U1+"), ParseError,
+                                "component without classical crossings (at position 0)", 0),
+    "trailing_empty_component": (lambda: parse_gauss("O1+U1+;"), ParseError,
+                                 "component without classical crossings (at position 7)", 7),
+    "bad_token_ends_at_semicolon": (lambda: parse_gauss("O1+;Xy;U1+"), ParseError,
+                                    "bad token in Gauss code 'Xy' (at position 4)", 4),
+    "blank_text": (lambda: parse_gauss(" \t\n"), ParseError,
+                   "empty Gauss code (at position 0)", 0),
     "odd_writhe_link": (lambda: odd_writhe(parse_gauss("O1+;U1+")), InvalidArgument,
                         "odd writhe is defined for knots", None),
     "div_by_zero": (lambda: exact_div(U, ZERO), InvalidArgument,

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import (KINK_KINDS, add_kink, add_r2, all_diagrams, determinant_cofactor,
-                            genus, smooth_crossing, switch_crossing)
+from tests.conftest import (KINK_KINDS, CrossingFreeLoop, add_kink, add_r2, all_diagrams,
+                            determinant_cofactor, genus, smooth_crossing, switch_crossing)
 from valex.alexander import build_matrix, delta0_diagram, invariant_report
 from valex.diagram import Diagram, derive_incidence, parse_gauss
-from valex.errors import EmptyComponent
 from valex.laurent import ONE, U, V
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -127,7 +126,7 @@ def test_exact_skein_identity_at_every_crossing():
         for cid in d.crossings:
             try:
                 zero = smooth_crossing(d, cid)
-            except EmptyComponent:  # a crossing-free loop
+            except CrossingFreeLoop:  # a crossing-free loop
                 continue
             plus = d if d.signs[cid] > 0 else switch_crossing(d, cid)
             minus = switch_crossing(plus, cid)
