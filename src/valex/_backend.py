@@ -17,9 +17,9 @@ whose coefficients need more than 64 bits, or whose slot box is much larger
 than their term count (sparse operands with wide spans), stay schoolbook.
 
 Exact division maps u -> t**W and v -> t in the same way.  It runs one long
-division in Z[t], or, from ``_DIV_PACK_MIN`` terms of a dense dividend on,
-one ``divmod`` of the operands packed into slots of B bits, B the smallest
-of 8, 16, 32 and 64 that holds every coefficient of both operands.  When
+division in Z[t], or, for a dividend with at most ``_BOX_PER_PRODUCT``
+slots per term, one ``divmod`` of the operands packed into slots of B bits,
+B the smallest of 8, 16, 32 and 64 that holds every coefficient.  When
 the quotient's digits cannot be trusted at B bits, the division is packed
 again at the next width, and after 64 bits the long division runs.  Either
 quotient is decoded only if none of its products with the divisor wrapped
@@ -61,7 +61,6 @@ _SLOTS = {array(code).itemsize * 8: code for code in "bhilq"}
 _SLOT_BITS = sorted(_SLOTS)
 _PACK_MIN = 150       # term products from which a product is packed
 _BOX_PER_PRODUCT = 4  # most slots a packed product may span per term product
-_DIV_PACK_MIN = 32    # dividend terms from which a quotient is packed
 _ONE = {(0, 0): 1}    # the polynomial 1
 
 
@@ -254,13 +253,13 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
     becomes the int key i*W + j (u -> t**W, v -> t), and one long division in
     Z[t] runs on the keys, taking the top key of the remainder each step.
 
-    From _DIV_PACK_MIN dividend terms on, when the top key of a (read off
-    its lexicographic top term) is below _BOX_PER_PRODUCT times its term
-    count, the division is instead one divmod of the two operands packed at
-    t = 2**B.  B starts at the smallest of 8, 16, 32 and 64 bits for which
-    every coefficient of a and b is below 2**(B - 1) in size.  If b divides
-    a in Z[t], with quotient q, then a(2**B) == q(2**B) * b(2**B) exactly,
-    so a nonzero remainder means b does not divide a, at any B.  Otherwise
+    When the top key of a (read off its lexicographic top term) is below
+    _BOX_PER_PRODUCT times its term count, the division is instead one
+    divmod of the two operands packed at t = 2**B.  B starts at the smallest
+    of 8, 16, 32 and 64 bits for which every coefficient of a and b is below
+    2**(B - 1) in size.  If b divides a in Z[t], with quotient q, then
+    a(2**B) == q(2**B) * b(2**B) exactly, so a nonzero remainder means b
+    does not divide a, at any B.  Otherwise
     the quotient's balanced B-bit digits are a polynomial q with
     q(2**B) * b(2**B) == a(2**B).  If also
     min(len q, len b) * max|q| * max|b| < 2**(B - 1), every coefficient of
@@ -311,7 +310,7 @@ def divexact_terms(a: dict, b: dict) -> dict | None:
         return None
     su = a_iu - b_iu
     sv = a_iv - b_iv
-    if _DIV_PACK_MIN <= len(a) and da < _BOX_PER_PRODUCT * len(a):
+    if da < _BOX_PER_PRODUCT * len(a):
         n = da - db + 1
         mb = max(map(abs, b.values()))
         size = max(max(map(abs, a.values())), mb).bit_length()

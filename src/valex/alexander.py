@@ -477,8 +477,6 @@ def delta_bar(p: LaurentPoly, is_knot: bool = True) -> LaurentPoly:
     NotDivisible here means a divisibility law failed upstream; it is a
     test failure, not a user error.  Zero stays zero.
     """
-    if not p:
-        return ZERO
     return exact_div(p, KNOT_FACTOR if is_knot else LINK_FACTOR)
 
 

@@ -96,9 +96,10 @@ def cmd_twist(args) -> int:
 def cmd_batch(args) -> int:
     checked = held = errors = ignored = no = 0
     # each line is decoded on its own, so a bad byte stops the run after the
-    # verdicts of every line before it and names its line
+    # verdicts of every line before it and names its line; utf-8-sig drops
+    # the byte-order mark that some editors put before line 1
     with open(args.file, "rb") as fh:
-        lines = (raw.decode("utf-8") for raw in fh)
+        lines = (raw.decode("utf-8-sig") for raw in fh)
         try:
             for no, rep in batch_check(lines):
                 if rep is None:

@@ -5,12 +5,12 @@ recursion's public entry and the one way to get dbar of a spec, base shapes
 included.  It makes one call per spec for every clasp: ``clasp_identity``
 rewrites the spec onto clasp ``a`` or ``ab`` once, the rest runs on the
 rewritten blocks in the same call, and a mirrored clasp's finished result
-goes through ``mirror_invariant`` once.  Its steps are private and work on
-block tuples: the pass ``_step`` (the recursion step and the contraction,
+goes through ``mirror_invariant`` once.  Its two steps are private and work
+on block tuples: the pass ``_step`` (the recursion step and the contraction,
 in one walk over the blocks, which carries the paper's parity formulas) and
-the negative flip ``_flip_term``, which holds the flip rule; the private
-``_closed_form`` holds the base families and gives dbar of the base shape
-the steps end at, over the sums ``_triangle`` and ``_square``.
+the finish ``_closed_form``, which holds the base families and the flip
+rule and adds the pass corrections to dbar of the base shape the passes
+end at, over the sums ``_triangle`` and ``_square``.
 
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
@@ -232,29 +232,62 @@ def _square(t: int, c: int, d: int) -> dict:
     return {(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)}
 
 
-def _closed_form(blocks: tuple, clasp: str, k: int) -> dict:
-    """(-uv)^k dbar of a reduced base shape of clasp ``a`` or ``ab``, as a fresh term dict.
+def _closed_form(blocks: tuple, clasp: str, k: int, acc: dict) -> dict:
+    """(-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e, as a fresh term dict.
 
-    ``blocks`` is in {-1, 0, 1} with zeros only at the ends, and only where
-    its zeros are matters: a -1 reads as +1, its flip correction being the
-    caller's.  The end zeros pick the base family: 1 (none), 2 (leading;
-    also the shape (0,)), 3 (trailing), 4 (both), and m is the number of
-    nonzero blocks.  dbar is a
-    double sum for clasp ``a`` and a square for ``ab``; families 2 and 4
-    carry the sign (-1)^m.  The unit (-uv)^k adds k to both exponents and
-    (-1)^k to the coefficient.
+    ``blocks`` is a reduced base shape of clasp ``a`` or ``ab``: in
+    {-1, 0, 1}, with zeros only at the ends.  The end zeros pick the base
+    family: 1 (none), 2 (leading; also the shape (0,)), 3 (trailing), 4
+    (both), and m is the number of nonzero blocks.  dbar of the shape with
+    every -1 turned into +1 is a double sum for clasp ``a`` and a square for
+    ``ab``; families 2 and 4 carry the sign (-1)^m.  The unit (-uv)^k adds k
+    to both exponents and (-1)^k to the coefficient.
+
+    For clasp ``a``, each -1 adds a flip correction: with the -1 in block i
+    of the n blocks turned into +1, dbar(blocks) = dbar(flipped) + c (uv)^e,
+    where by the family
+
+        family        e            c
+        1             n - i        -1
+        2 and 4       i - 2        (-1)^(n+1)
+        3             n - i - 1    +1
+
+    A flip keeps n and both end blocks, so all flips of a shape read one
+    row.  For clasp ``ab`` a -1 reads as +1.  The flip corrections go into
+    ``acc``, which the caller hands over, and ``acc`` is added on the
+    diagonal; a term that cancels is dropped.
     """
+    n = len(blocks)
     lead = blocks[0] == 0
-    trail = blocks[-1] == 0 and len(blocks) > 1
-    m = len(blocks) - lead - trail
-    c = -1 if (k + m * lead) & 1 else 1
+    trail = blocks[-1] == 0 and n > 1
+    m = n - lead - trail
+    sign = -1 if k & 1 else 1
+    c = -sign if m * lead & 1 else sign
     if clasp == "a":
         if lead == trail:  # families 1 and 4
-            return _triangle(m, lead, c, k, k)
-        return _triangle(m - 1, lead, c, k + trail, k + lead)  # families 2 and 3
-    # the square's side is m - 2 in family 1, m - 1 in families 2 and 3 and m
-    # in family 4, which alone starts at (uv)^k rather than (uv)^(k+1)
-    return _square(m - 2 + lead + trail, c, k + 1 - (lead and trail))
+            out = _triangle(m, lead, c, k, k)
+        else:  # families 2 and 3
+            out = _triangle(m - 1, lead, c, k + trail, k + lead)
+        if -1 in blocks:  # the flip table's row as e = e0 + step * i and c = f
+            if lead:
+                e0, step, f = k - 2, 1, (sign if n & 1 else -sign)
+            else:
+                e0, step, f = k + n - trail, -1, (sign if trail else -sign)
+            for i, b in enumerate(blocks, 1):
+                if b < 0:
+                    e = e0 + step * i
+                    acc[e] = acc.get(e, 0) + f
+    else:
+        # the square's side is m - 2 in family 1, m - 1 in families 2 and 3
+        # and m in family 4, which alone starts at (uv)^k rather than (uv)^(k+1)
+        out = _square(m - 2 + lead + trail, c, k + 1 - (lead and trail))
+    for e, c in acc.items():
+        c += out.get((e, e), 0)
+        if c:
+            out[e, e] = c
+        else:
+            out.pop((e, e), None)
+    return out
 
 
 # -- recursion engine ---------------------------------------------------------------
@@ -332,24 +365,6 @@ def _step(blocks: tuple, clasp: str) -> tuple:
     return tuple(out), half_sum + k, corr
 
 
-def _flip_term(blocks: tuple, i: int) -> tuple:
-    """(e, c) for turning the -1 in block i of a reduced shape into +1:
-
-        dbar(blocks) = dbar(flipped) + c (uv)^e
-
-    The correction depends on which of the four reduced shapes the blocks
-    match (no end zeros, leading zero, trailing zero, both); a leading zero
-    gives the same correction with or without a trailing one.  A flip keeps n
-    and both end blocks, so all flips of a shape read one case.
-    """
-    n = len(blocks)
-    if blocks[0] == 0:
-        return i - 2, -((-1) ** n)
-    if blocks[-1] == 0:
-        return n - i - 1, 1
-    return n - i, -1
-
-
 def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     """Diagram-level dbar via the 4-step algorithm, in one call for every clasp.
 
@@ -365,10 +380,9 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     the rewritten blocks, guards convention bugs.  Every factor is a power
     of -uv and every correction a polynomial in uv, so the loop carries the
     unit (-uv)^k as the int k (its sign is (-1)^k) and the corrections as
-    one dict {e: c} for sum c (uv)^e.  On the base shape, each -1 block of
-    clasp ``a`` adds its flip correction (``_flip_term``, the flip rule),
-    ``_closed_form`` (the base families) builds (-uv)^k dbar of the shape as
-    one fresh term dict, and the corrections are merged into it.
+    one dict {e: c} for sum c (uv)^e.  On the base shape, ``_closed_form``
+    (the base families and the flip rule) finishes the result from the
+    shape, k and the corrections in one fresh term dict.
     """
     (blocks, clasp), mirrored = clasp_identity(spec)
     k = 0
@@ -390,21 +404,7 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     else:
         raise InfiniteReduction(f"{spec} did not reduce within {cap} passes")
 
-    if clasp == "a" and -1 in blocks:
-        sign = -1 if k & 1 else 1
-        for i, b in enumerate(blocks, 1):
-            if b == -1:
-                e, c = _flip_term(blocks, i)
-                e += k
-                acc[e] = acc.get(e, 0) + sign * c
-    out = _closed_form(blocks, clasp, k)
-    for e, c in acc.items():
-        c += out.get((e, e), 0)
-        if c:
-            out[e, e] = c
-        else:
-            out.pop((e, e), None)
-    dbar = LaurentPoly._raw(out)
+    dbar = LaurentPoly._raw(_closed_form(blocks, clasp, k, acc))
     return mirror_invariant(dbar) if mirrored else dbar
 
 

@@ -239,6 +239,14 @@ class TestVerify:
         assert code == 1
         assert err.startswith("io error: line 1:") and "checked=" not in out
 
+    def test_byte_order_mark_is_not_part_of_line_1(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(f"{VTREFOIL}\n".encode("utf-8-sig"))
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 0 and err == ""
+        assert out.startswith("line 1: O1+U2+U1+O2+  ow=2")
+        assert "checked=1 held=1 errors=0" in out
+
     def test_decode_error_names_its_line_after_the_verdicts_before_it(self, capsys, tmp_path):
         # each line is decoded on its own, so the bad byte on line 2 leaves
         # line 1's verdict printed

@@ -23,7 +23,6 @@ from valex.twist import (
     MAX_SPEC_BLOCKS,
     MAX_SPEC_CROSSINGS,
     TwistSpec,
-    _flip_term,
     _parity,
     _square,
     _step,
@@ -602,12 +601,19 @@ class TestContract:
         assert _step(tuple(blocks), clasp) == leftmost_merge(blocks) + ({},)
 
 
+def flip_difference(blocks, i) -> LaurentPoly:
+    """dbar(blocks) - dbar(flipped), both by ``evaluate_recursive``, where
+    ``flipped`` is ``blocks`` with the -1 in block i turned into +1."""
+    flipped = blocks[:i - 1] + (1,) + blocks[i:]
+    return evaluate_recursive(TwistSpec(blocks)) - evaluate_recursive(TwistSpec(flipped))
+
+
 class TestNegativeFlip:
     def test_trailing_zero_shape(self):
-        assert _flip_term((-1, 1, 0), 1) == (1, 1)  # + uv
+        assert flip_difference((-1, 1, 0), 1) == UV
 
     def test_single_negative(self):
-        assert _flip_term((-1,), 1) == (0, -1)
+        assert flip_difference((-1,), 1) == -1
         assert evaluate_recursive(TwistSpec((1,))) == ONE  # so dbar(VT(-1)) == 1 - 1 == 0
 
     def test_matches_flip_table(self):
@@ -617,7 +623,8 @@ class TestNegativeFlip:
                     continue
                 for i, b in enumerate(blocks, start=1):
                     if b == -1:
-                        assert _flip_term(blocks, i) == flip_correction(blocks, i), (blocks, i)
+                        e, c = flip_correction(blocks, i)
+                        assert flip_difference(blocks, i) == c * UV ** e, (blocks, i)
 
     def test_flips_match_determinant_on_grid(self):
         for n in (1, 2, 3):
