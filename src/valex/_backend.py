@@ -26,25 +26,29 @@ quotient is decoded only if none of its products with the divisor wrapped
 past the encoding's v-width (see ``divexact_terms``).  Packed products and
 packed quotients are read back through one slot decoder, ``_decode``.
 
-``det3_terms`` is the determinant of a 3x3 matrix of term dicts, the
-three-row core that ``alexander.determinant`` finishes without a Bareiss
-step.  It packs each of the nine entries once, its row shifted to least
-exponents 0, at one W (one more than the sum of the rows' v-spans) and one
-B, and expands a(ei - fh) - b(di - fg) + c(dh - eg) on the ints, with no
-division.  B is the smallest slot width above the permanent of the
-entries' l1 norms, which bounds every coefficient of the determinant (and
-above each entry's norm, so that every entry packs); when
-B would pass 64 bits, or the box has more than ``_BOX_PER_PRODUCT`` slots
-per term product of the expansion, it returns None and the caller
-eliminates as before.
+``det_terms`` is the determinant of a 3x3 or 4x4 matrix of term dicts,
+the unit-free core of three or four rows that ``alexander.determinant``
+finishes without a Bareiss step.  It packs each entry once, its row
+shifted to least exponents 0, at one W (one more than the sum of the
+rows' v-spans) and one B, and expands along row 0 on the ints, with no
+division: nine products for three rows, and 28 for four, whose 3x3
+cofactors share the six 2x2 minors of the last two rows.  B is the
+smallest slot width above the permanent of the entries' l1 norms, which
+bounds every coefficient of the determinant (and above each entry's norm,
+so that every entry packs); when B would pass 64 bits, or the box has
+more than ``_BOX_PER_PRODUCT`` slots per term product of the expansion,
+it returns None and the caller eliminates as before.  Larger cores stay
+with the elimination, which is faster there: a five-row expansion takes 75
+products on ints whose box grows with every row's spans (README, "Three-
+and four-row determinants").
 
 This is valex's only kernel: every product and quotient of
 ``alexander.determinant``'s elimination is a call here.  The module keeps
 the name ``_backend`` and the ``BACKEND`` constant because external tools
 key on them: the layer benchmark records ``valex.BACKEND`` with every run
 and traces the code objects of ``_backend.mul_terms``, ``fma_terms`` and
-``divexact_terms``; it does not trace ``det3_terms``, so the products of a
-three-row core are missing from its counters.
+``divexact_terms``; it does not trace ``det_terms``, so the products of a
+three- or four-row core are missing from its counters.
 """
 
 from __future__ import annotations
@@ -145,25 +149,30 @@ def _packed(a: dict, b: dict, c: dict, d: dict) -> dict | None:
     return _decode(_unpack(total, n, bits), range(u0, u1 + 1), range(v0, v0 + w))
 
 
-def _permanent3(x: list) -> int:
-    """The permanent of a 3x3 matrix of ints."""
-    (a, b, c), (d, e, f), (g, h, i) = x
-    return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+def _permanent(x: list) -> int:
+    """The permanent of a 3x3 or 4x4 matrix of ints, by first-row expansion."""
+    if len(x) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = x
+        return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+    return sum(a * _permanent([r[:k] + r[k + 1:] for r in x[1:]]) for k, a in enumerate(x[0]))
 
 
-def det3_terms(m: list) -> dict | None:
-    """The determinant of a 3x3 matrix of term dicts by cofactors, or None.
+def det_terms(m: list) -> dict | None:
+    """The determinant of a 3x3 or 4x4 matrix of term dicts by cofactors, or None.
 
-    ``m`` is three lists of three term dicts, {} for a zero entry, and no
-    row is all zero.  Each row is shifted by its least u- and v-exponents,
-    and each nonzero entry is packed once, with W one more than the sum of
-    the rows' v-spans, so that no product of one entry per row wraps; then
-    a(ei - fh) - b(di - fg) + c(dh - eg) is a few products of Python ints,
-    read back once.  Every coefficient of the determinant is at most the
-    permanent of the entries' l1 norms in size, and every coefficient of an
-    entry at most that entry's norm; B is the smallest slot width above
-    both.  None when B would pass 64 bits or the box has more than
-    _BOX_PER_PRODUCT slots per term product of the expansion.
+    ``m`` is three or four lists of as many term dicts, {} for a zero entry,
+    and no row is all zero.  Each row is shifted by its least u- and
+    v-exponents, and each nonzero entry is packed once, with W one more than
+    the sum of the rows' v-spans, so that no product of one entry per row
+    wraps; then the expansion along row 0 is a few products of Python ints,
+    read back once: a(ei - fh) - b(di - fg) + c(dh - eg), nine products, for
+    three rows, and for four rows the 3x3 cofactors of row 0's entries over
+    the six 2x2 minors of the last two rows, 28 products.  Every coefficient
+    of the determinant is at most the permanent of the entries' l1 norms in
+    size, and every coefficient of an entry at most that entry's norm; B is
+    the smallest slot width above both.  None when B would pass 64 bits or
+    the box has more than _BOX_PER_PRODUCT slots per term product of the
+    expansion.
     """
     shifts, norms, sizes = [], [], []
     span_u = span_v = 0
@@ -176,18 +185,25 @@ def det3_terms(m: list) -> dict | None:
         shifts.append((u0, v0))
         norms.append([sum(map(abs, t.values())) for t in row])
         sizes.append([len(t) for t in row])
-    bound = max(_permanent3(norms), *map(max, norms))
-    work = _permanent3(sizes)
+    bound = max(_permanent(norms), *map(max, norms))
+    work = _permanent(sizes)
     w = span_v + 1
     n = (span_u + 1) * w
     bits = next((s for s in _SLOT_BITS if bound.bit_length() < s), None)
     if bits is None or n > _BOX_PER_PRODUCT * work:
         return None
     off = _top_bits(bits, n)
-    (a, b, c), (d, e, f), (g, h, i) = (
-        [_pack(t, u0, v0, w, bits, off) if t else 0 for t in row]
-        for row, (u0, v0) in zip(m, shifts))
-    total = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    x = [[_pack(t, u0, v0, w, bits, off) if t else 0 for t in row]
+         for row, (u0, v0) in zip(m, shifts)]
+    if len(x) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = x
+        total = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (p, q, r, s) = x
+        ij, ik, il = i * q - j * p, i * r - k * p, i * s - l * p
+        jk, jl, kl = j * r - k * q, j * s - l * q, k * s - l * r
+        total = (a * (f * kl - g * jl + h * jk) - b * (e * kl - g * il + h * ik)
+                 + c * (e * jl - f * il + h * ij) - d * (e * jk - f * ik + g * ij))
     u0 = sum(s for s, _ in shifts)
     v0 = sum(s for _, s in shifts)
     return _decode(_unpack(total, n, bits), range(u0, u0 + span_u + 1), range(v0, v0 + w))

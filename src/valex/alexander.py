@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._backend import _ONE, det3_terms, divexact_terms, fma_terms, mul_terms
+from ._backend import _ONE, det_terms, divexact_terms, fma_terms, mul_terms
 from .diagram import Diagram, _component_arcs, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
@@ -261,9 +261,9 @@ def determinant(m: list) -> LaurentPoly:
     the entry with fewer terms.  Either way ties then go to the first one
     found in row-then-column order.  The pivot order changes the work, never
     the result.  Most Alexander-matrix entries are units.  When no unit is
-    left, prev is 1 and exactly three rows remain, no pivot is taken: the
-    three-row core is finished by cofactors (below), unless the kernel
-    declines it, and then the loop goes on as before.  When one row is
+    left, prev is 1 and three or four rows remain, no pivot is taken: the
+    core is finished by cofactors (below), unless the kernel declines it,
+    and then the loop goes on as before.  When one row is
     left, its one entry is the last pivot, with no search: the step would
     touch no other entry, and a unit taken as it stands gives the same
     product as a unit divided out.
@@ -289,10 +289,10 @@ def determinant(m: list) -> LaurentPoly:
     can lose its last entry; if one does, the matrix is singular and the
     result is 0.
 
-    The three-row finish.  While prev is 1, each active entry is a minor of
-    the row-scaled input bordered on a leading minor that is 1, so by
-    Sylvester's identity the determinant of the remaining core is the last
-    pivot that Bareiss would reach, with no division.  ``det3_terms``
+    The three- and four-row finish.  While prev is 1, each active entry is
+    a minor of the row-scaled input bordered on a leading minor that is 1,
+    so by Sylvester's identity the determinant of the remaining core is the
+    last pivot that Bareiss would reach, with no division.  ``det_terms``
     expands it by cofactors with every entry packed once; each coefficient
     of the result is at most the permanent of the entries' l1 norms in size,
     and when that needs slots of more than 64 bits, or the packed box is too
@@ -306,8 +306,8 @@ def determinant(m: list) -> LaurentPoly:
     takes each pivot's row to its column.
 
     Every product and quotient goes through ``_backend``'s kernel
-    (``fma_terms``, ``mul_terms``, ``divexact_terms``, and ``det3_terms``
-    for a three-row core); the units' product is kept in ints.
+    (``fma_terms``, ``mul_terms``, ``divexact_terms``, and ``det_terms``
+    for a three- or four-row core); the units' product is kept in ints.
     """
     n = len(m)
     cols: dict = {j: set() for j in range(n)}
@@ -334,8 +334,8 @@ def determinant(m: list) -> LaurentPoly:
             match[p] = q
             break
         found = _cheapest_unit(active, cols)
-        if not found and prev is _ONE and len(active) == 3:
-            det = det3_terms([[sparse.get(j, {}) for j in cols] for sparse in active.values()])
+        if not found and prev is _ONE and 3 <= len(active) <= 4:
+            det = det_terms([[sparse.get(j, {}) for j in cols] for sparse in active.values()])
             if det is not None:
                 for p, q in zip(active, cols):
                     match[p] = q

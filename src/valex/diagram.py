@@ -44,8 +44,17 @@ class Passage(NamedTuple):
     crossing: int
     over: bool
 
-    def token(self, sign: int) -> str:
-        return f"{'O' if self.over else 'U'}{self.crossing}{'+' if sign > 0 else '-'}"
+
+def _check_visits(seen: dict) -> None:
+    """Raise InvalidArgument unless every crossing has one over and one under visit.
+
+    ``seen`` maps each crossing id to the over flags of its visits; the
+    first bad crossing in its order is named.
+    """
+    for cid, flags in seen.items():
+        if len(flags) != 2 or flags[0] == flags[1]:
+            raise InvalidArgument(
+                f"crossing {cid} must be visited exactly once over and once under")
 
 
 class Diagram:
@@ -70,10 +79,7 @@ class Diagram:
                 if type(over) is not bool:
                     raise InvalidArgument(f"crossing {cid}'s over flag {over!r} is not a bool")
                 seen.setdefault(cid, []).append(over)
-        for cid, flags in seen.items():
-            if len(flags) != 2 or flags[0] == flags[1]:
-                raise InvalidArgument(
-                    f"crossing {cid} must be visited exactly once over and once under")
+        _check_visits(seen)
         signs = dict(signs)
         if not set(map(type, signs)) <= {int}:
             raise InvalidArgument(f"crossing ids in signs must be ints: {list(signs)!r}")
@@ -158,9 +164,14 @@ def parse_gauss(text: str) -> Diagram:
     """Parse a signed Gauss code: tokens ``O<k>+`` / ``U<k>-``, components ';'-separated.
 
     A code with more than ``MAX_GAUSS_CROSSINGS`` crossings raises ParseError.
+    The scan records each crossing's visits and checks their pairing, after
+    the cap, as ``Diagram``'s constructor would; everything else that it
+    checks holds by the token syntax, so the diagram is built unchecked.
     """
+    new = tuple.__new__  # Passage(cid, over) without a Python-level call
     components = []
     signs: dict[int, int] = {}
+    visits: dict[int, list[bool]] = {}
     passages = []
     start = 0  # where the current component's text starts
     for m in _GAUSS_ITEM.finditer(text):
@@ -168,7 +179,7 @@ def parse_gauss(text: str) -> Diagram:
         if semicolon:
             if not passages:
                 raise ParseError("component without classical crossings", start)
-            components.append(passages)
+            components.append(tuple(passages))
             passages = []
             start = m.end()
             continue
@@ -183,25 +194,32 @@ def parse_gauss(text: str) -> Diagram:
         if cid < 1:
             raise ParseError("crossing ids start at 1", pos)
         sign = 1 if sign_char == "+" else -1
+        over = over == "O"
         prev = signs.get(cid)
         if prev is None:
             signs[cid] = sign
+            visits[cid] = [over]
         elif prev != sign:
             raise ParseError(f"crossing {cid} appears with both signs in {text!r}", pos)
-        passages.append(Passage(cid, over == "O"))
+        else:
+            visits[cid].append(over)
+        passages.append(new(Passage, (cid, over)))
     if not passages:
         if components:
             raise ParseError("component without classical crossings", start)
         raise ParseError("empty Gauss code", 0)
-    components.append(passages)
+    components.append(tuple(passages))
     if len(signs) > MAX_GAUSS_CROSSINGS:
         raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
-    return Diagram(components, signs)
+    _check_visits(visits)
+    return Diagram._raw(tuple(components), signs, None)
 
 
 def format_gauss(d: Diagram) -> str:
+    signs = d.signs
     return ";".join(
-        "".join(p.token(d.signs[p.crossing]) for p in comp) for comp in d.components
+        "".join([f"{'O' if over else 'U'}{c}{'+' if signs[c] > 0 else '-'}" for c, over in comp])
+        for comp in d.components
     )
 
 
@@ -288,12 +306,11 @@ def odd_writhe(d: Diagram) -> int:
     """
     if not d.is_knot:
         raise InvalidArgument("odd writhe is defined for knots")
-    comp = d.components[0]
-    pos: dict[int, list[int]] = {}
-    for t, p in enumerate(comp):
-        pos.setdefault(p.crossing, []).append(t)
+    signs = d.signs
+    first: dict[int, int] = {}  # crossing -> the position of its first visit
     total = 0
-    for cid, (p, q) in pos.items():
-        if (q - p - 1) % 2 == 1:
-            total += d.signs[cid]
+    for t, (cid, _) in enumerate(d.components[0]):
+        p = first.setdefault(cid, t)
+        if p < t and not (t - p) & 1:  # t - p - 1 passages between, an odd count
+            total += signs[cid]
     return total

@@ -168,12 +168,14 @@ class LaurentPoly:
     def evaluate(self, u0: int, v0: int) -> int:
         """Exact substitution of u0, v0 in {1, -1} for u and v.
 
-        A power of +/-1 depends only on its exponent's parity, so the sum
-        stays in ints.  Any other point raises InvalidArgument.
+        A power of +/-1 depends only on its exponent's parity: u0^i v0^j is
+        -1 exactly when one of its two factors is an odd power of -1, so the
+        sum stays in ints.  Any other point raises InvalidArgument.
         """
         if u0 not in (1, -1) or v0 not in (1, -1):
             raise InvalidArgument(f"evaluate takes u, v in {{1, -1}}, not ({u0}, {v0})")
-        return sum(c * u0 ** (i & 1) * v0 ** (j & 1) for (i, j), c in self._terms.items())
+        mu, mv = u0 < 0, v0 < 0  # 1 where the point's coordinate is -1
+        return sum(-c if (i & mu) ^ (j & mv) else c for (i, j), c in self._terms.items())
 
 
 ZERO = LaurentPoly._raw({})

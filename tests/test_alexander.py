@@ -19,7 +19,7 @@ from tests.conftest import (
     switch_crossing,
 )
 from valex import alexander
-from valex._backend import det3_terms
+from valex._backend import det_terms
 from valex.alexander import (
     KNOT_FACTOR,
     LINK_FACTOR,
@@ -302,8 +302,8 @@ class TestDeterminant:
         # no entry is +-1, so the first steps are Bareiss steps; they make
         # +-1 entries, which are then unit steps whose previous pivot is
         # not 1, so every row they update or leave alone is divided by it
-        # (at order 3 the whole matrix is a unit-free core, which
-        # det3_terms finishes by cofactors)
+        # (at orders 3 and 4 the whole matrix is a unit-free core, which
+        # det_terms finishes by cofactors)
         values = [0, 2, -2, 3, -3, 4, 5]
         for _ in range(300):
             m = [{j: {(0, 0): c} for j, c in enumerate(rng.choices(values, k=order)) if c}
@@ -410,13 +410,13 @@ class TestDeterminant:
 
     def test_three_row_core_packed_on_n16_codes(self, rng, monkeypatch):
         # many n = 16 codes leave a unit-free core of exactly three rows,
-        # which det3_terms finishes by cofactors; each core's result is
+        # which det_terms finishes by cofactors; each core's result is
         # checked against cofactor expansion, and each Delta_0 against the
         # 2n x 2n matrix and against the Bareiss loop alone
         diagrams = [make_random_diagram(rng, 16) for _ in range(20)]
-        monkeypatch.setattr(alexander, "det3_terms", lambda m: None)
+        monkeypatch.setattr(alexander, "det_terms", lambda m: None)
         bareiss = [delta0_diagram(d) for d in diagrams]
-        cores = spy_det3(monkeypatch)
+        cores = spy_det(monkeypatch)
         for d, want in zip(diagrams, bareiss):
             got = delta0_diagram(d)
             assert got == want == determinant(rows_of(d).rows)
@@ -434,7 +434,7 @@ class TestDeterminant:
         p = {(0, k): 2 ** 20 for k in range(8)}
         two = {(0, 0): 2}
         m = [{0: p, 1: two}, {1: p, 2: two}, {0: two, 2: p}]
-        results = spy_det3(monkeypatch)
+        results = spy_det(monkeypatch)
         det = determinant(m)
         assert [r for _, r in results] == [None]
         assert det == determinant_cofactor(m)
@@ -447,7 +447,7 @@ class TestDeterminant:
         two = {(0, 0): 2}
         m = [{0: {(0, 0): 2, (9, 0): 3}, 1: two}, {1: {(0, 0): 2, (0, 9): 3}, 2: two},
              {0: two, 2: {(0, 0): 3, (9, 9): 2}}]
-        results = spy_det3(monkeypatch)
+        results = spy_det(monkeypatch)
         assert determinant(m) == determinant_cofactor(m)
         assert [r for _, r in results] == [None]
 
@@ -461,7 +461,7 @@ class TestDeterminant:
                 terms[(rng.randint(-2, -1), rng.randint(-3, -1))] = rng.choice([-5, -3, 2, 4, 7])
             return terms
 
-        results = spy_det3(monkeypatch)
+        results = spy_det(monkeypatch)
         nonzero = 0
         for k in range(40):
             m = [{j: entry() for j in range(3)} for _ in range(3)]
@@ -484,20 +484,97 @@ class TestDeterminant:
         x, y = LaurentPoly({(0, 0): 1, (1, 0): 1}), LaurentPoly({(0, 1): -2})
         c = [dict((x * LaurentPoly(s) + y * LaurentPoly(t)).items()) for s, t in zip(a, b)]
         m = [dict(enumerate(r)) for r in (a, b, c)]
-        results = spy_det3(monkeypatch)
+        results = spy_det(monkeypatch)
+        assert determinant(m) == ZERO == determinant_cofactor(m)
+        assert [r for _, r in results] == [{}]
+
+    def test_four_row_core_packed_on_n24_codes(self, rng, monkeypatch):
+        # about a third of n = 24 codes leave a unit-free core of four rows;
+        # each core's result is checked against cofactor expansion, and each
+        # Delta_0 against the Bareiss loop alone
+        diagrams = [make_random_diagram(rng, 24) for _ in range(16)]
+        monkeypatch.setattr(alexander, "det_terms", lambda m: None)
+        bareiss = [delta0_diagram(d) for d in diagrams]
+        cores = spy_det(monkeypatch)
+        assert [delta0_diagram(d) for d in diagrams] == bareiss
+        four = [(m, det) for m, det in cores if len(m) == 4]
+        assert len(four) >= 3
+        for m, det in four:
+            assert det is not None
+            rows = [{j: t for j, t in enumerate(row) if t} for row in m]
+            assert LaurentPoly._raw(det) == determinant_cofactor(rows)
+
+    def test_four_row_core_past_64_bits_falls_back(self, monkeypatch):
+        # P = 2^13 (1 + v + ... + v^7) on a diagonal and 2 on a 4-cycle:
+        # P^4 - 16 has coefficients below 2^61, but the l1 permanent,
+        # 2^64 + 16, needs more than 64 bits, so the kernel declines
+        p = {(0, k): 2 ** 13 for k in range(8)}
+        two = {(0, 0): 2}
+        m = [{0: p, 1: two}, {1: p, 2: two}, {2: p, 3: two}, {0: two, 3: p}]
+        results = spy_det(monkeypatch)
+        det = determinant(m)
+        assert [r for _, r in results] == [None]
+        assert det == determinant_cofactor(m) == LaurentPoly(p) ** 4 - 16
+        assert max(abs(c) for _, c in det.items()) < 2 ** 61
+
+    def test_four_row_core_with_a_sparse_box_falls_back(self, monkeypatch):
+        # a box of 28 x 19 slots for 17 term products, so the kernel declines
+        two = {(0, 0): 2}
+        m = [{0: {(0, 0): 2, (9, 0): 3}, 1: two}, {1: {(0, 0): 2, (0, 9): 3}, 2: two},
+             {2: {(0, 0): 3, (9, 9): 2}, 3: two}, {0: two, 3: {(0, 0): 2, (9, 0): 3}}]
+        results = spy_det(monkeypatch)
+        assert determinant(m) == determinant_cofactor(m)
+        assert [r for _, r in results] == [None]
+
+    def test_four_row_core_with_negative_exponents_and_zeros(self, rng, monkeypatch):
+        # as the three-row case: the whole matrix is the core, with negative
+        # exponents and one or two zero entries, stored as {} or left out
+        def entry():
+            terms, size = {}, rng.randint(2, 4)
+            while len(terms) < size:
+                terms[(rng.randint(-2, -1), rng.randint(-3, -1))] = rng.choice([-5, -3, 2, 4, 7])
+            return terms
+
+        results = spy_det(monkeypatch)
+        nonzero = 0
+        for k in range(40):
+            m = [{j: entry() for j in range(4)} for _ in range(4)]
+            for i, j in rng.sample([(i, j) for i in range(4) for j in range(4)], 1 + k % 2):
+                if k % 4 < 2:
+                    m[i][j] = {}
+                else:
+                    del m[i][j]
+            det = determinant(m)
+            assert det == determinant_cofactor(m)
+            nonzero += bool(det)
+        assert nonzero >= 30
+        assert len(results) == 40 and all(r is not None for _, r in results)
+
+    def test_singular_four_row_core(self, monkeypatch):
+        # row 3 is (1 + u) * row 0 - 2v * row 1 + 3 * row 2, with no unit
+        # entry, so the cofactors cancel to the empty dict
+        a = [{(0, 0): 2, (-1, 1): 3}, {(1, -1): -2}, {(0, 2): 5, (2, 0): 1}, {(0, 0): 4}]
+        b = [{(0, 1): 3}, {(-2, 0): 2, (0, 0): -4}, {(1, 1): 6}, {(1, 0): 2, (0, 0): 3}]
+        c = [{(0, 0): 5}, {(0, 1): 3, (1, 1): 2}, {(0, 0): -2}, {(2, 0): 7}]
+        x, y, z = LaurentPoly({(0, 0): 1, (1, 0): 1}), LaurentPoly({(0, 1): -2}), 3
+        d = [dict((x * LaurentPoly(r) + y * LaurentPoly(s) + z * LaurentPoly(t)).items())
+             for r, s, t in zip(a, b, c)]
+        assert all(len(t) > 1 or abs(*t.values()) > 1 for t in d)
+        m = [dict(enumerate(r)) for r in (a, b, c, d)]
+        results = spy_det(monkeypatch)
         assert determinant(m) == ZERO == determinant_cofactor(m)
         assert [r for _, r in results] == [{}]
 
 
-def spy_det3(monkeypatch) -> list:
-    """Record each (core, result) of ``alexander.det3_terms`` in the returned list."""
+def spy_det(monkeypatch) -> list:
+    """Record each (core, result) of ``alexander.det_terms`` in the returned list."""
     results = []
 
     def spy(core):
-        results.append((core, det3_terms(core)))
+        results.append((core, det_terms(core)))
         return results[-1][1]
 
-    monkeypatch.setattr(alexander, "det3_terms", spy)
+    monkeypatch.setattr(alexander, "det_terms", spy)
     return results
 
 

@@ -1,6 +1,9 @@
 import ast
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import (
     KINK_KINDS,
@@ -31,6 +34,94 @@ from valex.twist import TwistSpec, generate_twist, ow_closed_form
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
+
+_ITEM = re.compile(r"([OU])\s*([0-9]+)\s*([+-])|(;)|\S")
+
+
+def parse_checked(text: str) -> Diagram:
+    """A Gauss code parsed token by token and built by the checked constructor.
+
+    The reference for ``parse_gauss``: it raises the same ParseErrors in the
+    same order, then the cap error, and leaves the pairing check to
+    ``Diagram(components, signs)``.
+    """
+    components, passages, signs, start = [], [], {}, 0
+    for m in _ITEM.finditer(text):
+        over, digits, sign_char, semicolon = m.groups()
+        if semicolon:
+            if not passages:
+                raise ParseError("component without classical crossings", start)
+            components.append(passages)
+            passages, start = [], m.end()
+            continue
+        pos = m.start()
+        if over is None:
+            raise ParseError(
+                f"bad token in Gauss code {text[pos:pos + 8].partition(';')[0]!r}", pos)
+        try:
+            cid = int(digits)
+        except ValueError:
+            raise ParseError(f"crossing id of {len(digits)} digits is too long", pos) from None
+        if cid < 1:
+            raise ParseError("crossing ids start at 1", pos)
+        sign = 1 if sign_char == "+" else -1
+        if signs.setdefault(cid, sign) != sign:
+            raise ParseError(f"crossing {cid} appears with both signs in {text!r}", pos)
+        passages.append(Passage(cid, over == "O"))
+    if not passages:
+        if components:
+            raise ParseError("component without classical crossings", start)
+        raise ParseError("empty Gauss code", 0)
+    components.append(passages)
+    if len(signs) > MAX_GAUSS_CROSSINGS:
+        raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
+    return Diagram(components, signs)
+
+
+def outcome(parse, text):
+    """The diagram, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except (ParseError, InvalidArgument) as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+_TOKEN = st.builds("{}{}{}{}{}".format, st.sampled_from("OU"), st.sampled_from(["", "", " "]),
+                   st.integers(0, 6), st.sampled_from(["", "", "\t"]), st.sampled_from("+-"))
+_PIECE = st.one_of(_TOKEN, _TOKEN, _TOKEN, st.sampled_from([";", " ", "X", "O", "7", "+", "U-"]))
+
+
+@st.composite
+def near_valid_gauss(draw):
+    """Gauss text a few edits from a valid code, at most or just over the cap.
+
+    A valid code of 1 to 5 (or 71 to 74) crossings in 1 or 2 components,
+    then up to three edits: a token dropped (a crossing visited once),
+    repeated (three times) or with its sign or side switched, a ';' or a
+    blank put in, or a stray piece of a token.
+    """
+    n = draw(st.one_of(st.integers(1, 5), st.integers(MAX_GAUSS_CROSSINGS - 1,
+                                                      MAX_GAUSS_CROSSINGS + 2)))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    tokens = draw(st.permutations([f"{side}{c}{signs[c - 1]}"
+                                   for c in range(1, n + 1) for side in "OU"]))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "sign", "side", "insert"]))
+        t = tokens[k]
+        if edit == "drop" and len(tokens) > 1:
+            del tokens[k]
+        elif edit == "repeat":
+            tokens.insert(k, t)
+        elif edit == "sign":
+            tokens[k] = t[:-1] + ("-" if t[-1] == "+" else "+")
+        elif edit == "side":
+            tokens[k] = ("U" if t[0] == "O" else "O") + t[1:]
+        else:
+            tokens.insert(k, draw(_PIECE))
+    if n > 1 and draw(st.booleans()):
+        tokens.insert(draw(st.integers(1, len(tokens) - 1)), ";")
+    return "".join(tokens)
 
 
 class TestParse:
@@ -122,6 +213,34 @@ class TestParse:
         for _ in range(25):
             d = make_random_diagram(rng, rng.randint(1, 6), rng.choice([1, 1, 2]))
             assert parse_gauss(format_gauss(d)) == d
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(near_valid_gauss(), st.lists(_PIECE, max_size=12).map("".join)))
+    def test_equals_the_checked_constructor(self, text):
+        # parse_gauss builds its diagram unchecked after its own pairing
+        # check; the result, or the error's type, message and position, is
+        # that of a token scan that builds through Diagram(...)
+        got, want = outcome(parse_gauss, text), outcome(parse_checked, text)
+        assert got == want
+        if isinstance(got, Diagram):
+            assert got.components == want.components and list(got.signs) == list(want.signs)
+            assert all(type(p) is Passage for comp in got.components for p in comp)
+
+    def test_pairing_error_after_the_cap(self):
+        # crossing 1 is visited once, and the code is one crossing over the cap
+        n = MAX_GAUSS_CROSSINGS + 1
+        text = "O1+" + "".join(f"O{c}+U{c}+" for c in range(2, n + 1))
+        with pytest.raises(ParseError, match=f"{n} crossings exceed"):
+            parse_gauss(text)
+        with pytest.raises(InvalidArgument, match="crossing 1 must be visited"):
+            parse_gauss(text[:-len(f"O{n}+U{n}+")])
+
+    def test_canonical_codes_round_trip(self, rng):
+        # seeded codes written as format_gauss writes them
+        for _ in range(200):
+            n = rng.randint(1, 32)
+            text = random_code_text(rng, n)
+            assert format_gauss(parse_gauss(text)) == text
 
     def test_random_diagram_component_limit(self, rng):
         # 2n passages make at most 2n components
@@ -254,6 +373,18 @@ class TestOddWrithe:
         with pytest.raises(InvalidArgument):
             odd_writhe(parse_gauss("O1+;U1+"))
 
+    def test_equals_pairwise_distance(self, rng):
+        # a crossing is odd when the distance between its two visits in the
+        # code's text, counted in tokens, is even
+        for _ in range(200):
+            text = random_code_text(rng, rng.randint(1, 32))
+            visits = {}
+            for t, (c, sign) in enumerate(re.findall(r"[OU](\d+)([+-])", text)):
+                visits.setdefault(c, []).append((t, sign))
+            want = sum(1 if sign == "+" else -1
+                       for (p, sign), (q, _) in visits.values() if (q - p) % 2 == 0)
+            assert odd_writhe(parse_gauss(text)) == want, text
+
     def test_mirror_negates(self, rng):
         for _ in range(10):
             d = make_random_diagram(rng, rng.randint(1, 6))
@@ -359,3 +490,11 @@ def test_move_error_type_and_message(site):
         call()
     assert type(exc.value) is InvalidArgument
     assert str(exc.value) == message
+
+
+def random_code_text(rng, n: int) -> str:
+    """A random knot code of n crossings, written token by token."""
+    visits = [(c, side) for c in range(1, n + 1) for side in "OU"]
+    rng.shuffle(visits)
+    signs = {c: rng.choice("+-") for c in range(1, n + 1)}
+    return "".join(f"{side}{c}{signs[c]}" for c, side in visits)

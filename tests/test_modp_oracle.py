@@ -17,6 +17,7 @@ import re
 import pytest
 
 from tests.conftest import all_diagrams, make_over_only_link, make_random_diagram
+from valex import alexander
 from valex.alexander import build_matrix, delta0_diagram, delta_bar
 from valex.diagram import derive_incidence, format_gauss
 
@@ -111,6 +112,24 @@ def test_relation_matrix_of_the_virtual_trefoil():
 def test_delta0_equals_determinant_mod_p(n):
     rng = random.Random(n)
     check_mod_p(make_random_diagram(rng, n), rng)
+
+
+def test_four_row_cores_mod_p(monkeypatch):
+    # some n = 24 codes end in a unit-free core of four rows, which
+    # determinant finishes by cofactors in det_terms; the spy sees that the
+    # check covers such a core
+    rows = []
+    real = alexander.det_terms
+
+    def spy(core):
+        rows.append(len(core))
+        return real(core)
+
+    monkeypatch.setattr(alexander, "det_terms", spy)
+    rng = random.Random(24)
+    for _ in range(8):
+        check_mod_p(make_random_diagram(rng, 24), rng)
+    assert 4 in rows
 
 
 def test_link_with_over_only_component_mod_p():
