@@ -5,12 +5,12 @@ recursion's public entry and the one way to get dbar of a spec, base shapes
 included.  It makes one call per spec for every clasp: ``clasp_identity``
 rewrites the spec onto clasp ``a`` or ``ab`` once, the rest runs on the
 rewritten blocks in the same call, and a mirrored clasp's finished result
-goes through ``mirror_invariant`` once.  Its two steps are private and work
-on block tuples: the pass ``_step`` (the recursion step and the contraction,
+goes through ``mirror_invariant`` once.  Its two steps are private, work
+on block tuples and add their corrections into one running dict at the
+running unit: the pass ``_step`` (the recursion step and the contraction,
 in one walk over the blocks, which carries the paper's parity formulas) and
 the finish ``_closed_form``, which holds the base families and the flip
-rule and adds the pass corrections to dbar of the base shape the passes
-end at, over the sums ``_triangle`` and ``_square``.
+rule, over the sums ``_triangle`` and ``_square``.
 
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
@@ -292,10 +292,12 @@ def _closed_form(blocks: tuple, clasp: str, k: int, acc: dict) -> dict:
 
 # -- recursion engine ---------------------------------------------------------------
 
-def _step(blocks: tuple, clasp: str) -> tuple:
-    """One pass of the twist recursion: (out, k, {e: c}) with
+def _step(blocks: tuple, clasp: str, k: int, acc: dict) -> tuple:
+    """One pass of the twist recursion, which keeps the running answer R.
 
-        dbar(blocks) = (-uv)^k dbar(out) + sum_e c (uv)^e.
+    The pass writes dbar(blocks) = (-uv)^j dbar(out) + sum_e c (uv)^e, so it
+    adds each c into ``acc`` as (-1)^k c at e + k (a sum that cancels stays
+    as a 0 entry) and returns (out, k + j); see ``evaluate_recursive``.
 
     The pass reduces each block a_i to sgn(a_i) p(a_i) at a factor of
     (-uv)^{floor(|a_i|/2)} and a correction of sgn(a_i) floor(|a_i|/2)
@@ -308,11 +310,10 @@ def _step(blocks: tuple, clasp: str) -> tuple:
     removed by merging its neighbours, left to right, so a merge that sums
     to zero merges with the next block.  Contraction is a virtual move, but
     a merge that juxtaposes opposite-sign crossings costs one Reidemeister-II
-    move, a factor of -uv.  So k is sum_i floor(|a_i|/2) plus the
+    move, a factor of -uv.  So j is sum_i floor(|a_i|/2) plus the
     cancellations, and the corrections carry the pass's own factor
     (-uv)^{sum_i floor(|a_i|/2)}.  For clasp ``ab`` there is no correction
-    (the smoothed links are classical Hopf links).  Terms of two blocks may
-    cancel to a zero coefficient.
+    (the smoothed links are classical Hopf links).
 
     All of it is one walk over the blocks.  It carries p(s(i-1)) as ``s``,
     the prefix sum of epsilon(i) and the suffix sum's terms so far, whose
@@ -322,7 +323,7 @@ def _step(blocks: tuple, clasp: str) -> tuple:
     A reduced block is 0 or +-1, so an odd block after a gap cancels when
     the block it merges with has the other sign, at a cost of exactly one.
     """
-    s = prefix = suffix = half_sum = k = 0
+    s = prefix = suffix = half_sum = cancels = 0
     gap = False
     out = []
     pending = []  # (epsilon(i) minus the suffix total, weight) for floor(|a_i|/2) != 0
@@ -338,7 +339,7 @@ def _step(blocks: tuple, clasp: str) -> tuple:
             if gap:
                 x = out.pop()
                 if x * y < 0:
-                    k += 1
+                    cancels += 1
                 y += x
                 if y or not out:
                     out.append(y)
@@ -355,14 +356,14 @@ def _step(blocks: tuple, clasp: str) -> tuple:
                 out.append(0)
     if gap:
         out.append(0)
-    corr = {}
+    k += half_sum  # the pass's own factor (-uv)^half_sum, which its corrections carry
     if clasp != "ab":
-        shift = suffix + half_sum
-        sign = -1 if (half_sum + prefix + s) & 1 else 1  # prefix is delta, s is p(s(n))
+        shift = suffix + k
+        sign = -1 if (k + prefix + s) & 1 else 1  # prefix is delta, s is p(s(n))
         for e, w in pending:
             e += shift
-            corr[e] = corr.get(e, 0) + sign * w
-    return tuple(out), half_sum + k, corr
+            acc[e] = acc.get(e, 0) + sign * w
+    return tuple(out), k + cancels
 
 
 def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
@@ -378,29 +379,21 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     then one pass (``_step``: the recursion step and the contraction).  Each
     pass strictly reduces crossing counts; the iteration cap, computed on
     the rewritten blocks, guards convention bugs.  Every factor is a power
-    of -uv and every correction a polynomial in uv, so the loop carries the
-    unit (-uv)^k as the int k (its sign is (-1)^k) and the corrections as
-    one dict {e: c} for sum c (uv)^e.  On the base shape, ``_closed_form``
-    (the base families and the flip rule) finishes the result from the
-    shape, k and the corrections in one fresh term dict.
+    of -uv and every correction a polynomial in uv, so the running answer
+    R = (-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e is carried as the int k
+    and one dict.  It starts at dbar (k = 0, ``acc`` empty); each pass and
+    the finish ``_closed_form`` (the base families and the flip rule) add
+    their corrections into ``acc`` and keep R, and the finish returns it.
     """
     (blocks, clasp), mirrored = clasp_identity(spec)
     k = 0
-    acc = {}  # running answer is (-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e
+    acc = {}
     base_values = {-1, 0, 1}
     cap = sum(map(abs, blocks)) + len(blocks) + 1
     for _ in range(cap):
         if base_values.issuperset(blocks) and 0 not in blocks[1:-1]:
             break
-        blocks, k_step, corr = _step(blocks, clasp)
-        if k:
-            sign = -1 if k & 1 else 1
-            for e, c in corr.items():
-                e += k
-                acc[e] = acc.get(e, 0) + sign * c
-        else:  # a pass with corrections raises k, so acc is still empty
-            acc = corr
-        k += k_step
+        blocks, k = _step(blocks, clasp, k, acc)
     else:
         raise InfiniteReduction(f"{spec} did not reduce within {cap} passes")
 

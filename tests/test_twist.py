@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from valex.twist import (
     MAX_SPEC_BLOCKS,
     MAX_SPEC_CROSSINGS,
     TwistSpec,
+    _closed_form,
     _parity,
     _square,
     _step,
@@ -199,8 +201,16 @@ def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
     return -out if sign_exp else out
 
 
+def one_pass(blocks, clasp: str) -> tuple:
+    """``_step`` from k = 0 on a fresh dict: (out, k, {e: c}) with
+    dbar(blocks) = (-uv)^k dbar(out) + sum_e c (uv)^e."""
+    corr = {}
+    out, k = _step(blocks, clasp, 0, corr)
+    return out, k, corr
+
+
 def paper_step(blocks, clasp: str) -> tuple:
-    """One recursion pass by the paper's definitions, in ``_step``'s form
+    """One recursion pass by the paper's definitions, in ``one_pass``'s form
     (out, k, {e: c}) with dbar(blocks) = (-uv)^k dbar(out) + sum_e c (uv)^e:
     the corrections from ``paper_parities``, then the reduced blocks
     sgn(a_i) p(a_i), then ``leftmost_merge``."""
@@ -219,7 +229,7 @@ def paper_step(blocks, clasp: str) -> tuple:
 
 
 def step_eps(blocks) -> tuple:
-    """epsilon(i) for i = 1..n, read off ``_step``'s correction exponents.
+    """epsilon(i) for i = 1..n, read off ``one_pass``'s correction exponents.
 
     epsilon reads only parities, so block i is set to 2 + p(a_i) and every
     other block to p(a_j): block i is then the only one with a correction,
@@ -232,14 +242,14 @@ def step_eps(blocks) -> tuple:
     for i, b in enumerate(blocks):
         probe = [a & 1 for a in blocks]
         probe[i] = 2 + (b & 1)
-        corr = _step(tuple(probe), "a")[2]
+        corr = one_pass(tuple(probe), "a")[2]
         assert len(corr) == 1 and list(corr.values()) == [want], (blocks, i, corr)
         out.append(next(iter(corr)) - 1)
     return tuple(out)
 
 
 def dropping_zeros(step: tuple) -> tuple:
-    """``_step``'s result with zero correction coefficients dropped."""
+    """``one_pass``'s result with zero correction coefficients dropped."""
     reduced, k, corr = step
     return reduced, k, {e: c for e, c in corr.items() if c}
 
@@ -342,7 +352,7 @@ class TestParityContext:
             s_abs, delta_abs, _ = _parity(absolute)
             assert delta == delta_abs
             assert step_eps(blocks) == step_eps(absolute)
-            assert _step(blocks, "a")[2].keys() == _step(absolute, "a")[2].keys()
+            assert one_pass(blocks, "a")[2].keys() == one_pass(absolute, "a")[2].keys()
             assert (s[-1] - s_abs[-1]) % 2 == 0
 
     @settings(max_examples=300, deadline=None)
@@ -536,7 +546,7 @@ class TestRecursionStep:
         # (-1)^{h+delta+s(n)} = (-1)^{12+3+33} = 1, so the weights 3, 2, 1, 2,
         # 4 sit at 12 + eps: 2 at 11, 3 + 1 at 12, 2 at 13, 4 at 14.  The
         # reduced (1, 0, 1, 1, 1) contracts to (2, 1, 1) with no cancellation.
-        assert _step((7, 4, 3, 5, 9), "a") == ((2, 1, 1), 12, {11: 2, 12: 4, 13: 2, 14: 4})
+        assert one_pass((7, 4, 3, 5, 9), "a") == ((2, 1, 1), 12, {11: 2, 12: 4, 13: 2, 14: 4})
 
     def test_negative_worked_example(self):
         # s = 0, -6, -2, -6, -7, -3; p(a) = 1, 1, 1, 0, 1.  delta = p(s(5)) =
@@ -547,21 +557,21 @@ class TestRecursionStep:
         # 1, -2, -1, 1 sit at 8 + eps: -3 at 10, 1 at 9, -2 + 1 at 8, -1 at 7.
         # The reduced (-1, 1, -1, 0, 1) merges -1 and 1 across the zero: they
         # cancel at one -uv and leave a zero at the end, so k = 8 + 1.
-        assert _step((-7, 3, -5, -2, 3), "a") == (
+        assert one_pass((-7, 3, -5, -2, 3), "a") == (
             (-1, 1, 0), 9, {7: -1, 8: -1, 9: 1, 10: -3})
 
     def test_odd_half_sum_negates_the_correction(self):
         # VT(3): s = 0, 4; delta = p(3) p(4) = 0; eps(1) = 0 - 1 + p(3) p(1)
         # = 0.  h = 1 and (-1)^{1+0+4} = -1, so the weight 1 gives -1 at
         # 1 + 0; dbar(VT(3)) = -uv dbar(VT(1)) - uv = -2uv.
-        assert _step((3,), "a") == ((1,), 1, {1: -1})
+        assert one_pass((3,), "a") == ((1,), 1, {1: -1})
         assert evaluate_recursive(TwistSpec((3,))) == -2 * UV
 
     def test_trivial(self):
-        assert _step((1, 1), "a") == ((1, 1), 0, {})
+        assert one_pass((1, 1), "a") == ((1, 1), 0, {})
 
     def test_vtab_has_no_correction(self):
-        assert _step((7, 4, 3, 5, 9), "ab") == ((2, 1, 1), 12, {})
+        assert one_pass((7, 4, 3, 5, 9), "ab") == ((2, 1, 1), 12, {})
 
     def test_cancelling_weights_keep_their_exponent(self):
         # no block is odd, so delta = 0 and every sum in eps is 0: eps(i) =
@@ -570,35 +580,51 @@ class TestRecursionStep:
         # s = 0, 3, 4, 3, so eps = (-1, 0, -1); (-1)^{2+0+3} = -1 puts -1 and
         # 1 both at 1, where they cancel.  All-zero reduced blocks contract
         # to one zero.
-        assert _step((2, -2), "a") == ((0, 0), 2, {1: 1, 2: -1})
-        assert dropping_zeros(_step((2, 0, -2), "a")) == ((0,), 2, {})
-        assert _step((2, 0, -2), "a")[2] == {1: 0}
+        assert one_pass((2, -2), "a") == ((0, 0), 2, {1: 1, 2: -1})
+        assert dropping_zeros(one_pass((2, 0, -2), "a")) == ((0,), 2, {})
+        assert one_pass((2, 0, -2), "a")[2] == {1: 0}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_adds_into_the_running_dict(self, k):
+        # a pass from k = 0 gives ((0, 1), 3, {2: -2, 3: -1}); from k on a
+        # filled dict each c at e lands as (-1)^k c at e + k: 2 (-1)^k at
+        # 2 + k cancels and stays as a 0 entry, in its place, and 3 + k is
+        # new, so it comes last.  (0, 1)'s triangle is empty, so the finish
+        # is the dict on the diagonal, with the 0 entry dropped.
+        sign = -1 if k & 1 else 1
+        acc = {2 + k: 2 * sign, 0: 5}
+        assert _step((4, 3), "a", k, acc) == ((0, 1), k + 3)
+        assert list(acc.items()) == [(2 + k, 0), (0, 5), (3 + k, -sign)]
+        got = LaurentPoly._raw(_closed_form((0, 1), "a", k + 3, acc))
+        assert list(got.items()) == [((0, 0), 5), ((3 + k, 3 + k), -sign)]
+        want = (-UV) ** k * evaluate_recursive(TwistSpec((4, 3))) + 5 + 2 * sign * UV ** (2 + k)
+        assert got == want
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=12), st.sampled_from(["a", "ab"]))
     def test_matches_paper_step(self, blocks, clasp):
-        assert _step(tuple(blocks), clasp) == paper_step(blocks, clasp)
+        assert one_pass(tuple(blocks), clasp) == paper_step(blocks, clasp)
 
 
 class TestContract:
     # on reduced blocks, in {-1, 0, 1}, a pass has no half-twist to remove,
     # so it is the contraction alone
     def test_merge_without_cancellation(self):
-        assert _step((1, 0, 1, 1, 1), "a") == ((2, 1, 1), 0, {})
+        assert one_pass((1, 0, 1, 1, 1), "a") == ((2, 1, 1), 0, {})
 
     def test_merge_with_cancellation(self):
-        assert _step((-1, 1, -1, 0, 1), "a") == ((-1, 1, 0), 1, {})
+        assert one_pass((-1, 1, -1, 0, 1), "a") == ((-1, 1, 0), 1, {})
 
     def test_nothing_to_do(self):
-        assert _step((1, 1), "a") == ((1, 1), 0, {})
+        assert one_pass((1, 1), "a") == ((1, 1), 0, {})
 
     def test_cascading(self):
-        assert _step((1, 0, -1, 0, 1), "a") == ((1,), 1, {})
+        assert one_pass((1, 0, -1, 0, 1), "a") == ((1,), 1, {})
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-1, 1), min_size=1, max_size=10), st.sampled_from(["a", "ab"]))
     def test_matches_leftmost_merge(self, blocks, clasp):
-        assert _step(tuple(blocks), clasp) == leftmost_merge(blocks) + ({},)
+        assert one_pass(tuple(blocks), clasp) == leftmost_merge(blocks) + ({},)
 
 
 def flip_difference(blocks, i) -> LaurentPoly:
@@ -679,23 +705,26 @@ class TestEvaluateRecursive:
         assert det == KNOT_FACTOR * rec
         assert normalize(rec).poly == read_poly("6 + 7*u*v")
 
-    # order 642 is the largest spec of the benchmark's twist workload
+    # exact, not up to units, so a slip in the running unit's sign or power
+    # shows; order 642 is the largest spec of the benchmark's twist workload,
+    # and order 306 takes two passes, the first of which leaves k = 75, odd,
+    # under which the second adds its corrections
     @pytest.mark.parametrize("clasp, blocks, order", [
         pytest.param(clasp, blocks, order, id=clasp if order == 200 else f"{clasp}-{order}")
-        for blocks, order in (((25, -25, 25, -24), 200), ((40, -40) * 4, 642))
+        for blocks, order in (((25, -25, 25, -24), 200), ((40, -40) * 4, 642),
+                              ((41, 0, 39, 0, -37, 0, 35), 306))
         for clasp in ("a", "^a", "b", "^b")
     ])
     def test_recursion_equals_determinant_at_order_200(self, clasp, blocks, order):
         spec = TwistSpec(blocks, clasp)
         d = generate_twist(spec)
         assert 2 * d.n_crossings == order
-        assert (normalize(delta_bar(delta0_diagram(d))).poly
-                == spec_report(spec).dbar_normalized)
+        assert KNOT_FACTOR * evaluate_recursive(spec) == delta0_diagram(d)
 
     def test_reduction_guard_fires_on_broken_contract(self, monkeypatch):
         from valex.errors import InfiniteReduction
 
-        monkeypatch.setattr(twist, "_step", lambda blocks, clasp: (blocks, 0, {}))
+        monkeypatch.setattr(twist, "_step", lambda blocks, clasp, k, acc: (blocks, k))
         # the cap is m + n + 1 of the rewritten blocks: (4,) for a and ab,
         # (-4,) for b, (4, 0) for ^a, (-4, 0) for ^b and (5,) for ba; the
         # message names the caller's spec, not its rewrite
@@ -755,6 +784,59 @@ class TestEvaluateRecursive:
         assert len(got) == 45000
         assert got == reference_dbar(spec)
         assert 2 * abs(got.evaluate(-1, -1)) == abs(ow_closed_form(spec))
+
+
+def varied_block(blocks, i, sign, p):
+    """The three specs' blocks with block i = sign (2k + p) for k = 1 - p,
+    2 - p and 3 - p, so the first is sign (2 - p), never zero."""
+    return [blocks[:i] + (sign * (2 * k + p),) + blocks[i + 1:] for k in range(1 - p, 4 - p)]
+
+
+def satisfies_recurrence(f0, f1, f2) -> bool:
+    """F(k+2) + 2uv F(k+1) + (uv)^2 F(k) = 0."""
+    return not f2 + 2 * UV * f1 + UV * UV * f0
+
+
+class TestBlockLengthRecurrence:
+    # Fix the clasp, the other blocks and a_i's sign and parity, and vary
+    # k_i = floor(|a_i|/2).  Both dbar by the recursion and Delta_0 by the
+    # determinant should then satisfy F(k+2) + 2uv F(k+1) + (uv)^2 F(k) = 0,
+    # so F = (-uv)^k (A + kB), which two consecutive k fix; ROADMAP item 4
+    # has the argument.  Neither recurrence is proved, so these are samples.
+    # Each sequence starts at a nonzero block: from a_i = 0, clasp ba's
+    # rewrite of its last block, +1, would change that block's sign.
+
+    @staticmethod
+    def samples(rng, count, clasps, bound):
+        for clasp in clasps:
+            for _ in range(count):
+                blocks = tuple(rng.randint(-bound, bound) for _ in range(rng.randint(1, 3)))
+                yield (clasp, blocks, rng.randrange(len(blocks)), rng.choice((1, -1)),
+                       rng.randint(0, 1))
+
+    def test_recursion_side(self):
+        rng = random.Random(38)
+        for clasp, blocks, i, sign, p in self.samples(rng, 500, CLASPS, 9):
+            f = [evaluate_recursive(TwistSpec(b, clasp)) for b in varied_block(blocks, i, sign, p)]
+            assert satisfies_recurrence(*f), (clasp, blocks, i, sign, p)
+
+    def test_determinant_side(self):
+        rng = random.Random(39)
+        for clasp, blocks, i, sign, p in self.samples(rng, 500, ("a", "^a", "b", "^b"), 4):
+            f = [delta0_diagram(generate_twist(TwistSpec(b, clasp)))
+                 for b in varied_block(blocks, i, sign, p)]
+            assert satisfies_recurrence(*f), (clasp, blocks, i, sign, p)
+
+    def test_grid_holds_a_box_for_each_class(self):
+        # per block, the first two values of its sequence: sign (2 - p) and
+        # sign (4 - p), for every clasp-a class of n <= 3 blocks
+        grid = {spec.blocks for spec in acceptance_grid() if spec.clasp == "a"}
+        for n in (1, 2, 3):
+            for signs in itertools.product((1, -1), repeat=n):
+                for parities in itertools.product((0, 1), repeat=n):
+                    box = itertools.product(*({s * (2 - p), s * (4 - p)}
+                                              for s, p in zip(signs, parities)))
+                    assert grid.issuperset(box), (signs, parities)
 
 
 class TestSpecReport:
