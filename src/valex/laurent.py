@@ -215,15 +215,25 @@ def normalize(a: LaurentPoly) -> Normalized:
     (uv)^-shift, the term of lowest total degree (ties broken by lowest
     u-degree) is made positive.  The zero polynomial normalizes to itself
     with unit (0, +1).  The shift keeps the order of the terms by (total
-    degree, u-degree), so that term's sign is read on the input and the
-    shift and sign are applied in one pass.
+    degree, u-degree), so one loop over the input's exponent pairs finds
+    both the shift and that term, whose sign is read on the input; the
+    shift and sign are then applied in one pass.
     """
     terms = a._terms
     if not terms:
         return Normalized(ZERO, 0, 1)
-    s = min(terms)[0]  # exponent pairs compare as tuples, u-power first
-    # the pairs (i + j, (i, j)) order the terms by total degree, then u-degree
-    sign = 1 if terms[min(zip(map(sum, terms), terms))[1]] > 0 else -1
+    keys = iter(terms)
+    low = next(keys)  # the pair of least (i + j, i) so far
+    s = low_i = low[0]
+    low_total = low_i + low[1]
+    for key in keys:
+        i, j = key
+        if i < s:
+            s = i
+        total = i + j
+        if total < low_total or total == low_total and i < low_i:
+            low, low_i, low_total = key, i, total
+    sign = 1 if terms[low] > 0 else -1
     return Normalized(
         LaurentPoly._raw({(i - s, j - s): sign * c for (i, j), c in terms.items()}), s, sign)
 

@@ -3,14 +3,14 @@
 ``evaluate_recursive`` (and ``spec_report``, which wraps it) is the
 recursion's public entry and the one way to get dbar of a spec, base shapes
 included.  It makes one call per spec for every clasp: ``clasp_identity``
-rewrites the spec onto clasp ``a`` or ``ab`` once, the rest runs on the
-rewritten blocks in the same call, and a mirrored clasp's finished result
-goes through ``mirror_invariant`` once.  Its two steps are private, work
-on block tuples and add their corrections into one running dict at the
+rewrites the spec onto clasp ``a`` or ``ab`` once, and the rest runs on the
+rewritten blocks in the same call.  Its two steps are private, work on
+block tuples and add their corrections into one running dict at the
 running unit: the pass ``_step`` (the recursion step and the contraction,
 in one walk over the blocks, which carries the paper's parity formulas) and
 the finish ``_closed_form``, which holds the base families and the flip
-rule, over the sums ``_triangle`` and ``_square``.
+rule, over the sums ``_triangle`` and ``_square``, and writes a mirrored
+clasp's answer mirrored.
 
 A twist spec is a block vector (a_1, ..., a_n) plus a clasp tag.  Block i
 contributes |a_i| classical half-twist crossings of sign sgn(a_i); blocks are
@@ -53,7 +53,6 @@ __all__ = [
     "generate_twist",
     "evaluate_recursive",
     "clasp_identity",
-    "mirror_invariant",
     "ow_closed_form",
     "spec_report",
 ]
@@ -232,8 +231,9 @@ def _square(t: int, c: int, d: int) -> dict:
     return {(i + d, j + d): c for i in range(t + 1) for j in range(t + 1)}
 
 
-def _closed_form(blocks: tuple, clasp: str, k: int, acc: dict) -> dict:
-    """(-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e, as a fresh term dict.
+def _closed_form(blocks: tuple, clasp: str, k: int, acc: dict, mirrored: bool) -> dict:
+    """R = (-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e as a fresh term dict,
+    or the mirror image's -R(v, u) when ``mirrored``.
 
     ``blocks`` is a reduced base shape of clasp ``a`` or ``ab``: in
     {-1, 0, 1}, with zeros only at the ends.  The end zeros pick the base
@@ -256,18 +256,25 @@ def _closed_form(blocks: tuple, clasp: str, k: int, acc: dict) -> dict:
     row.  For clasp ``ab`` a -1 reads as +1.  The flip corrections go into
     ``acc``, which the caller hands over, and ``acc`` is added on the
     diagonal; a term that cancels is dropped.
+
+    The mirror p(u, v) -> -p(v, u) is written in the same pass: the
+    triangle's outer and inner variables swap, and with them its shifts
+    du and dv, its coefficient is negated and ``acc`` is subtracted.  The
+    square and the diagonal are symmetric, so they only change sign.
     """
     n = len(blocks)
     lead = blocks[0] == 0
     trail = blocks[-1] == 0 and n > 1
     m = n - lead - trail
     sign = -1 if k & 1 else 1
-    c = -sign if m * lead & 1 else sign
+    unit = -1 if mirrored else 1  # the mirror's sign on every term
+    c = (-sign if m * lead & 1 else sign) * unit
     if clasp == "a":
+        outer = lead != mirrored  # True when u is the outer variable
         if lead == trail:  # families 1 and 4
-            out = _triangle(m, lead, c, k, k)
-        else:  # families 2 and 3
-            out = _triangle(m - 1, lead, c, k + trail, k + lead)
+            out = _triangle(m, outer, c, k, k)
+        else:  # families 2 and 3, one more power of the inner variable
+            out = _triangle(m - 1, outer, c, k + 1 - outer, k + outer)
         if -1 in blocks:  # the flip table's row as e = e0 + step * i and c = f
             if lead:
                 e0, step, f = k - 2, 1, (sign if n & 1 else -sign)
@@ -282,7 +289,7 @@ def _closed_form(blocks: tuple, clasp: str, k: int, acc: dict) -> dict:
         # and m in family 4, which alone starts at (uv)^k rather than (uv)^(k+1)
         out = _square(m - 2 + lead + trail, c, k + 1 - (lead and trail))
     for e, c in acc.items():
-        c += out.get((e, e), 0)
+        c = out.get((e, e), 0) + unit * c
         if c:
             out[e, e] = c
         else:
@@ -371,8 +378,8 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
 
     ``clasp_identity`` rewrites the spec onto clasp ``a`` or ``ab`` once, and
     the rest runs on the rewritten blocks in this call: nothing calls
-    ``evaluate_recursive`` again.  A mirrored clasp's finished result goes
-    through ``mirror_invariant`` once, so it is canonical only after
+    ``evaluate_recursive`` again.  The finish writes a mirrored clasp's
+    result mirrored, so, like every result, it is canonical only after
     normalization.
 
     Loop: base-shape check (blocks in {-1, 0, 1}, zeros only at the ends),
@@ -383,7 +390,8 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     R = (-uv)^k dbar(blocks) + sum_e acc[e] (uv)^e is carried as the int k
     and one dict.  It starts at dbar (k = 0, ``acc`` empty); each pass and
     the finish ``_closed_form`` (the base families and the flip rule) add
-    their corrections into ``acc`` and keep R, and the finish returns it.
+    their corrections into ``acc`` and keep R, and the finish returns it,
+    or for a mirrored clasp -R(v, u), with no second dict.
     """
     (blocks, clasp), mirrored = clasp_identity(spec)
     k = 0
@@ -397,26 +405,19 @@ def evaluate_recursive(spec: TwistSpec) -> LaurentPoly:
     else:
         raise InfiniteReduction(f"{spec} did not reduce within {cap} passes")
 
-    dbar = LaurentPoly._raw(_closed_form(blocks, clasp, k, acc))
-    return mirror_invariant(dbar) if mirrored else dbar
-
-
-def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
-    """Map an invariant to that of the mirror image (every crossing switched).
-
-    p(u, v) -> -p(v, u); like the clasp identities, it holds up to units.
-    """
-    return LaurentPoly._raw({(j, i): -c for (i, j), c in p.items()})
+    return LaurentPoly._raw(_closed_form(blocks, clasp, k, acc, mirrored))
 
 
 def clasp_identity(spec: TwistSpec):
     """Rewrite any clasp onto {a, ab}; returns (spec, mirrored).
 
     The ``b``-side clasps mirror every crossing (``mirrored`` is True), so
-    their invariants come from the base spec's through ``mirror_invariant``:
-    p(u, v) -> -p(v, u).  It applies verbatim to dbar as well since the knot
-    factor (u-1)(v-1)(uv-1) is (up to sign) symmetric under the swap.
-    Mirroring also negates the odd writhe.
+    their invariants come from the base spec's by the mirror map
+    p(u, v) -> -p(v, u), which ``evaluate_recursive``'s finish writes as it
+    builds dbar; like the other identities it holds up to units.  It
+    applies verbatim to dbar as well since the knot factor (u-1)(v-1)(uv-1)
+    is (up to sign) symmetric under the swap.  Mirroring also negates the
+    odd writhe.
     """
     if spec.clasp in ("a", "ab"):
         return spec, False

@@ -337,6 +337,17 @@ def determinant_cofactor(m: list) -> LaurentPoly:
     return rec(m, list(range(n)))
 
 
+def mirror_invariant(p: LaurentPoly) -> LaurentPoly:
+    """p(u, v) -> -p(v, u), the invariant of the mirror image (every crossing
+    switched).
+
+    The reference for the ``b``-side clasp identity, which
+    ``evaluate_recursive`` writes in its finish; like the clasp identities,
+    it holds up to units.
+    """
+    return LaurentPoly({(j, i): -c for (i, j), c in p.items()})
+
+
 def base_end_zeros(blocks) -> tuple:
     """(leading zero, trailing zero) of a base shape: blocks in {0, 1} with
     zeros only at the ends.  A single block counts as leading only."""

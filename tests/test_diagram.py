@@ -119,7 +119,7 @@ def near_valid_gauss(draw):
             tokens[k] = ("U" if t[0] == "O" else "O") + t[1:]
         else:
             tokens.insert(k, draw(_PIECE))
-    if n > 1 and draw(st.booleans()):
+    if n > 1 and len(tokens) > 1 and draw(st.booleans()):  # three drops can leave one
         tokens.insert(draw(st.integers(1, len(tokens) - 1)), ";")
     return "".join(tokens)
 

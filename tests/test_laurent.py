@@ -537,6 +537,18 @@ class TestNormalize:
         res = normalize(ZERO)
         assert not res.poly and res.shift == 0 and res.sign == 1
 
+    def test_tie_at_least_total_degree_takes_least_u_degree(self):
+        # u and v tie at total degree 1, and the dict lists u first; the
+        # sign comes from v, the later of the two
+        res = normalize(LaurentPoly({(1, 0): -1, (0, 1): 2, (2, 2): 5}))
+        assert res == (LaurentPoly({(1, 0): -1, (0, 1): 2, (2, 2): 5}), 0, 1)
+
+    def test_total_degree_comes_before_u_degree(self):
+        # (uv)^3 (v^5 - 3u): v^5 has the lower u-degree, -3u the lower total
+        # degree, and the sign comes from -3u
+        res = normalize(LaurentPoly({(3, 8): 1, (4, 3): -3}))
+        assert res == (LaurentPoly({(0, 5): -1, (1, 0): 3}), 3, -1)
+
 
 class TestTextForm:
     def test_two_block_value(self):

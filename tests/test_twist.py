@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import base_closed_form, base_end_zeros, read_poly, smooth_crossing
+from tests.conftest import (
+    base_closed_form,
+    base_end_zeros,
+    mirror_invariant,
+    read_poly,
+    smooth_crossing,
+)
 from valex import twist
 from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
 from valex.diagram import Diagram, format_gauss, odd_writhe, parse_gauss
@@ -32,7 +38,6 @@ from valex.twist import (
     clasp_identity,
     evaluate_recursive,
     generate_twist,
-    mirror_invariant,
     ow_closed_form,
     parse_spec,
     spec_report,
@@ -137,17 +142,12 @@ def base_dbar(blocks, clasp: str) -> LaurentPoly:
                         if (i <= j if lead else j <= i)})
 
 
-def mirrored(p: LaurentPoly) -> LaurentPoly:
-    """p(u, v) -> -p(v, u), the invariant of the mirror image."""
-    return -LaurentPoly({(j, i): c for (i, j), c in p.items()})
-
-
 def reference_dbar(spec: TwistSpec):
     """dbar by the paper's recursion in LaurentPoly arithmetic, from the
-    definitions: the clasp identities by ``CLASP_REWRITES`` and ``mirrored``,
-    the parities by ``paper_parities``, the contraction by ``leftmost_merge``,
-    the flips by ``FLIP_TABLE`` and the base values by ``base_dbar``.  It
-    shares no twist code with ``evaluate_recursive``.
+    definitions: the clasp identities by ``CLASP_REWRITES`` and
+    ``mirror_invariant``, the parities by ``paper_parities``, the contraction
+    by ``leftmost_merge``, the flips by ``FLIP_TABLE`` and the base values by
+    ``base_dbar``.  It shares no twist code with ``evaluate_recursive``.
     """
     blocks, clasp, mirror = CLASP_REWRITES[spec.clasp](spec.blocks)
     factor = ONE
@@ -174,7 +174,7 @@ def reference_dbar(spec: TwistSpec):
                 acc = acc + factor * c * UV ** e
             blocks = blocks[: i - 1] + (1,) + blocks[i:]
     dbar = factor * base_dbar(blocks, clasp) + acc
-    return mirrored(dbar) if mirror else dbar
+    return mirror_invariant(dbar) if mirror else dbar
 
 
 def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
@@ -595,7 +595,7 @@ class TestRecursionStep:
         acc = {2 + k: 2 * sign, 0: 5}
         assert _step((4, 3), "a", k, acc) == ((0, 1), k + 3)
         assert list(acc.items()) == [(2 + k, 0), (0, 5), (3 + k, -sign)]
-        got = LaurentPoly._raw(_closed_form((0, 1), "a", k + 3, acc))
+        got = LaurentPoly._raw(_closed_form((0, 1), "a", k + 3, acc, False))
         assert list(got.items()) == [((0, 0), 5), ((3 + k, 3 + k), -sign)]
         want = (-UV) ** k * evaluate_recursive(TwistSpec((4, 3))) + 5 + 2 * sign * UV ** (2 + k)
         assert got == want
@@ -767,6 +767,18 @@ class TestEvaluateRecursive:
         assert vt("^b", s) == mirror_invariant(vt("a", neg + (0,)))
         assert vt("^a", s) == vt("a", s + (0,))
         assert vt("ba", s) == vt("ab", s[:-1] + (s[-1] + 1,))
+
+    def test_mirrored_finish_on_every_small_vector(self):
+        # the finish writes the b-side answer mirrored; every vector of at
+        # most 3 blocks in -2..2 reaches all four base families, -1 flips
+        # and end zeros, on both sides of the mirror
+        for n in (1, 2, 3):
+            for s in itertools.product(range(-2, 3), repeat=n):
+                neg = tuple(-b for b in s)
+                for clasp, base in (("b", neg), ("^b", neg + (0,))):
+                    got = evaluate_recursive(TwistSpec(s, clasp))
+                    want = mirror_invariant(evaluate_recursive(TwistSpec(base)))
+                    assert dict(got.items()) == dict(want.items()), (clasp, s)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-40, 40), min_size=1, max_size=8), st.sampled_from(CLASPS))
