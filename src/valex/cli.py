@@ -16,7 +16,7 @@ import re
 import sys
 
 from .alexander import invariant_report
-from .diagram import _out_labels, format_gauss, parse_gauss
+from .diagram import format_gauss, parse_gauss
 from .errors import ValexError
 from .laurent import format_poly
 from .twist import (
@@ -88,7 +88,7 @@ def cmd_twist(args) -> int:
         print(f"# generated via clasp identity as {base}"
               + (" mirrored" if mirrored else ""))
     print(f"# arc labels along traversal (columns of the matrix): "
-          f"{' '.join(str(x) for x in _out_labels(d))}")
+          f"{' '.join(map(str, d.arc_labels))}")
     print(format_gauss(d))
     return 0
 

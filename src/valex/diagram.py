@@ -5,12 +5,13 @@ passages through classical crossings, plus a sign per crossing.  Virtual
 crossings are not stored: they impose no relations and any two codes related
 by the virtual moves have the same classical data.
 
-Arcs run from classical crossing to classical crossing.  By default arc ids
-follow the traversal: arc t is the gap after the t-th passage (components in
-order, each from its basepoint), so the incoming arc of a component's first
-passage is the id of its last gap.  A diagram may carry an explicit
-``arc_labels`` permutation instead; the twist generator uses this for the
-odd/even strand labeling that makes matrix fixtures sign-exact.
+Arcs run from classical crossing to classical crossing.  Every diagram
+stores its arc numbering: ``arc_labels[t]`` is the arc leaving the t-th
+passage in traversal order (components in order, each from its basepoint),
+and a passage enters on the arc that leaves the passage before it in its
+component, cyclically.  A diagram built without labels numbers its arcs in
+traversal order, 1..2n; the twist generator gives its own, odd/even strand
+labeling, which makes matrix fixtures sign-exact.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import InvalidArgument, ParseError
 __all__ = [
     "Passage",
     "Diagram",
-    "ArcTable",
     "CrossingIncidence",
     "parse_gauss",
     "format_gauss",
@@ -91,13 +91,13 @@ class Diagram:
         if extra:
             raise InvalidArgument(f"signs given for absent crossings: {sorted(extra)}")
         n2 = 2 * len(seen)
-        if arc_labels is not None:
+        if arc_labels is None:
+            arc_labels = tuple(range(1, n2 + 1))
+        else:
             arc_labels = tuple(arc_labels)
             if (sorted(arc_labels) != list(range(1, n2 + 1))
                     or set(map(type, arc_labels)) != {int}):
                 raise InvalidArgument("arc_labels must be a permutation of the ints 1..2n")
-            if arc_labels == tuple(range(1, n2 + 1)):
-                arc_labels = None
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "arc_labels", arc_labels)
@@ -107,8 +107,8 @@ class Diagram:
         """A diagram from fields already in the form ``__init__`` stores, unchecked.
 
         ``components`` is a tuple of passage tuples, ``signs`` a dict of the
-        int signs 1 and -1 by crossing id, and ``arc_labels`` None or a tuple
-        that is not the identity.  For values derived from checked input.
+        int signs 1 and -1 by crossing id, and ``arc_labels`` a tuple
+        permutation of 1..2n.  For values derived from checked input.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "components", components)
@@ -120,10 +120,6 @@ class Diagram:
         raise AttributeError("Diagram is immutable")
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def crossings(self) -> list[int]:
-        return sorted(self.signs)
 
     @property
     def n_crossings(self) -> int:
@@ -212,7 +208,7 @@ def parse_gauss(text: str) -> Diagram:
     if len(signs) > MAX_GAUSS_CROSSINGS:
         raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
     _check_visits(visits)
-    return Diagram._raw(tuple(components), signs, None)
+    return Diagram._raw(tuple(components), signs, tuple(range(1, 2 * len(signs) + 1)))
 
 
 def format_gauss(d: Diagram) -> str:
@@ -225,13 +221,6 @@ def format_gauss(d: Diagram) -> str:
 
 # -- arcs and incidences --------------------------------------------------------
 
-class ArcTable(NamedTuple):
-    """Arc ids per passage: out_arcs[ci][pi] is the gap id leaving that passage."""
-
-    count: int
-    out_arcs: tuple
-
-
 class CrossingIncidence(NamedTuple):
     """The four arc roles at one classical crossing (ids may coincide)."""
 
@@ -243,34 +232,25 @@ class CrossingIncidence(NamedTuple):
     out_under: int
 
 
-def _out_labels(d: Diagram) -> tuple:
-    """The arc leaving each passage, in traversal order: passage t leaves on
-    ``arc_labels[t]``, or on arc t + 1 when the diagram carries no labeling.
-    """
-    return d.arc_labels or tuple(range(1, 2 * len(d.signs) + 1))
-
-
 def _component_arcs(d: Diagram):
     """Per component: its passages, the arcs entering them and the arcs leaving them.
 
     A passage enters on the arc that leaves the passage before it in its
     component, cyclically.
     """
-    labels = _out_labels(d)
     base = 0
     for comp in d.components:
-        outs = labels[base: base + len(comp)]
+        outs = d.arc_labels[base: base + len(comp)]
         yield comp, outs[-1:] + outs[:-1], outs
         base += len(comp)
 
 
 def derive_incidence(d: Diagram):
-    """Number the arcs and read off each crossing's four roles.
+    """The diagram's arc numbering and each crossing's four roles.
 
-    Deterministic given the code: arcs follow traversal order unless the
-    diagram carries an explicit labeling.
+    Returns ``(d.arc_labels, incidences)``: the arc leaving each passage in
+    traversal order, and one ``CrossingIncidence`` per crossing, by id.
     """
-    out_arcs = []
     roles: dict[int, dict[str, int]] = {}
     for comp, ins, outs in _component_arcs(d):
         for p, a_in, a_out in zip(comp, ins, outs):
@@ -281,12 +261,10 @@ def derive_incidence(d: Diagram):
             else:
                 slot["in_under"] = a_in
                 slot["out_under"] = a_out
-        out_arcs.append(outs)
-    table = ArcTable(2 * len(d.signs), tuple(out_arcs))
     incidences = [
         CrossingIncidence(cid, d.signs[cid], **roles[cid]) for cid in sorted(roles)
     ]
-    return table, incidences
+    return d.arc_labels, incidences
 
 
 # -- transforms ------------------------------------------------------------------

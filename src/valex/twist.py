@@ -97,11 +97,6 @@ class TwistSpec(_TwistFields):
     def n(self) -> int:
         return len(self.blocks)
 
-    @property
-    def m(self) -> int:
-        """Total number of classical twist crossings."""
-        return sum(map(abs, self.blocks))
-
     def __str__(self):
         return f"VT[{self.clasp}]({','.join(map(str, self.blocks))})"
 
@@ -209,8 +204,7 @@ def generate_twist(spec: TwistSpec) -> Diagram:
                      zip(range(m + 1, 1, -1), map(operator.not_, reversed(over)))),
                 Passage(1, True))  # clasp, x_2 -> x_1, over
     labels = (*range(3, 2 * m + 2, 2), 2 * m + 2, *range(2 * m, 0, -2), 1)
-    # a checked spec gives a valid diagram, so the constructor's checks are
-    # skipped; the labeling starts at 3 (at 2 when m = 0), never the identity
+    # a checked spec gives a valid diagram, so the constructor's checks are skipped
     return Diagram._raw((passages,), dict(enumerate(signs, 1)), labels)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from valex.diagram import Diagram, Passage, _component_arcs, _out_labels
+from valex.diagram import Diagram, Passage, _component_arcs
 from valex.errors import InvalidArgument
 from valex.laurent import LaurentPoly, ONE, U, V, ZERO
 
@@ -70,10 +70,11 @@ def switch_crossing(d: Diagram, cid: int) -> Diagram:
 def reverse_orientation(d: Diagram) -> Diagram:
     """Reverse every component; over/under flags and signs are kept.
 
-    Any explicit arc labeling is dropped (it referred to the old traversal).
+    The arcs are numbered afresh in traversal order (the old labels referred
+    to the old traversal).
     """
     comps = [tuple(reversed(comp)) for comp in d.components]
-    return Diagram(comps, dict(d.signs), None)
+    return Diagram(comps, dict(d.signs))
 
 
 def _insert_after(d: Diagram, inserts: dict, new_signs: dict) -> Diagram:
@@ -84,7 +85,7 @@ def _insert_after(d: Diagram, inserts: dict, new_signs: dict) -> Diagram:
     labels in order, and every old label above a split arc moves up to make
     room.  Both Reidemeister insertions use this rule.
     """
-    outs = _out_labels(d)
+    outs = d.arc_labels
     cuts = [(outs[t], len(ps)) for t, ps in inserts.items()]
     comps, labels, t = [], [], 0
     for comp in d.components:
@@ -120,7 +121,7 @@ def add_kink(d: Diagram, arc: int, kind: str) -> Diagram:
     if kind not in _KINK_TABLE:
         raise InvalidArgument(f"unknown kink kind {kind!r} (expected one of {KINK_KINDS})")
     sign, over_first = _KINK_TABLE[kind]
-    t = _passage_leaving(_out_labels(d), arc)
+    t = _passage_leaving(d.arc_labels, arc)
     new_id = max(d.signs) + 1
     kink = [Passage(new_id, over_first), Passage(new_id, not over_first)]
     return _insert_after(d, {t: kink}, {new_id: sign})
@@ -206,7 +207,7 @@ def add_r2(d: Diagram, over_arc: int, under_arc: int) -> Diagram:
     """
     if over_arc == under_arc:
         raise InvalidArgument("R2 insertion needs two distinct arcs")
-    outs = _out_labels(d)
+    outs = d.arc_labels
     t_over = _passage_leaving(outs, over_arc)
     t_under = _passage_leaving(outs, under_arc)
     id1 = max(d.signs) + 1  # first along the over strand, negative

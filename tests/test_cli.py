@@ -4,13 +4,15 @@ import time
 import pytest
 
 from tests.conftest import read_poly
+from valex import verify
 from valex.cli import main
 from valex.diagram import MAX_GAUSS_CROSSINGS, odd_writhe
-from valex.laurent import LaurentPoly
+from valex.laurent import LaurentPoly, U, V
 from valex.twist import (
     MAX_SPEC_BLOCKS,
     MAX_SPEC_CROSSINGS,
     TwistSpec,
+    evaluate_recursive,
     generate_twist,
 )
 from valex.verify import MAX_GRID_CROSSINGS, CheckResult
@@ -112,11 +114,24 @@ class TestCompute:
 
 class TestTwist:
     def test_vt1(self, capsys):
+        # the README's example
         code, out, _ = run(capsys, "twist", "VT[a](1)")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[-1] == "U2+U1+O2+O1+"
-        assert all(line.startswith("#") for line in lines[:-1])
+        assert out.splitlines() == [
+            "# VT[a](1): 2 classical crossings (crossing 1 = clasp), 1 component",
+            "# arc labels along traversal (columns of the matrix): 3 4 2 1",
+            "U2+U1+O2+O1+",
+        ]
+
+    def test_mirrored_clasp_names_its_base(self, capsys):
+        code, out, _ = run(capsys, "twist", "VT[b](2,-1)")
+        assert code == 0
+        assert out.splitlines() == [
+            "# VT[b](2,-1): 4 classical crossings (crossing 1 = clasp), 1 component",
+            "# generated via clasp identity as VT[a](-2,1) mirrored",
+            "# arc labels along traversal (columns of the matrix): 3 5 7 8 6 4 2 1",
+            "U2+O3+U4-O1+O4-U3+O2+U1+",
+        ]
 
     def test_vt0(self, capsys):
         code, out, _ = run(capsys, "twist", "VT[a](0)")
@@ -177,6 +192,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..10")
         assert code == 0
         assert "0 failures" in out
+
+    def test_failures_print_one_line_each(self, capsys, monkeypatch):
+        # the unit slip -uv fails both raw-value checks on VT[a](1), whose
+        # dbar is 1, and none on VT[a](0), whose dbar is 0
+        monkeypatch.setattr(verify, "evaluate_recursive",
+                            lambda spec: -(U * V) * evaluate_recursive(spec))
+        code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..1")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL VT[a](1)                 recursion_vs_determinant     -u*v == 1",
+            "FAIL VT[a](1)                 signed_odd_writhe_identity   -2 == 2",
+            "2 specs checked (8 checks, 2 failures, workers=1)",
+        ]
 
     def test_grid_machine(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "1", "--range", "0..2",

@@ -137,8 +137,8 @@ class TestParse:
 
     def test_single_kink_is_valid(self):
         d = parse_gauss("O1+U1+")
-        table, _ = derive_incidence(d)
-        assert table.count == 2
+        labels, _ = derive_incidence(d)
+        assert len(labels) == 2
 
     def test_pairing_errors(self):
         for bad in ("O1+", "O1+O1+", "O1+U2+U1+"):
@@ -296,8 +296,8 @@ class TestIncidence:
         assert c.in_under == 1 and c.out_under == 2
 
     def test_trefoil_six_distinct(self):
-        table, inc = derive_incidence(parse_gauss(TREFOIL))
-        assert table.count == 6
+        labels, inc = derive_incidence(parse_gauss(TREFOIL))
+        assert len(labels) == 6
         for c in inc:
             assert len({c.in_over, c.out_over, c.in_under, c.out_under}) == 4
 
@@ -314,6 +314,14 @@ class TestIncidence:
             n2 = 2 * d.n_crossings
             assert ins == {a: 1 for a in range(1, n2 + 1)}
             assert outs == {a: 1 for a in range(1, n2 + 1)}
+
+    def test_default_labels_are_traversal_order(self):
+        d = parse_gauss(VTREFOIL)
+        built = Diagram(d.components, d.signs)
+        labeled = Diagram(d.components, d.signs, (1, 2, 3, 4))
+        assert d.arc_labels == built.arc_labels == labeled.arc_labels == (1, 2, 3, 4)
+        assert d == built == labeled and hash(d) == hash(built) == hash(labeled)
+        assert derive_incidence(d)[0] is d.arc_labels
 
     def test_label_override(self):
         d = parse_gauss(VTREFOIL)
@@ -332,7 +340,7 @@ class TestTransforms:
     def test_switch_involution(self, rng):
         for _ in range(10):
             d = make_random_diagram(rng, rng.randint(1, 5))
-            cid = rng.choice(d.crossings)
+            cid = rng.choice(sorted(d.signs))
             assert switch_crossing(switch_crossing(d, cid), cid) == d
 
     def test_switch_unknown(self):
@@ -449,7 +457,7 @@ class TestSmooth:
 
         for _ in range(15):
             d = make_random_diagram(rng, rng.randint(2, 5), rng.choice([1, 2]))
-            for cid in d.crossings:
+            for cid in sorted(d.signs):
                 try:
                     a = smooth_crossing(d, cid)
                 except CrossingFreeLoop:

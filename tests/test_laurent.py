@@ -116,6 +116,11 @@ class TestKernelContract:
         ({(-2, -3): 1, (-1, -2): 1}, {(1, 1): 1, (1, 2): 1}),
         # the v-span of b exceeds that of a
         ({(1, 0): 1}, {(0, 0): 1, (0, 2): 1}),
+        # 1 + u^3 v^3 = (1 + t)(1 - t + ... + t^14) under u -> t^4, v -> t;
+        # two terms in a 16-slot box take the long division, whose decode
+        # finds the wrap; then the same division, shifted
+        ({(0, 0): 1, (3, 3): 1}, {(0, 0): 1, (0, 1): 1}),
+        ({(-2, -3): 1, (1, 0): 1}, {(1, 1): 1, (1, 2): 1}),
     ])
     def test_divexact_rejects_wrapped_quotient(self, a, b):
         assert divexact_terms(a, b) is None
@@ -471,6 +476,8 @@ class TestExactDiv:
             exact_div(p, U + 1)
         with pytest.raises(NotDivisible):
             exact_div(1 + U * V, 1 + V)
+        with pytest.raises(NotDivisible):
+            exact_div(1 + U**3 * V**3, 1 + V)
 
     def test_division_by_zero(self):
         with pytest.raises(InvalidArgument):
