@@ -23,7 +23,6 @@ from .diagram import (
     Passage,
     derive_incidence,
     format_gauss,
-    mirror_all,
     odd_writhe,
     parse_gauss,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "exact_div", "normalize", "format_poly",
     # diagram
     "Diagram", "Passage", "parse_gauss", "format_gauss", "derive_incidence",
-    "mirror_all", "odd_writhe",
+    "odd_writhe",
     # alexander
     "InvariantReport", "KNOT_FACTOR", "LINK_FACTOR", "build_matrix",
     "determinant", "delta0_diagram", "delta_bar",

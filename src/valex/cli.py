@@ -1,4 +1,4 @@
-"""Command-line surface: compute, twist, verify, batch, selftest.
+"""Command-line surface: compute, twist, verify, batch.
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 usage error,
 3 internal error (any other exception, printed as one line without a
@@ -127,7 +127,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_grid(grid_specs(args.n, *args.range))
+    specs = grid_specs(args.n, *args.range)
+    results = run_grid(specs)
     failures = [r for r in results if not r.passed]
     if args.machine:
         for r in results:
@@ -135,19 +136,9 @@ def cmd_verify(args) -> int:
     else:
         for r in failures:
             print(r)
-        n_specs = len(results) // 4
-        print(f"{'all ' if not failures else ''}{n_specs} specs checked "
+        print(f"{'all ' if not failures else ''}{len(specs)} specs checked "
               f"({len(results)} checks, {len(failures)} failures, "
-              f"workers={worker_count(n_specs)})")
-    return 1 if failures else 0
-
-
-def cmd_selftest(args) -> int:
-    results = run_grid(grid_specs(2, 0, 3))
-    failures = [r for r in results if not r.passed]
-    for r in results if args.verbose else failures:
-        print(r)
-    print(f"selftest: {len(results) - len(failures)}/{len(results)} checks passed")
+              f"workers={worker_count(len(specs))})")
     return 1 if failures else 0
 
 
@@ -203,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_batch)
-
-    p = sub.add_parser("selftest", help="the grid checks on 20 small twist specs")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 

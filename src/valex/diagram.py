@@ -28,7 +28,6 @@ __all__ = [
     "parse_gauss",
     "format_gauss",
     "derive_incidence",
-    "mirror_all",
     "odd_writhe",
     "MAX_GAUSS_CROSSINGS",
 ]
@@ -159,10 +158,11 @@ _GAUSS_ITEM = re.compile(r"([OU])\s*([0-9]+)\s*([+-])|(;)|\S")
 def parse_gauss(text: str) -> Diagram:
     """Parse a signed Gauss code: tokens ``O<k>+`` / ``U<k>-``, components ';'-separated.
 
-    A code with more than ``MAX_GAUSS_CROSSINGS`` crossings raises ParseError.
-    The scan records each crossing's visits and checks their pairing, after
-    the cap, as ``Diagram``'s constructor would; everything else that it
-    checks holds by the token syntax, so the diagram is built unchecked.
+    A code with more than ``MAX_GAUSS_CROSSINGS`` crossings raises ParseError
+    at the first token of the crossing past the cap, so the scan stops there.
+    The scan records each crossing's visits and checks their pairing at the
+    end, as ``Diagram``'s constructor would; everything else that it checks
+    holds by the token syntax, so the diagram is built unchecked.
     """
     new = tuple.__new__  # Passage(cid, over) without a Python-level call
     components = []
@@ -193,6 +193,9 @@ def parse_gauss(text: str) -> Diagram:
         over = over == "O"
         prev = signs.get(cid)
         if prev is None:
+            if len(signs) == MAX_GAUSS_CROSSINGS:
+                raise ParseError(f"crossing {cid} exceeds the cap of "
+                                 f"{MAX_GAUSS_CROSSINGS} crossings", pos)
             signs[cid] = sign
             visits[cid] = [over]
         elif prev != sign:
@@ -205,8 +208,6 @@ def parse_gauss(text: str) -> Diagram:
             raise ParseError("component without classical crossings", start)
         raise ParseError("empty Gauss code", 0)
     components.append(tuple(passages))
-    if len(signs) > MAX_GAUSS_CROSSINGS:
-        raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
     _check_visits(visits)
     return Diagram._raw(tuple(components), signs, tuple(range(1, 2 * len(signs) + 1)))
 
@@ -267,14 +268,7 @@ def derive_incidence(d: Diagram):
     return d.arc_labels, incidences
 
 
-# -- transforms ------------------------------------------------------------------
-
-def mirror_all(d: Diagram) -> Diagram:
-    """Switch every classical crossing (the diagram D# of the symmetry laws)."""
-    comps = [[Passage(p.crossing, not p.over) for p in comp] for comp in d.components]
-    signs = {cid: -s for cid, s in d.signs.items()}
-    return Diagram(comps, signs, d.arc_labels)
-
+# -- odd writhe -------------------------------------------------------------------
 
 def odd_writhe(d: Diagram) -> int:
     """Sum of signs of the odd crossings (knots only).

@@ -40,7 +40,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .alexander import InvariantReport
-from .diagram import Diagram, Passage, mirror_all
+from .diagram import Diagram, Passage
 from .errors import InfiniteReduction, InvalidArgument, ParseError, UnsupportedClasp
 from .laurent import LaurentPoly
 
@@ -111,8 +111,9 @@ def parse_spec(text: str) -> TwistSpec:
     ``str(spec)`` prints them, with no ``_`` separator.
 
     A spec with more than ``MAX_SPEC_BLOCKS`` blocks or more than
-    ``MAX_SPEC_CROSSINGS`` twist crossings raises ParseError.  These checks
-    cover the constructor's, so the result is built without repeating them.
+    ``MAX_SPEC_CROSSINGS`` twist crossings raises ParseError; the blocks are
+    counted by their commas before any is read.  These checks cover the
+    constructor's, so the result is built without repeating them.
     """
     m = _SPEC_RE.match(text)
     if not m:
@@ -128,13 +129,14 @@ def parse_spec(text: str) -> TwistSpec:
         bad = next(i for i, c in enumerate(body) if c == "_" or not c.isascii())
         raise ParseError(f"bad character {body[bad]!r} in block list",
                          m.start(2) + raw.index(body) + bad)
+    n_blocks = body.count(",") + 1  # counted before the split, which would copy them
+    if n_blocks > MAX_SPEC_BLOCKS:
+        raise ParseError(f"{n_blocks} blocks exceed the cap of {MAX_SPEC_BLOCKS}",
+                         text.index("("))
     try:
         blocks = tuple(map(int, body.split(",")))  # int() strips the blanks
     except ValueError:
         raise ParseError(f"bad block list {body!r}", text.index("(")) from None
-    if len(blocks) > MAX_SPEC_BLOCKS:
-        raise ParseError(f"{len(blocks)} blocks exceed the cap of {MAX_SPEC_BLOCKS}",
-                         text.index("("))
     crossings = sum(map(abs, blocks))
     if crossings > MAX_SPEC_CROSSINGS:
         raise ParseError(f"{crossings} twist crossings exceed the cap of {MAX_SPEC_CROSSINGS}",
@@ -165,10 +167,11 @@ def _parity(a: tuple) -> tuple:
 def generate_twist(spec: TwistSpec) -> Diagram:
     """Emit the twist-knot diagram with the odd/even strand arc labeling.
 
-    Directly generated for clasp ``a``; the ``^a``, ``b`` and ``^b`` variants
-    are produced through ``clasp_identity`` (generate its clasp-``a`` spec,
-    mirrored when the identity mirrors).  ``ab``/``ba`` have no public diagram
-    recipe and raise UnsupportedClasp.
+    Clasp ``a`` is generated directly; ``^a``, ``b`` and ``^b`` are rewritten
+    through ``clasp_identity`` onto a clasp-``a`` spec, and a mirrored one is
+    written mirrored in the same pass: every over flag flipped, the two clasp
+    passages swapped and every sign negated, on the same arc labels.
+    ``ab``/``ba`` have no public diagram recipe and raise UnsupportedClasp.
 
     Layout for clasp ``a``: m twist crossings c_2..c_{m+1} left to right; the
     k-th crossing of block j is "type 1" iff s(j-1)+k-1 is even, and the
@@ -178,31 +181,32 @@ def generate_twist(spec: TwistSpec) -> Diagram:
     This role assignment is the one that reproduces all four closed-form base
     families exactly, sign included.
     """
+    blocks, mirrored = spec.blocks, False
     if spec.clasp != "a":
-        base, mirrored = clasp_identity(spec)
-        if base.clasp != "a":
+        (blocks, clasp), mirrored = clasp_identity(spec)
+        if clasp != "a":
             raise UnsupportedClasp(f"no diagram generator for clasp {spec.clasp!r}")
-        d = generate_twist(base)
-        return mirror_all(d) if mirrored else d
 
-    s = _parity(spec.blocks)[0]
+    s = _parity(blocks)[0]
     # block j's crossings run over r = s(j-1) .. s(j-1)+|a_j|-1 and are type 1
     # where r is even, so the odd strand passes over where r is odd in a
-    # positive block and where r is even in a negative one
-    over = [(r & 1) == (b > 0) for start, b in zip(s, spec.blocks)
+    # positive block and where r is even in a negative one (the parentheses
+    # keep Python from chaining the comparisons)
+    over = [((r & 1) == (b > 0)) != mirrored for start, b in zip(s, blocks)
             for r in range(start, start + abs(b))]
     m = len(over)
-    signs = [-1 if s[-1] & 1 else 1]  # c_1, then c_2..c_{m+1} left to right
-    for b in spec.blocks:
-        signs += [1 if b > 0 else -1] * abs(b)
+    unit = -1 if mirrored else 1
+    signs = [-unit if s[-1] & 1 else unit]  # c_1, then c_2..c_{m+1} left to right
+    for b in blocks:
+        signs += [unit if b > 0 else -unit] * abs(b)
     # tuple.__new__(Passage, (c, flag)) is Passage(c, flag) without a
     # Python-level call per passage
     new = tuple.__new__
     passages = (*map(new, repeat(Passage), enumerate(over, 2)),  # odd strand, left to right
-                Passage(1, False),  # clasp, x_{2m+1} -> x_{2m+2}, under
+                Passage(1, mirrored),  # clasp, x_{2m+1} -> x_{2m+2}, under unless mirrored
                 *map(new, repeat(Passage),  # even strand, right to left
                      zip(range(m + 1, 1, -1), map(operator.not_, reversed(over)))),
-                Passage(1, True))  # clasp, x_2 -> x_1, over
+                Passage(1, not mirrored))  # clasp, x_2 -> x_1, over unless mirrored
     labels = (*range(3, 2 * m + 2, 2), 2 * m + 2, *range(2 * m, 0, -2), 1)
     # a checked spec gives a valid diagram, so the constructor's checks are skipped
     return Diagram._raw((passages,), dict(enumerate(signs, 1)), labels)

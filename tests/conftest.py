@@ -67,6 +67,17 @@ def switch_crossing(d: Diagram, cid: int) -> Diagram:
     return Diagram(comps, signs, d.arc_labels)
 
 
+def mirror_all(d: Diagram) -> Diagram:
+    """Switch every classical crossing (the diagram D# of the symmetry laws).
+
+    The reference for the ``b``-side clasps, which ``generate_twist`` writes
+    mirrored in its one pass.
+    """
+    comps = [[Passage(p.crossing, not p.over) for p in comp] for comp in d.components]
+    signs = {cid: -s for cid, s in d.signs.items()}
+    return Diagram(comps, signs, d.arc_labels)
+
+
 def reverse_orientation(d: Diagram) -> Diagram:
     """Reverse every component; over/under flags and signs are kept.
 

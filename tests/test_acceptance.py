@@ -12,6 +12,7 @@ from tests.conftest import (
     add_kink,
     add_r2,
     base_closed_form,
+    mirror_all,
     read_poly,
     reverse_orientation,
     smooth_crossing,
@@ -19,7 +20,7 @@ from tests.conftest import (
 )
 from valex.alexander import delta0_diagram, delta_bar, invariant_report
 from valex.cli import main
-from valex.diagram import mirror_all, parse_gauss
+from valex.diagram import parse_gauss
 from valex.laurent import (
     LaurentPoly,
     ONE,

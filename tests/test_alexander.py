@@ -23,6 +23,8 @@ from valex._backend import det_terms
 from valex.alexander import (
     KNOT_FACTOR,
     LINK_FACTOR,
+    _cheapest,
+    _cheapest_unit,
     build_matrix,
     delta0_diagram,
     delta_bar,
@@ -41,6 +43,67 @@ VT1_VALUE = read_poly("-1 + u + v - u^2*v - u*v^2 + u^2*v^2")
 def rows_of(d):
     _, inc = derive_incidence(d)
     return build_matrix(inc)
+
+
+def pivot_state(rows: list) -> tuple:
+    """``determinant``'s ``active`` and ``cols`` for rows of {column: terms}.
+
+    An entry's pivot cost is (r - 1)(c - 1), r and c being the entry counts
+    of its row and column.
+    """
+    active = dict(enumerate(rows))
+    cols = {}
+    for i, row in active.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    return active, cols
+
+
+class TestPivotTies:
+    """The two tie rules of ``determinant``'s pivot search, on hand-built states."""
+
+    ONE_T, U_T, MINUS_V = {(0, 0): 1}, {(1, 0): 1}, {(0, 1): -1}
+
+    def test_unit_over_a_cheaper_non_unit(self):
+        # 2 is alone in its row (cost 0); the units cost 1, yet one is taken
+        active, cols = pivot_state([{0: {(0, 0): 2}},
+                                    {1: self.U_T, 2: {(0, 0): 1, (1, 1): 1}},
+                                    {1: {(0, 0): 3, (1, 0): 1}, 2: self.MINUS_V}])
+        assert _cheapest_unit(active, cols) == (1, 1)
+        assert _cheapest(active, cols) == (0, 0)
+
+    def test_equal_units_go_to_the_first_in_row_then_column_order(self):
+        # every entry is a unit of cost 4
+        units = [self.ONE_T, self.U_T, self.MINUS_V, {(-1, 2): -1}]
+        active, cols = pivot_state([{j: units[(i + j) % 4] for j in range(3)}
+                                    for i in range(3)])
+        assert _cheapest_unit(active, cols) == (0, 0)
+        # with (0, 0) a non-unit, (0, 1) is the first unit; (1, 0) costs the same
+        active[0][0] = {(0, 0): 1, (1, 0): 1}
+        assert _cheapest_unit(active, cols) == (0, 1)
+
+    @pytest.mark.parametrize("c", [2, -2])
+    def test_two_monomial_is_not_a_unit(self, c):
+        active, cols = pivot_state([{0: {(1, 1): c}}, {1: {(0, 0): c}, 2: {(2, 0): 1, (0, 0): 1}},
+                                    {1: {(0, 1): -c}, 2: {(0, 0): c, (1, 0): c}}])
+        assert _cheapest_unit(active, cols) is None
+        active[2][2] = self.MINUS_V  # -v is one
+        assert _cheapest_unit(active, cols) == (2, 2)
+
+    def test_no_unit_least_cost_then_fewer_terms_then_first(self):
+        two, three = {(0, 0): 2, (1, 0): 1}, {(0, 0): 2, (1, 0): 1, (0, 1): 1}
+        # a three-term entry alone in its row costs 0, the monomials 1
+        active, cols = pivot_state([{0: three}, {1: {(0, 0): 2}, 2: {(1, 1): 3}},
+                                    {1: {(0, 0): 3}, 2: {(0, 0): 5}}])
+        assert _cheapest_unit(active, cols) is None
+        assert _cheapest(active, cols) == (0, 0)
+        # every entry costs 4: the monomials at (1, 1) and (2, 0) have the
+        # fewest terms, and (1, 1) is found first
+        active, cols = pivot_state([{0: three, 1: two, 2: three},
+                                    {0: two, 1: {(0, 0): 2}, 2: two},
+                                    {0: {(1, 0): 3}, 1: two, 2: two}])
+        assert _cheapest_unit(active, cols) is None
+        assert _cheapest(active, cols) == (1, 1)
 
 
 class TestBuildMatrix:

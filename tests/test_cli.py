@@ -15,7 +15,7 @@ from valex.twist import (
     evaluate_recursive,
     generate_twist,
 )
-from valex.verify import MAX_GRID_CROSSINGS, CheckResult
+from valex.verify import MAX_GRID_CROSSINGS
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREFOIL = "O1+U2+U1+O2+"
@@ -94,8 +94,9 @@ class TestCompute:
     def test_gauss_over_cap_exits_1(self, capsys):
         code, out, err = run(capsys, "compute", "--gauss", OVER_CAP_CODE)
         assert code == 1 and out == ""
-        assert err == (f"error: {MAX_GAUSS_CROSSINGS + 1} crossings exceed the cap of "
-                       f"{MAX_GAUSS_CROSSINGS} (at position 0)\n")
+        n = MAX_GAUSS_CROSSINGS + 1
+        assert err == (f"error: crossing {n} exceeds the cap of {MAX_GAUSS_CROSSINGS} "
+                       f"crossings (at position {OVER_CAP_CODE.index(f'O{n}+')})\n")
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def fail(d):
@@ -356,23 +357,23 @@ class TestVerify:
         assert "specs checked" not in capsys.readouterr().out
 
 
-class TestSelftest:
-    # selftest is the grid of n <= 2 blocks in 0..3: 20 specs, four checks each
-    def test_passes(self, capsys):
-        code, out, _ = run(capsys, "selftest")
+class TestSmallGrid:
+    # the grid of n <= 2 blocks in 0..3: 20 specs, four checks each
+    def test_summary(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--range", "0..3")
         assert code == 0
-        assert out == "selftest: 80/80 checks passed\n"
+        assert out == "all 20 specs checked (80 checks, 0 failures, workers=1)\n"
 
-    def test_verbose_prints_every_grid_check(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--verbose")
-        *lines, last = out.splitlines()
+    def test_machine_prints_every_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--range", "0..3", "--machine")
+        lines = out.splitlines()
         assert code == 0
-        assert len(lines) == 80 and all(x.startswith("ok ") for x in lines)
-        assert last == "selftest: 80/80 checks passed"
+        assert len(lines) == 80 and all(x.endswith(", pass=true") for x in lines)
 
-    def test_failure_exits_1(self, capsys, monkeypatch):
-        bad = CheckResult("VT[a](1)", "divisibility", False, "x", "0", "why")
-        monkeypatch.setattr("valex.cli.run_grid", lambda specs: [bad])
-        code, out, _ = run(capsys, "selftest")
-        assert code == 1
-        assert out == f"{bad}\nselftest: 0/1 checks passed\n"
+    @pytest.mark.parametrize("argv", [("selftest",), ("selftest", "--verbose")])
+    def test_selftest_is_gone(self, capsys, argv):
+        # `valex verify --n 2 --range 0..3` is the one way to run these checks
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

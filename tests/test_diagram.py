@@ -11,6 +11,7 @@ from tests.conftest import (
     add_kink,
     add_r2,
     make_random_diagram,
+    mirror_all,
     reverse_orientation,
     smooth_crossing,
     switch_crossing,
@@ -21,7 +22,6 @@ from valex.diagram import (
     Passage,
     derive_incidence,
     format_gauss,
-    mirror_all,
     odd_writhe,
     parse_gauss,
 )
@@ -42,7 +42,8 @@ def parse_checked(text: str) -> Diagram:
     """A Gauss code parsed token by token and built by the checked constructor.
 
     The reference for ``parse_gauss``: it raises the same ParseErrors in the
-    same order, then the cap error, and leaves the pairing check to
+    same order, the cap error at the first token of the crossing past the
+    cap among them, and leaves the pairing check to
     ``Diagram(components, signs)``.
     """
     components, passages, signs, start = [], [], {}, 0
@@ -65,6 +66,9 @@ def parse_checked(text: str) -> Diagram:
         if cid < 1:
             raise ParseError("crossing ids start at 1", pos)
         sign = 1 if sign_char == "+" else -1
+        if cid not in signs and len(signs) == MAX_GAUSS_CROSSINGS:
+            raise ParseError(f"crossing {cid} exceeds the cap of "
+                             f"{MAX_GAUSS_CROSSINGS} crossings", pos)
         if signs.setdefault(cid, sign) != sign:
             raise ParseError(f"crossing {cid} appears with both signs in {text!r}", pos)
         passages.append(Passage(cid, over == "O"))
@@ -73,8 +77,6 @@ def parse_checked(text: str) -> Diagram:
             raise ParseError("component without classical crossings", start)
         raise ParseError("empty Gauss code", 0)
     components.append(passages)
-    if len(signs) > MAX_GAUSS_CROSSINGS:
-        raise ParseError(f"{len(signs)} crossings exceed the cap of {MAX_GAUSS_CROSSINGS}", 0)
     return Diagram(components, signs)
 
 
@@ -170,11 +172,25 @@ class TestParse:
             assert err.value.position == position, code
 
     def test_crossing_cap(self):
-        # links count too: the cap is on the crossings of the whole code
+        # links count too: the cap is on the crossings of the whole code, and
+        # the error names the first token of the crossing past it
         at_cap = ";".join(f"O{c}+U{c}+" for c in range(1, MAX_GAUSS_CROSSINGS + 1))
         assert parse_gauss(at_cap).n_crossings == MAX_GAUSS_CROSSINGS
-        with pytest.raises(ParseError, match=f"{MAX_GAUSS_CROSSINGS + 1} crossings exceed"):
-            parse_gauss(at_cap + f";O{MAX_GAUSS_CROSSINGS + 1}-U{MAX_GAUSS_CROSSINGS + 1}-")
+        n = MAX_GAUSS_CROSSINGS + 1
+        with pytest.raises(ParseError, match=f"crossing {n} exceeds the cap of "
+                                             f"{MAX_GAUSS_CROSSINGS} crossings") as err:
+            parse_gauss(at_cap + f";O{n}-U{n}-")
+        assert err.value.position == len(at_cap) + 1
+
+    def test_scan_stops_at_the_cap(self):
+        # the cap error comes before anything wrong later in the text: a bad
+        # token, a sign clash or an empty component
+        n = MAX_GAUSS_CROSSINGS + 1
+        over = "".join(f"O{c}+U{c}+" for c in range(1, n + 1))
+        for tail in ("X", "O1-", ";;"):
+            with pytest.raises(ParseError, match=f"crossing {n} exceeds the cap") as err:
+                parse_gauss(over + tail)
+            assert err.value.position == over.index(f"O{n}+")
 
     def test_trailing_whitespace(self):
         assert parse_gauss("O1+U1+ ") == parse_gauss("O1+U1+")
@@ -230,8 +246,9 @@ class TestParse:
         # crossing 1 is visited once, and the code is one crossing over the cap
         n = MAX_GAUSS_CROSSINGS + 1
         text = "O1+" + "".join(f"O{c}+U{c}+" for c in range(2, n + 1))
-        with pytest.raises(ParseError, match=f"{n} crossings exceed"):
+        with pytest.raises(ParseError, match=f"crossing {n} exceeds the cap") as err:
             parse_gauss(text)
+        assert err.value.position == text.index(f"O{n}+")
         with pytest.raises(InvalidArgument, match="crossing 1 must be visited"):
             parse_gauss(text[:-len(f"O{n}+U{n}+")])
 
@@ -346,12 +363,6 @@ class TestTransforms:
     def test_switch_unknown(self):
         with pytest.raises(InvalidArgument):
             switch_crossing(parse_gauss(VTREFOIL), 9)
-
-    def test_mirror_is_switch_all(self):
-        d = parse_gauss(VTREFOIL)
-        m = mirror_all(d)
-        assert m == switch_crossing(switch_crossing(d, 1), 2)
-        assert mirror_all(m) == d
 
     def test_reverse_involution(self, rng):
         for _ in range(10):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from tests.conftest import (
     base_closed_form,
     base_end_zeros,
+    mirror_all,
     mirror_invariant,
     read_poly,
     smooth_crossing,
+    switch_crossing,
 )
 from valex import twist
 from valex.alexander import KNOT_FACTOR, delta0_diagram, delta_bar
@@ -406,6 +409,27 @@ class TestGenerator:
                 assert type(x.components) is tuple
                 assert all(type(c) is tuple for c in x.components)
                 assert type(x.signs) is dict and type(x.arc_labels) is tuple
+
+    def test_rewritten_clasps_equal_the_mirrored_rewrite(self):
+        # ^a, b and ^b are built in one pass; each equals the diagram of its
+        # clasp-a rewrite, with every crossing switched for b and ^b: the
+        # same passages, signs in the same order and labels
+        rng = random.Random(41)
+        small = [s.blocks for s in acceptance_grid()]
+        seeded = [tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 7)))
+                  for _ in range(5000)]
+        for blocks, clasp in itertools.product(small + seeded, ("^a", "b", "^b")):
+            base, mirrored = clasp_identity(TwistSpec(blocks, clasp))
+            got, want = generate_twist(TwistSpec(blocks, clasp)), generate_twist(base)
+            if mirrored:
+                want = mirror_all(want)
+            assert (got.components, list(got.signs.items()), got.arc_labels) == \
+                (want.components, list(want.signs.items()), want.arc_labels), (blocks, clasp)
+        # the reference is the switch of every crossing, and its own inverse
+        for blocks, clasp in itertools.product(small, ("b", "^b")):
+            d = generate_twist(clasp_identity(TwistSpec(blocks, clasp))[0])
+            assert functools.reduce(switch_crossing, d.signs, d) == mirror_all(d)
+            assert mirror_all(mirror_all(d)) == d
 
     def test_clasp_variants_generate(self):
         for clasp in ("^a", "b", "^b"):
