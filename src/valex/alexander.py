@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._backend import _ONE, det_terms, divexact_terms, fma_terms, mul_terms
+from ._backend import _ONE, det_terms, divexact_terms, fma_terms
 from .diagram import Diagram, _component_arcs, format_gauss, odd_writhe
 from .errors import InvalidArgument, NotDivisible
 from .laurent import LaurentPoly, U, V, ZERO, exact_div, normalize
@@ -272,13 +272,13 @@ def determinant(m: list) -> LaurentPoly:
     monomial e * u^-a v^-b, which leaves a pivot of 1; the units' product is
     carried as a sign and an exponent pair.  Then every step is the same
     Bareiss update: with ``prev`` the previous pivot (1 before the first
-    step), a row with an entry ``lead`` in the pivot column becomes
-    (pivot * a_ij - lead * a_pj) / prev over the union of its columns and
-    the pivot row's, and a row without one is scaled entry by entry to
-    pivot * a_ij / prev.  When pivot equals prev, as on a unit step while
-    prev is 1, both leave every entry off the pivot row's columns as it is,
-    so only the pivot row's columns of the rows with an entry in the pivot
-    column are visited.
+    step), every active row becomes (pivot * a_ij - lead * a_pj) / prev over
+    the union of its columns and the pivot row's, where ``lead`` is its
+    entry in the pivot column, and lead = 0 for a row with no entry there.
+    When pivot equals prev, as on a unit step while prev is 1, the update
+    leaves a row with lead = 0, and every entry off the pivot row's columns,
+    as it is, so only the pivot row's columns of the rows with an entry in
+    the pivot column are visited.
 
     Every division by ``prev`` is exact.  Each active entry of row i is a
     minor whose last row is input row i, so dividing the pivot row by a
@@ -306,8 +306,8 @@ def determinant(m: list) -> LaurentPoly:
     takes each pivot's row to its column.
 
     Every product and quotient goes through ``_backend``'s kernel
-    (``fma_terms``, ``mul_terms``, ``divexact_terms``, and ``det_terms``
-    for a three- or four-row core); the units' product is kept in ints.
+    (``fma_terms``, ``divexact_terms``, and ``det_terms`` for a three- or
+    four-row core); the units' product is kept in ints.
     """
     n = len(m)
     cols: dict = {j: set() for j in range(n)}
@@ -359,11 +359,7 @@ def determinant(m: list) -> LaurentPoly:
         same = pivot == prev
         for i in leading if same else active:
             sparse = active[i]
-            if i not in leading:
-                for j, t in sparse.items():
-                    sparse[j] = _exact(mul_terms(pivot, t), prev)
-                continue
-            lead = sparse.pop(q)
+            lead = sparse.pop(q, {})
             for j in pivot_row if same else sparse.keys() | pivot_row.keys():
                 t = _exact(fma_terms(pivot, sparse.get(j, {}), lead, pivot_row.get(j, {})), prev)
                 if t:

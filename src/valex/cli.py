@@ -53,17 +53,11 @@ def cmd_compute(args) -> int:
         print(format_poly(rep.dbar_normalized))
         return 0
 
+    norm, val, ow = rep.unit, rep.dbar_at_minus_one, rep.odd_writhe
     lines = [
         ("input", rep.subject),
         ("delta0(D)", format_poly(rep.delta0)),
         ("dbar(D)", format_poly(rep.dbar)),
-    ]
-    if args.raw:
-        _print_report(lines, args.machine)
-        return 0
-
-    norm, val, ow = rep.unit, rep.dbar_at_minus_one, rep.odd_writhe
-    lines += [
         ("dbar_norm", format_poly(rep.dbar_normalized)),
         ("delta0_norm", format_poly(rep.delta0_normalized)),
         ("unit", f"{'+' if norm.sign > 0 else '-'}(uv)^{norm.shift}"),
@@ -173,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--gauss", help="signed Gauss code, e.g. 'O1+U2+U1+O2+'")
     src.add_argument("--spec", help="twist spec, e.g. 'VT[a](7,4,3,5,9)'")
-    p.add_argument("--raw", action="store_true", help="diagram-level values only")
     p.add_argument("--quiet", action="store_true", help="print only normalized dbar")
     p.add_argument("--machine", action="store_true", help="key=value output")
     p.set_defaults(func=cmd_compute)

@@ -199,7 +199,7 @@ def parse_gauss(text: str) -> Diagram:
             signs[cid] = sign
             visits[cid] = [over]
         elif prev != sign:
-            raise ParseError(f"crossing {cid} appears with both signs in {text!r}", pos)
+            raise ParseError(f"crossing {cid} appears with both signs", pos)
         else:
             visits[cid].append(over)
         passages.append(new(Passage, (cid, over)))

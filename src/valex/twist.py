@@ -93,10 +93,6 @@ class TwistSpec(_TwistFields):
             raise InvalidArgument(f"unknown clasp {clasp!r}; expected one of {CLASPS}")
         return super().__new__(cls, ints, clasp)
 
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
     def __str__(self):
         return f"VT[{self.clasp}]({','.join(map(str, self.blocks))})"
 
@@ -117,7 +113,7 @@ def parse_spec(text: str) -> TwistSpec:
     """
     m = _SPEC_RE.match(text)
     if not m:
-        raise ParseError(f"not a twist spec: {text!r}", 0)
+        raise ParseError(f"not a twist spec: {text[:8]!r}", 0)
     clasp = (m.group(1) or "a").lower()
     if clasp not in CLASPS:
         raise ParseError(f"unknown clasp tag {clasp!r}", text.index("["))
@@ -136,7 +132,7 @@ def parse_spec(text: str) -> TwistSpec:
     try:
         blocks = tuple(map(int, body.split(",")))  # int() strips the blanks
     except ValueError:
-        raise ParseError(f"bad block list {body!r}", text.index("(")) from None
+        raise ParseError(f"bad block list {body[:8]!r}", text.index("(")) from None
     crossings = sum(map(abs, blocks))
     if crossings > MAX_SPEC_CROSSINGS:
         raise ParseError(f"{crossings} twist crossings exceed the cap of {MAX_SPEC_CROSSINGS}",
@@ -440,7 +436,7 @@ def ow_closed_form(spec: TwistSpec) -> int:
     if base.clasp != "a":
         raise UnsupportedClasp(f"no odd-writhe closed form for clasp {spec.clasp!r}")
     total = sum(base.blocks)
-    s_n = total + base.n
+    s_n = total + len(base.blocks)
     ow = total + (total & 1) * (1 if s_n % 2 == 0 else -1)
     return -ow if mirrored else ow
 

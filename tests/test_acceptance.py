@@ -201,7 +201,7 @@ def test_odd_writhe_identity_and_conjecture(tmp_path):
         s, delta, half_sum = _parity(spec.blocks)
         dbar = evaluate_recursive(spec)
         ow = ow_closed_form(spec)
-        sign = -1 if (delta + s[spec.n] + half_sum) % 2 else 1
+        sign = -1 if (delta + s[len(spec.blocks)] + half_sum) % 2 else 1
         assert 2 * dbar.evaluate(-1, -1) == sign * ow, spec  # signed identity
         val = normalize(dbar).poly.evaluate(-1, -1)
         assert 2 * abs(val) == abs(ow), spec  # conjecture

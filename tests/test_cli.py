@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import read_poly
 from valex import verify
+from valex.alexander import invariant_report
 from valex.cli import main
 from valex.diagram import MAX_GAUSS_CROSSINGS, odd_writhe
 from valex.laurent import LaurentPoly, U, V
@@ -51,16 +52,30 @@ class TestCompute:
         assert fields["holds"] == "true"
 
     def test_raw(self, capsys):
-        code, out, _ = run(capsys, "compute", "--gauss", VTREFOIL, "--raw")
+        # the diagram-level values lead the report, before the normalized ones
+        code, out, _ = run(capsys, "compute", "--gauss", VTREFOIL, "--machine")
         assert code == 0
-        assert "dbar_norm" not in out
+        keys = [line.split("=", 1)[0] for line in out.splitlines()]
+        assert keys[:3] == ["input", "delta0(D)", "dbar(D)"]
+        assert "dbar_norm" in keys[3:]
 
     def test_raw_b_clasp_prints_no_note(self, capsys):
-        # the b-side recursion is as exact at diagram level as the a side
-        code, out, _ = run(capsys, "compute", "--spec", "VT[b](2,-1)", "--raw")
+        # the b-side recursion is as exact at diagram level as the a side:
+        # its dbar(D) line is the generated diagram's, with no note beside it
+        code, out, _ = run(capsys, "compute", "--spec", "VT[b](2,-1)", "--machine")
         assert code == 0
-        assert [line.split(":")[0] for line in out.splitlines()] == \
-            ["input", "delta0(D)", "dbar(D)"]
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert list(fields) == ["input", "delta0(D)", "dbar(D)", "dbar_norm",
+                                "delta0_norm", "unit", "dbar_at_minus1", "ow", "holds"]
+        diagram = invariant_report(generate_twist(TwistSpec((2, -1), "b")))
+        assert read_poly(fields["dbar(D)"]) == diagram.dbar
+
+    def test_raw_is_gone(self, capsys):
+        # the plain report's first three lines are the diagram-level values
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--gauss", VTREFOIL, "--raw"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_machine_output_reparseable(self, capsys):
         code, out, _ = run(capsys, "compute", "--spec", "VT[a](-7,3,-5,-2,3)",

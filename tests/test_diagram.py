@@ -70,7 +70,7 @@ def parse_checked(text: str) -> Diagram:
             raise ParseError(f"crossing {cid} exceeds the cap of "
                              f"{MAX_GAUSS_CROSSINGS} crossings", pos)
         if signs.setdefault(cid, sign) != sign:
-            raise ParseError(f"crossing {cid} appears with both signs in {text!r}", pos)
+            raise ParseError(f"crossing {cid} appears with both signs", pos)
         passages.append(Passage(cid, over == "O"))
     if not passages:
         if components:

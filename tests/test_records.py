@@ -17,7 +17,7 @@ from valex.alexander import invariant_report
 from valex.diagram import Diagram, Passage, odd_writhe, parse_gauss
 from valex.errors import InvalidArgument, ParseError, ValexError
 from valex.laurent import ZERO, LaurentPoly, U, exact_div
-from valex.twist import TwistSpec
+from valex.twist import TwistSpec, parse_spec
 from valex.verify import CheckResult
 
 
@@ -105,7 +105,11 @@ _RAISE_SITES = {  # name -> (call, type, message, position)
     "empty_component": (lambda: Diagram([[Passage(1, True), Passage(1, False)], []], {1: 1}),
                         InvalidArgument, "crossing-free components are not allowed", None),
     "both_signs": (lambda: parse_gauss("O1+U1-"), ParseError,
-                   "crossing 1 appears with both signs in 'O1+U1-' (at position 3)", 3),
+                   "crossing 1 appears with both signs (at position 3)", 3),
+    "not_a_spec": (lambda: parse_spec("VT[a]1,2,3"), ParseError,
+                   "not a twist spec: 'VT[a]1,2' (at position 0)", 0),
+    "bad_block_list": (lambda: parse_spec("VT[b](1, 2x, 3)"), ParseError,
+                       "bad block list '1, 2x, 3' (at position 5)", 5),
     "empty_text_component": (lambda: parse_gauss("O1+;;U1+"), ParseError,
                              "component without classical crossings (at position 4)", 4),
     "leading_empty_component": (lambda: parse_gauss(";O1+U1+"), ParseError,
@@ -140,6 +144,26 @@ def test_error_type_message_and_position(site):
     assert str(exc.value) == message
     if kind is ParseError:
         assert exc.value.position == position
+
+
+# a few megabytes of text: one unreadable spec, one bad block, and one sign clash
+_LONG_INPUT_ERRORS = {
+    "not_a_spec": (lambda: parse_spec("VT(" + "1," * 2_000_000), 0),
+    "bad_block_list": (lambda: parse_spec("VT(1," + "1x" * 2_000_000 + ")"), 2),
+    "both_signs": (lambda: parse_gauss("O1+" + " " * 4_000_000 + "U1-"), 4_000_003),
+}
+
+
+@pytest.mark.parametrize("site", list(_LONG_INPUT_ERRORS))
+def test_error_message_stays_short_on_long_input(site):
+    # `valex batch` writes the message as one stderr line, so it quotes at
+    # most a short excerpt of the input however long the input is
+    call, position = _LONG_INPUT_ERRORS[site]
+    with pytest.raises(ParseError) as exc:
+        call()
+    assert len(str(exc.value)) < 200
+    assert str(exc.value).endswith(f" (at position {position})")
+    assert exc.value.position == position
 
 
 class TestTwistSpec:

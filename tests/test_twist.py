@@ -192,13 +192,13 @@ def smoothed_closed_form(spec: TwistSpec, i: int) -> LaurentPoly:
     """
     if spec.clasp != "a":
         raise UnsupportedClasp(f"no smoothed closed form for clasp {spec.clasp!r}")
-    if not 1 <= i <= spec.n:
-        raise InvalidArgument(f"block index {i} out of range 1..{spec.n}")
+    if not 1 <= i <= len(spec.blocks):
+        raise InvalidArgument(f"block index {i} out of range 1..{len(spec.blocks)}")
     if spec.blocks[i - 1] == 0:
         raise InvalidArgument(f"block {i} of {spec} is empty")
     s, delta, eps = paper_parities(spec.blocks)
     half_sum = sum(abs(b) // 2 for b in spec.blocks)
-    sign_exp = (-s[i - 1] + delta + s[spec.n]) % 2
+    sign_exp = (-s[i - 1] + delta + s[len(spec.blocks)]) % 2
     out = (-UV) ** half_sum * UV ** eps[i - 1]
     out = out * ((U - 1) * (V - 1))
     return -out if sign_exp else out
@@ -306,7 +306,7 @@ class TestSpecText:
 
     def test_caps(self):
         ones = lambda n: "VT[ab](" + ",".join(["1"] * n) + ")"
-        assert parse_spec(ones(MAX_SPEC_BLOCKS)).n == MAX_SPEC_BLOCKS
+        assert len(parse_spec(ones(MAX_SPEC_BLOCKS)).blocks) == MAX_SPEC_BLOCKS
         with pytest.raises(ParseError, match=f"{MAX_SPEC_BLOCKS + 1} blocks exceed the cap"):
             parse_spec(ones(MAX_SPEC_BLOCKS + 1))
         half = MAX_SPEC_CROSSINGS // 2
@@ -316,7 +316,7 @@ class TestSpecText:
             parse_spec(f"VT[b]({half},{half - MAX_SPEC_CROSSINGS - 1})")
         # the largest spec the command-line checks run, and the benchmark's
         long = parse_spec("VT[^b](" + ",".join(["3,-1"] * 150) + ")")
-        assert (long.n, sum(map(abs, long.blocks))) == (300, 600)
+        assert (len(long.blocks), sum(map(abs, long.blocks))) == (300, 600)
         ba = parse_spec("VT[ba](" + ",".join(["-40"] * 8) + ")")
         assert sum(map(abs, ba.blocks)) == 320
 
@@ -515,7 +515,7 @@ class TestSmoothedClosedForm:
     def test_always_link_shaped(self):
         for blocks in [(1,), (2, 3), (-2, 1, 4), (7, 4, 3, 5, 9)]:
             spec = TwistSpec(blocks)
-            for i in range(1, spec.n + 1):
+            for i in range(1, len(spec.blocks) + 1):
                 if spec.blocks[i - 1] == 0:
                     continue
                 val = smoothed_closed_form(spec, i)

@@ -180,7 +180,7 @@ class TestGrid:
 
     def test_block_cap(self):
         specs = grid_specs(MAX_SPEC_BLOCKS, 0, 0)
-        assert [s.n for s in specs] == list(range(1, MAX_SPEC_BLOCKS + 1))
+        assert [len(s.blocks) for s in specs] == list(range(1, MAX_SPEC_BLOCKS + 1))
         with pytest.raises(InvalidArgument, match=f"cap of {MAX_SPEC_BLOCKS} blocks per spec"):
             grid_specs(MAX_SPEC_BLOCKS + 1, 0, 0)
 
